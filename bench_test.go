@@ -75,7 +75,7 @@ var benchConfig = haystack.Config{LineSize: 64, CacheSizes: []int64{8 * 1024, 64
 
 func analyzeOnce(b *testing.B, prog *scop.Program, cfg haystack.Config, opts haystack.Options) *haystack.Result {
 	b.Helper()
-	opts.TraceFallback = false
+	opts.Mode = haystack.ModeExact
 	res, err := core.Analyze(prog, cfg, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -251,7 +251,6 @@ func BenchmarkFig16_TiledKernel(b *testing.B) {
 		b.Fatal("stencil should have a rectangular tiling")
 	}
 	opts := haystack.DefaultOptions()
-	opts.TraceFallback = true
 	for i := 0; i < b.N; i++ {
 		res, err := core.Analyze(tiled, haystack.Config{LineSize: 64, CacheSizes: []int64{8 * 1024}}, opts)
 		if err != nil {
@@ -288,7 +287,7 @@ var sweepHierarchies = []haystack.Config{
 func sweepAnalysisOptions() haystack.Options {
 	opts := haystack.DefaultOptions()
 	opts.Parallelism = 1
-	opts.TraceFallback = false
+	opts.Mode = haystack.ModeExact
 	return opts
 }
 
@@ -342,7 +341,7 @@ func BenchmarkTiledSymbolic_Gemm2D(b *testing.B) {
 		b.Fatal("gemm should have a rectangular tiling")
 	}
 	opts := haystack.DefaultOptions()
-	opts.TraceFallback = false
+	opts.Mode = haystack.ModeExact
 	opts.Parallelism = 1
 	var last *core.DistanceModel
 	for i := 0; i < b.N; i++ {
@@ -373,7 +372,7 @@ func BenchmarkUntiledSymbolic_Gemm(b *testing.B) {
 	}
 	prog := k.Build(polybench.Small)
 	opts := haystack.DefaultOptions()
-	opts.TraceFallback = false
+	opts.Mode = haystack.ModeExact
 	opts.Parallelism = 1
 	var last *core.DistanceModel
 	for i := 0; i < b.N; i++ {

@@ -152,7 +152,7 @@ func measuredConfig(opt options) cachesim.Config {
 
 func analyze(prog *scop.Program, cfg core.Config, parallelism int) (*core.Result, error) {
 	opts := core.DefaultOptions()
-	opts.TraceFallback = false
+	opts.Mode = core.ModeExact
 	opts.Parallelism = parallelism
 	return core.Analyze(prog, cfg, opts)
 }
@@ -329,7 +329,6 @@ func fig14(opt options) {
 	for _, k := range opt.kernels {
 		prog := k.Build(opt.size)
 		run := func(o core.Options) (float64, error) {
-			o.TraceFallback = false
 			res, err := core.Analyze(prog, modelConfig(opt), o)
 			if err != nil {
 				return 0, err

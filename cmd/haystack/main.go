@@ -42,8 +42,8 @@ func main() {
 	noRasterization := flag.Bool("no-rasterization", false, "disable the rasterization floor elimination")
 	noPartial := flag.Bool("no-partial-enumeration", false, "disable partial enumeration of non-affine pieces")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines for the analysis (stack distances and capacity miss counting; 0 = all cores)")
-	mode := flag.String("mode", "exact", "degradation ladder rung: exact (fail or trace-fallback on degraded operations), bounded (answer with certified interval bounds), sim (exact trace profiling, no symbolic analysis)")
-	budgetFlag := flag.Int64("budget", 0, "per-operation symbolic cost limit in cost units (0 = unlimited); an operation over budget fails in exact mode and degrades to certified bounds in bounded mode")
+	mode := flag.String("mode", "auto", "degradation ladder rung: auto (exact symbolic, else exact trace profiling), exact (exact symbolic or fail), bounded (answer with certified interval bounds), sim (exact trace profiling, no symbolic analysis)")
+	budgetFlag := flag.Int64("budget", 0, "per-operation symbolic cost limit in cost units (0 = unlimited); an operation over budget fails in exact mode, falls back to trace profiling in auto mode, and degrades to certified bounds in bounded mode")
 	deadline := flag.Duration("deadline", 0, "wall-clock deadline for the whole analysis (e.g. 30s; 0 = none)")
 	stats := flag.Bool("stats", false, "print extended statistics (coalescing counters, basic-map counts, budget use, and degradation provenance)")
 	check := flag.Bool("check", false, "statically verify the program (scopcheck) and print the findings before the analysis; warnings are reported, errors abort")
@@ -99,9 +99,6 @@ func main() {
 	var res *core.Result
 	var caption string
 	if *params != "" {
-		if opts.Mode == core.ModeSim {
-			log.Fatal("-mode sim needs a concrete -size: the parametric model has no trace to profile")
-		}
 		pk, ok := polybench.ParametricByName(*kernel)
 		if !ok {
 			log.Fatalf("kernel %q has no parametric variant (available: %s)", *kernel, strings.Join(polybench.ParametricNames(), ", "))

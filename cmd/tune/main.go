@@ -53,7 +53,7 @@ func main() {
 	tiled := flag.String("tiled", "symbolic",
 		"analysis of tiled variants: 'symbolic' (full symbolic pipeline, problem-size independent) or 'profile' (exact trace profile, cost grows with the trace length)")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines of the sweep's configuration pool (0 = all cores)")
-	mode := flag.String("mode", "exact", "degradation ladder rung of every grid point: exact, bounded (certified interval bounds on degraded operations), sim (exact trace profiling for all variants)")
+	mode := flag.String("mode", "auto", "degradation ladder rung of every grid point: auto (exact symbolic, else exact trace profiling), exact (exact symbolic or fail), bounded (certified interval bounds on degraded operations), sim (exact trace profiling for all variants)")
 	budgetFlag := flag.Int64("budget", 0, "per-operation symbolic cost limit in cost units (0 = unlimited)")
 	deadline := flag.Duration("deadline", 0, "wall-clock deadline for the whole sweep (e.g. 2m; 0 = none)")
 	stats := flag.Bool("stats", true, "print sweep statistics (text format only)")

@@ -96,10 +96,10 @@ func Write(a *Array, index ...Expr) Access { return scop.Write(a, index...) }
 type Config = core.Config
 
 // Options configures the analysis: it toggles the optimizations of the miss
-// counting stage (equalization, rasterization, partial enumeration), the
-// exact trace-profiling fallback for programs outside the symbolic fragment,
-// and the number of worker goroutines via Parallelism (zero uses all cores;
-// results are bit-identical at every parallelism level).
+// counting stage (equalization, rasterization, partial enumeration), selects
+// the rung of the degradation ladder via Mode, and sets the number of worker
+// goroutines via Parallelism (zero uses all cores; results are bit-identical
+// at every parallelism level).
 type Options = core.Options
 
 // Result is the outcome of analyzing a program.
@@ -113,21 +113,26 @@ type LevelResult = core.LevelResult
 type Stats = core.Stats
 
 // Mode selects the rung of the graceful degradation ladder an analysis runs
-// on: ModeExact (the default) fails or trace-falls-back when the symbolic
-// pipeline degrades, ModeBounded answers with certified interval bounds
-// instead, and ModeSim skips the symbolic pipeline entirely.
+// on: ModeExact (the zero value) fails when the symbolic pipeline degrades,
+// ModeAuto (selected by DefaultOptions) answers from exact trace profiling
+// instead, ModeBounded answers with certified interval bounds, and ModeSim
+// skips the symbolic pipeline entirely.
 type Mode = core.Mode
 
 const (
-	// ModeExact demands exact symbolic results (the default zero value).
+	// ModeExact demands exact symbolic results and fails otherwise (the
+	// zero value).
 	ModeExact = core.ModeExact
+	// ModeAuto falls back to exact trace profiling where the symbolic
+	// pipeline fails (the DefaultOptions rung).
+	ModeAuto = core.ModeAuto
 	// ModeBounded degrades failed operations to certified interval bounds.
 	ModeBounded = core.ModeBounded
 	// ModeSim answers from exact trace profiling without symbolic analysis.
 	ModeSim = core.ModeSim
 )
 
-// ParseMode parses a -mode flag value ("exact", "bounded", "sim").
+// ParseMode parses a -mode flag value ("exact", "auto", "bounded", "sim").
 func ParseMode(s string) (Mode, error) { return core.ParseMode(s) }
 
 // Tier reports which rung of the degradation ladder produced a Result.
@@ -153,7 +158,8 @@ type Reference = core.Reference
 // (64-byte lines, 32 KiB L1, 1 MiB L2).
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// DefaultOptions enables every optimization of the model.
+// DefaultOptions enables every optimization of the model and selects
+// ModeAuto.
 func DefaultOptions() Options { return core.DefaultOptions() }
 
 // Analyze runs the analytical cache model on a program: it composes the two

@@ -66,7 +66,7 @@ func TestSetAssocBenchmark(t *testing.T) {
 		CacheSizes: []int64{512, 2048},
 	}
 	opts := DefaultOptions()
-	opts.TraceFallback = false
+	opts.Mode = ModeExact
 	for _, ways := range []int{0, 1, 2, 4, 8} {
 		cfg := Config{LineSize: report.LineSize, CacheSizes: report.CacheSizes}
 		if ways > 0 {

@@ -179,7 +179,6 @@ func TestBoundedHugeGemmNoOverflow(t *testing.T) {
 	prog := gemm(n)
 	opts := DefaultOptions()
 	opts.Mode = ModeBounded
-	opts.TraceFallback = false
 	cfg := Config{LineSize: 64, CacheSizes: []int64{32 * 1024, 1 << 20}}
 	res, err := Analyze(prog, cfg, opts)
 	if err != nil {

@@ -418,7 +418,7 @@ func (cc *capacityCounter) countAffinePiece(domain presburger.BasicSet, poly qpo
 			}
 			if !counted {
 				var err error
-				n, err = counting.CountBasicSetOp(domain, op)
+				n, err = counting.CountBasicSet(domain, op)
 				if err != nil {
 					if errors.Is(err, budget.ErrExceeded) || budget.IsCancellation(err) {
 						return nil, err
@@ -464,7 +464,7 @@ func (cc *capacityCounter) countAffinePiece(domain presburger.BasicSet, poly qpo
 			// cheaper to establish than running the symbolic summation.
 			continue
 		}
-		n, err := counting.CountBasicSetOp(trimmed, op)
+		n, err := counting.CountBasicSet(trimmed, op)
 		if err != nil {
 			if errors.Is(err, budget.ErrExceeded) || budget.IsCancellation(err) {
 				return nil, err

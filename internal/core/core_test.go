@@ -109,7 +109,7 @@ func stencil2d(n int64) *scop.Program {
 func checkAgainstReference(t *testing.T, prog *scop.Program, cfg Config) *Result {
 	t.Helper()
 	opts := DefaultOptions()
-	opts.TraceFallback = false
+	opts.Mode = ModeExact
 	res, err := Analyze(prog, cfg, opts)
 	if err != nil {
 		t.Fatalf("%s: Analyze failed: %v", prog.Name, err)
@@ -213,7 +213,7 @@ func TestMultiLevelReusesDistances(t *testing.T) {
 	one := Config{LineSize: 64, CacheSizes: []int64{1024}}
 	three := Config{LineSize: 64, CacheSizes: []int64{1024, 4096, 16384}}
 	opts := DefaultOptions()
-	opts.TraceFallback = false
+	opts.Mode = ModeExact
 	r1, err := Analyze(gemm(n), one, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestOptionTogglesKeepExactness(t *testing.T) {
 func TestPerStatementBreakdown(t *testing.T) {
 	cfg := Config{LineSize: 8, CacheSizes: []int64{16}}
 	opts := DefaultOptions()
-	opts.TraceFallback = false
+	opts.Mode = ModeExact
 	res, err := Analyze(paperExample(), cfg, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestStatsPopulated(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	opts := DefaultOptions()
-	opts.TraceFallback = false
+	opts.Mode = ModeExact
 	res, err := Analyze(gemm(n), cfg, opts)
 	if err != nil {
 		t.Fatal(err)

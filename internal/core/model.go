@@ -106,10 +106,9 @@ func DefaultConfig() Config {
 type Mode int
 
 const (
-	// ModeExact (the zero value) demands exact answers: a stage that
-	// exceeds the budget or leaves the supported fragment fails the
-	// analysis (or triggers the exact trace fallback when
-	// Options.TraceFallback is set).
+	// ModeExact (the zero value) demands exact symbolic answers: a stage
+	// that exceeds the budget or leaves the supported fragment fails the
+	// analysis.
 	ModeExact Mode = iota
 	// ModeBounded degrades failing operations to certified interval bounds
 	// (Lo <= exact <= Hi) instead of failing: the analysis always answers,
@@ -118,6 +117,11 @@ const (
 	// ModeSim skips the symbolic pipeline entirely and answers from an
 	// exact trace profile (runtime proportional to the trace length).
 	ModeSim
+	// ModeAuto runs the exact symbolic pipeline and, where it fails, answers
+	// from the exact trace profile instead (TierSimulated): results stay
+	// exact, and only the runtime of the fallen-back programs becomes
+	// proportional to the trace length. DefaultOptions selects it.
+	ModeAuto
 )
 
 func (m Mode) String() string {
@@ -128,6 +132,8 @@ func (m Mode) String() string {
 		return "bounded"
 	case ModeSim:
 		return "sim"
+	case ModeAuto:
+		return "auto"
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
@@ -137,12 +143,14 @@ func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "exact", "":
 		return ModeExact, nil
+	case "auto":
+		return ModeAuto, nil
 	case "bounded":
 		return ModeBounded, nil
 	case "sim":
 		return ModeSim, nil
 	}
-	return ModeExact, fmt.Errorf("core: unknown mode %q (want exact, bounded, or sim)", s)
+	return ModeExact, fmt.Errorf("core: unknown mode %q (want exact, auto, bounded, or sim)", s)
 }
 
 // Tier reports which rung of the degradation ladder produced a Result.
@@ -156,7 +164,7 @@ const (
 	// interval and the bounds fields carry the certified ranges.
 	TierBounded
 	// TierSimulated: the result was obtained by exact trace profiling
-	// (the legacy trace fallback, or ModeSim).
+	// (the ModeAuto fallback, or ModeSim).
 	TierSimulated
 )
 
@@ -186,11 +194,6 @@ type Options struct {
 	// piece and counts the affine dimensions symbolically (section 3.2);
 	// when disabled, non-affine pieces are enumerated point by point.
 	PartialEnumeration bool
-	// TraceFallback allows Analyze to fall back to exact trace-based
-	// profiling when the symbolic pipeline cannot handle the program. The
-	// result is still exact but the runtime becomes proportional to the
-	// number of memory accesses.
-	TraceFallback bool
 	// Parallelism is the number of worker goroutines of the analysis: the
 	// capacity miss counting engine fans the distance pieces out over the
 	// pool, and the stack distance computation uses it for the per-basic-map
@@ -205,18 +208,18 @@ type Options struct {
 	// structured diagnostics instead of letting the symbolic pipeline
 	// compute garbage; disable it only for programs already verified.
 	SkipVerify bool
-	// Mode selects the degradation ladder rung (exact, bounded, sim); see
-	// the Mode constants. The zero value is ModeExact, preserving the
-	// legacy behavior.
+	// Mode selects the degradation ladder rung (exact, auto, bounded, sim);
+	// see the Mode constants. The zero value is ModeExact, which fails
+	// loudly; DefaultOptions selects ModeAuto.
 	Mode Mode
 	// Budget caps the cost units every counting operation of the analysis
 	// may spend (Fourier-Motzkin system fan-out and enumerated points both
 	// charge one unit). Zero means unlimited. The cap is enforced per
 	// operation — not against a shared pool — so which operation degrades
 	// is deterministic and independent of the worker count. In ModeExact
-	// an exceeded budget fails the operation (or triggers the trace
-	// fallback); in ModeBounded it degrades the operation to certified
-	// interval bounds.
+	// an exceeded budget fails the operation, in ModeAuto it triggers the
+	// trace fallback, and in ModeBounded it degrades the operation to
+	// certified interval bounds.
 	Budget int64
 	// Deadline bounds the wall-clock time of an Analyze/ComputeDistances/
 	// CountMisses call: the call's context is cancelled after the duration
@@ -254,9 +257,9 @@ func (o Options) executor() (ex parwork.Exec, release func()) {
 	return parwork.NewExec(effectiveParallelism(o.Parallelism))
 }
 
-// DefaultOptions enables every optimization.
+// DefaultOptions enables every optimization and selects ModeAuto.
 func DefaultOptions() Options {
-	return Options{Equalization: true, Rasterization: true, PartialEnumeration: true, TraceFallback: true}
+	return Options{Equalization: true, Rasterization: true, PartialEnumeration: true, Mode: ModeAuto}
 }
 
 // LevelResult holds the modeled miss counts of one cache level.
@@ -407,8 +410,9 @@ type Result struct {
 	// skipped).
 	PerStatementCompulsory map[string]int64
 	Stats                  Stats
-	// UsedTraceFallback reports that the symbolic pipeline failed and the
-	// result was obtained by exact trace profiling instead.
+	// UsedTraceFallback reports that the result was obtained by exact trace
+	// profiling: the symbolic pipeline failed under ModeAuto, or ModeSim
+	// skipped it.
 	UsedTraceFallback bool
 	// FallbackReason carries the provenance of any degradation: the error
 	// that triggered the trace fallback, or the reason the bounded tier
@@ -468,17 +472,11 @@ func AnalyzeContext(ctx context.Context, prog *scop.Program, cfg Config, opts Op
 		// The per-phase calls below must not stack a second timeout.
 		opts.Deadline = 0
 	}
-	var dm *DistanceModel
-	var err error
-	if opts.Mode == ModeSim {
-		dm, err = ComputeDistancesByProfiling(prog, cfg.LineSize)
-	} else {
-		dm, err = ComputeDistancesContext(ctx, prog, cfg.LineSize, opts)
-	}
+	dm, err := ComputeDistancesContext(ctx, prog, cfg.LineSize, opts)
 	if err != nil {
 		return nil, err
 	}
-	res, err := dm.CountMissesContext(ctx, cfg)
+	res, err := dm.CountMissesExec(ctx, cfg, opts.Exec)
 	if err != nil {
 		return nil, err
 	}
@@ -496,7 +494,7 @@ func totalAccesses(info *scop.PolyInfo) (int64, map[string]int64, error) {
 	var total int64
 	perStmt := make(map[string]int64, len(info.Statements))
 	for _, ps := range info.Statements {
-		n, err := counting.CountSet(ps.Domain)
+		n, err := counting.CountSet(ps.Domain, nil)
 		if err != nil {
 			// Fall back to enumeration of the iteration domain.
 			n, err = ps.Domain.CountByScan()

@@ -38,7 +38,7 @@ func TestParallelCountsMatchSequential(t *testing.T) {
 	cfg := Config{LineSize: 64, CacheSizes: []int64{512, 2048, 16 * 1024}}
 	for _, prog := range progs {
 		opts := DefaultOptions()
-		opts.TraceFallback = false
+		opts.Mode = ModeExact
 		opts.Parallelism = 1
 		seq, err := Analyze(prog, cfg, opts)
 		if err != nil {
@@ -82,7 +82,7 @@ func TestParallelCountsMatchSequential(t *testing.T) {
 // is surfaced in the stats together with one busy-time entry per worker.
 func TestParallelismKnobRecordedInStats(t *testing.T) {
 	opts := DefaultOptions()
-	opts.TraceFallback = false
+	opts.Mode = ModeExact
 	opts.Parallelism = 2
 	res, err := Analyze(gemm(6), Config{LineSize: 64, CacheSizes: []int64{1024}}, opts)
 	if err != nil {
@@ -116,7 +116,7 @@ func TestParallelismKnobRecordedInStats(t *testing.T) {
 // because every piece is split once and classified against all capacities.
 func TestLevelsShareOneCountingPass(t *testing.T) {
 	opts := DefaultOptions()
-	opts.TraceFallback = false
+	opts.Mode = ModeExact
 	one, err := Analyze(gemm(6), Config{LineSize: 64, CacheSizes: []int64{1024}}, opts)
 	if err != nil {
 		t.Fatal(err)

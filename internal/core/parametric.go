@@ -35,7 +35,7 @@ func nonParametric(stage string, err error) error {
 const maxClassifyDepth = 64
 
 // parametricCountBudget caps the system fan-out of the one-time parametric
-// count of a single capacity piece (counting.CardBasicSetBudgeted). Pieces
+// count of a single capacity piece (counting.CardBasicSetSummands). Pieces
 // that exceed it are demoted to per-evaluation residual counting — exact
 // either way, the budget only trades one-time symbolic cost against
 // per-evaluation cost. The value is deterministic (no wall-clock), so the
@@ -122,7 +122,8 @@ type ParametricModel struct {
 //
 // Programs whose symbolic pipeline leaves the supported parametric fragment
 // return an error wrapping ErrNonParametric; there is no trace fallback for
-// parametric programs (a trace requires a concrete size).
+// parametric programs (a trace requires a concrete size), so ModeSim is an
+// error and ModeAuto builds the model like ModeExact.
 func ComputeParametricModel(prog *scop.Program, lineSize int64, opts Options) (*ParametricModel, error) {
 	return ComputeParametricModelContext(context.Background(), prog, lineSize, opts)
 }
@@ -134,6 +135,9 @@ func ComputeParametricModelContext(ctx context.Context, prog *scop.Program, line
 	start := time.Now()
 	if lineSize <= 0 {
 		return nil, fmt.Errorf("core: line size must be positive")
+	}
+	if opts.Mode == ModeSim {
+		return nil, fmt.Errorf("core: ModeSim needs a concrete problem size: the parametric model has no trace to profile")
 	}
 	if opts.Deadline > 0 {
 		var cancel context.CancelFunc
@@ -169,7 +173,7 @@ func ComputeParametricModelContext(ctx context.Context, prog *scop.Program, line
 
 	total := qpoly.ZeroPw(pm.paramSpace)
 	for _, ps := range info.Statements {
-		card, err := counting.CardSet(ps.Domain, nP, pm.paramSpace)
+		card, err := counting.CardSet(ps.Domain, nP, pm.paramSpace, nil)
 		if err != nil {
 			return nil, nonParametric(fmt.Sprintf("counting accesses of %s", ps.Name), err)
 		}
@@ -655,7 +659,7 @@ func attributeCompulsoryParametric(info *scop.PolyInfo, lineSize int64, nParam i
 			if err != nil {
 				return nil, err
 			}
-			card, err := counting.CardSet(dom, nParam, paramSpace)
+			card, err := counting.CardSet(dom, nParam, paramSpace, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -52,7 +52,7 @@ type setAssocLevel struct {
 // symbolic; the miss classification then evaluates the sum pointwise over
 // the set's instance domain, which is exact, deterministic, and linear in
 // the instance count.
-func (dm *DistanceModel) countSetAssocLevel(ctx context.Context, countOpts Options, ex parwork.Exec, meter *budget.Meter, level int, numSets, ways int64) (*setAssocLevel, error) {
+func (dm *DistanceModel) countSetAssocLevel(ctx context.Context, ex parwork.Exec, meter *budget.Meter, level int, numSets, ways int64) (*setAssocLevel, error) {
 	if dm.saInfo == nil {
 		return nil, fmt.Errorf("core: distance model of %s has no polyhedral state for set-associative counting", dm.Kernel)
 	}
@@ -60,7 +60,7 @@ func (dm *DistanceModel) countSetAssocLevel(ctx context.Context, countOpts Optio
 	if err != nil {
 		return nil, err
 	}
-	bounded := countOpts.Mode == ModeBounded
+	bounded := dm.opts.Mode == ModeBounded
 	waysRat := ints.NewRat(ways, 1)
 	// The touched maps of statements that already degraded in the distance
 	// phase are skipped: countSymbolic adds their [0, instances] bound per
@@ -216,7 +216,7 @@ func (dm *DistanceModel) setInstanceCount(part *scop.SetPartition, stmt string, 
 	if err != nil {
 		return 0, err
 	}
-	return counting.CountSetOp(dom, meter.Op(opPrefix+"instance count of "+stmt))
+	return counting.CountSet(dom, meter.Op(opPrefix+"instance count of "+stmt))
 }
 
 // SimulateSetAssocReference computes the exact reference counts for a

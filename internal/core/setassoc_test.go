@@ -228,7 +228,7 @@ func TestSetAssocRandomizedDifferential(t *testing.T) {
 		programs = 3
 	}
 	opts := DefaultOptions()
-	opts.TraceFallback = false
+	opts.Mode = ModeExact
 	for id := 0; id < programs; id++ {
 		prog := randomAffineNest(r, id)
 		for _, ways := range []int{1, 2, 4, 8} {
@@ -258,7 +258,7 @@ func TestSetAssocParallelismInvariance(t *testing.T) {
 	prog := gemm(12)
 	cfg := Config{LineSize: 64, CacheSizes: []int64{512, 2048}, Ways: []int{4, 8}}
 	opts := DefaultOptions()
-	opts.TraceFallback = false
+	opts.Mode = ModeExact
 	opts.Parallelism = 1
 	seq, err := Analyze(prog, cfg, opts)
 	if err != nil {

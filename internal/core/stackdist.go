@@ -39,8 +39,8 @@ func (f *frontierStats) observe(before, after int) {
 	}
 }
 
-// ComputeStackDistances derives, for every statement of the program, the
-// backward stack distance of each of its accesses as a piecewise
+// ComputeStackDistancesWith derives, for every statement of the program,
+// the backward stack distance of each of its accesses as a piecewise
 // quasi-polynomial over the statement instance space (section 3.1 of the
 // paper).
 //
@@ -51,14 +51,10 @@ func (f *frontierStats) observe(before, after int) {
 //	B  = S⁻¹ ∘ L⪯⁻¹ ∘ S               (instances executed before t)
 //	F  = (S⁻¹ ∘ L⪯ ∘ S) ∘ N⁻¹         (instances executed after the previous access)
 //	D  = |A ∘ (F ∩ B)|                (distinct lines touched in between)
-func ComputeStackDistances(info *scop.PolyInfo, lineSize int64) ([]StatementDistance, error) {
-	return ComputeStackDistancesWith(info, lineSize, 1)
-}
-
-// ComputeStackDistancesWith is ComputeStackDistances with the two dominant
-// stages — the per-basic-map lexicographic maxima and the per-statement
-// counting of touched lines — spread over the given number of worker
-// goroutines. The result is bit-identical for every worker count.
+//
+// The two dominant stages — the per-basic-map lexicographic maxima and the
+// per-statement counting of touched lines — are spread over the given number
+// of worker goroutines. The result is bit-identical for every worker count.
 func ComputeStackDistancesWith(info *scop.PolyInfo, lineSize int64, workers int) ([]StatementDistance, error) {
 	ex, release := parwork.NewExec(workers)
 	defer release()
@@ -66,7 +62,7 @@ func ComputeStackDistancesWith(info *scop.PolyInfo, lineSize int64, workers int)
 	return dists, err
 }
 
-// computeStackDistances is the implementation behind the public wrappers;
+// computeStackDistances is the implementation behind the public wrapper;
 // the optional tracker records the basic-map counts at every simplification
 // frontier for Stats reporting. The meter budgets the touched-line counts
 // (nil = unlimited); ctx is observed between pipeline stages and between
@@ -227,7 +223,7 @@ func countTouchedCards(ctx context.Context, info *scop.PolyInfo, touched presbur
 		if leader[idx] != idx {
 			return nil // copied after the pool drains
 		}
-		card, err := counting.MapCardOp(simplifyMap(it.m, fs), meter.Op(opPrefix+"touched-line count of "+it.name))
+		card, err := counting.MapCard(simplifyMap(it.m, fs), meter.Op(opPrefix+"touched-line count of "+it.name))
 		if err != nil {
 			if bounded && !budget.IsCancellation(err) {
 				// Degrade the statement instead of the analysis; the caller
@@ -375,7 +371,7 @@ func attributeCompulsory(info *scop.PolyInfo, lineSize int64) (map[string]int64,
 			return nil, err
 		}
 		for _, fm := range firstInst.Maps() {
-			n, err := counting.CountSet(mustDomain(fm))
+			n, err := counting.CountSet(mustDomain(fm), nil)
 			if err != nil {
 				n, err = mustDomain(fm).CountByScan()
 				if err != nil {

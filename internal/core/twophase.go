@@ -86,10 +86,12 @@ type DistanceModel struct {
 // size. The returned model answers CountMisses queries for any hierarchy
 // sharing that line size without recomputing the distances.
 //
-// When the symbolic pipeline cannot handle the program and
-// opts.TraceFallback is set, the model falls back to an exact stack distance
-// profile of the trace; results stay exact (CountMisses marks them with
-// UsedTraceFallback) and are still shared across hierarchies.
+// opts.Mode picks the rung of the degradation ladder. ModeSim builds the
+// model from an exact stack distance profile of the trace without trying the
+// symbolic pipeline (ComputeDistancesByProfiling). Under ModeAuto, a program
+// the symbolic pipeline cannot handle falls back to the same profile;
+// results stay exact (CountMisses marks them with UsedTraceFallback) and are
+// still shared across hierarchies. ModeExact returns the error instead.
 func ComputeDistances(prog *scop.Program, lineSize int64, opts Options) (*DistanceModel, error) {
 	return ComputeDistancesContext(context.Background(), prog, lineSize, opts)
 }
@@ -106,6 +108,9 @@ func ComputeDistancesContext(ctx context.Context, prog *scop.Program, lineSize i
 	}
 	if prog.IsParametric() {
 		return nil, fmt.Errorf("core: program %s is parametric; use ComputeParametricModel (or Instantiate it first)", prog.Name)
+	}
+	if opts.Mode == ModeSim {
+		return ComputeDistancesByProfiling(prog, lineSize)
 	}
 	if err := preflight(prog, opts); err != nil {
 		return nil, err
@@ -146,7 +151,7 @@ func ComputeDistancesContext(ctx context.Context, prog *scop.Program, lineSize i
 			if err := dm.degradeGlobal(info, meter, symErr); err != nil {
 				return nil, err
 			}
-		case opts.TraceFallback:
+		case opts.Mode == ModeAuto:
 			if err := dm.ensureProfile(); err != nil {
 				return nil, err
 			}
@@ -178,6 +183,14 @@ func ComputeDistancesContext(ctx context.Context, prog *scop.Program, lineSize i
 func (dm *DistanceModel) degradeGlobal(info *scop.PolyInfo, meter *budget.Meter, symErr error) error {
 	dm.boundedReason = symErr.Error()
 	dm.distances = nil
+	return dm.boundCompulsory(info, meter)
+}
+
+// boundCompulsory counts the compulsory misses on the bounded tier: exactly
+// if the budget allows, as a certified interval otherwise, and as
+// [0, TotalAccesses] (always sound) when the count fails. Only an exact
+// count is attributed to statements.
+func (dm *DistanceModel) boundCompulsory(info *scop.PolyInfo, meter *budget.Meter) error {
 	A := info.LineAccessMap(dm.LineSize)
 	iv, err := counting.CountSetRangesInterval(A, meter.Op("compulsory count"), counting.DefaultMaxEnum)
 	if err != nil {
@@ -273,21 +286,8 @@ func (dm *DistanceModel) computeSymbolic(ctx context.Context, info *scop.PolyInf
 
 	tComp := time.Now()
 	if bounded {
-		A := info.LineAccessMap(dm.LineSize)
-		iv, err := counting.CountSetRangesInterval(A, meter.Op("compulsory count"), counting.DefaultMaxEnum)
-		if err != nil {
-			if budget.IsCancellation(err) {
-				return err
-			}
-			iv = counting.Interval{Lo: 0, Hi: dm.TotalAccesses}
-		}
-		iv = iv.ClampHi(dm.TotalAccesses)
-		dm.compulsoryBounds = iv
-		dm.CompulsoryMisses = iv.Hi
-		if iv.IsExact() {
-			if perStmt, aerr := attributeCompulsory(info, dm.LineSize); aerr == nil {
-				dm.perStmtCompulsory = perStmt
-			}
+		if err := dm.boundCompulsory(info, meter); err != nil {
+			return err
 		}
 	} else {
 		compulsory, perStmt, err := CountCompulsoryMisses(info, dm.LineSize)
@@ -335,41 +335,19 @@ func (dm *DistanceModel) Distances() []StatementDistance { return dm.distances }
 // distances were computed for. The counting engine uses the parallelism of
 // the options the model was built with.
 func (dm *DistanceModel) CountMisses(cfg Config) (*Result, error) {
-	return dm.countMisses(context.Background(), cfg, dm.opts.Parallelism, nil)
+	return dm.CountMissesExec(context.Background(), cfg, nil)
 }
 
-// CountMissesContext is CountMisses observing ctx (and opts.Deadline):
-// counting workers stop claiming pieces promptly after cancellation and the
-// context error is returned.
-func (dm *DistanceModel) CountMissesContext(ctx context.Context, cfg Config) (*Result, error) {
-	return dm.countMisses(ctx, cfg, dm.opts.Parallelism, nil)
-}
-
-// CountMissesWith is CountMisses with an explicit worker count for the
-// counting engine, overriding Options.Parallelism. Callers that already
-// fan out over configurations (internal/explore) use it to keep the total
-// goroutine count bounded; results are bit-identical for every worker
-// count.
-func (dm *DistanceModel) CountMissesWith(cfg Config, workers int) (*Result, error) {
-	return dm.countMisses(context.Background(), cfg, workers, nil)
-}
-
-// CountMissesWithContext is CountMissesWith observing ctx.
-func (dm *DistanceModel) CountMissesWithContext(ctx context.Context, cfg Config, workers int) (*Result, error) {
-	return dm.countMisses(ctx, cfg, workers, nil)
-}
-
-// CountMissesExec is CountMissesContext scheduling the counting engine on
-// the given executor instead of spinning up workers of its own. Callers
-// that already run on a pool (internal/explore sweeps) pass their Worker so
-// capacity pieces become stealable units of the shared pool. The executor
-// is used only for the duration of the call and never retained; results are
-// bit-identical for every executor shape.
+// CountMissesExec is CountMisses observing ctx (and opts.Deadline) and
+// scheduling the counting engine on the given executor instead of spinning
+// up workers of its own: counting workers stop claiming pieces promptly
+// after cancellation and the context error is returned. Callers that
+// already run on a pool (internal/explore sweeps) pass their Worker so
+// capacity pieces become stealable units of the shared pool. A nil ex
+// selects a transient executor sized by the model's Options.Parallelism.
+// The executor is used only for the duration of the call and never
+// retained; results are bit-identical for every executor shape.
 func (dm *DistanceModel) CountMissesExec(ctx context.Context, cfg Config, ex parwork.Exec) (*Result, error) {
-	return dm.countMisses(ctx, cfg, dm.opts.Parallelism, ex)
-}
-
-func (dm *DistanceModel) countMisses(ctx context.Context, cfg Config, workers int, ex parwork.Exec) (*Result, error) {
 	start := time.Now()
 	if cfg.LineSize != dm.LineSize {
 		return nil, fmt.Errorf("core: distance model was computed for line size %d, not %d", dm.LineSize, cfg.LineSize)
@@ -413,8 +391,8 @@ func (dm *DistanceModel) countMisses(ctx context.Context, cfg Config, workers in
 		res.Stats.TotalTime = dm.computeTime + time.Since(start)
 		return res, nil
 	}
-	if countErr := dm.countSymbolic(ctx, cfg, workers, ex, res, meter); countErr != nil {
-		if budget.IsCancellation(countErr) || !dm.opts.TraceFallback || dm.opts.Mode == ModeBounded {
+	if countErr := dm.countSymbolic(ctx, cfg, ex, res, meter); countErr != nil {
+		if budget.IsCancellation(countErr) || dm.opts.Mode != ModeAuto {
 			return nil, countErr
 		}
 		if err := dm.ensureProfile(); err != nil {
@@ -462,10 +440,8 @@ func (dm *DistanceModel) fillFromInstanceBounds(res *Result, cfg Config) {
 // with the set partitions fanned out over the executor. Under ModeBounded,
 // pieces and statements that degraded contribute certified intervals
 // instead of failing.
-func (dm *DistanceModel) countSymbolic(ctx context.Context, cfg Config, workers int, ex parwork.Exec, res *Result, meter *budget.Meter) error {
+func (dm *DistanceModel) countSymbolic(ctx context.Context, cfg Config, ex parwork.Exec, res *Result, meter *budget.Meter) error {
 	tCap := time.Now()
-	countOpts := dm.opts
-	countOpts.Parallelism = workers
 	nLev := len(cfg.CacheSizes)
 	// Split the levels by geometry: numSets == 1 is the classic fully
 	// associative case (shared single counting pass over all such levels),
@@ -491,7 +467,7 @@ func (dm *DistanceModel) countSymbolic(ctx context.Context, cfg Config, workers 
 	}
 	if ex == nil {
 		var release func()
-		ex, release = countOpts.executor()
+		ex, release = dm.opts.executor()
 		defer release()
 	}
 	levelBounds := make([]counting.Interval, nLev)
@@ -502,7 +478,7 @@ func (dm *DistanceModel) countSymbolic(ctx context.Context, cfg Config, workers 
 		for j, i := range fullIdx {
 			lines[j] = cfg.CacheSizes[i] / cfg.LineSize
 		}
-		counter := newCapacityCounter(countOpts, &res.Stats)
+		counter := newCapacityCounter(dm.opts, &res.Stats)
 		counter.meter = meter
 		counter.ctx = ctx
 		counter.exec = ex
@@ -521,7 +497,7 @@ func (dm *DistanceModel) countSymbolic(ctx context.Context, cfg Config, workers 
 		degradedReasons = append(degradedReasons, out.degraded...)
 	}
 	for _, i := range setIdx {
-		slc, err := dm.countSetAssocLevel(ctx, countOpts, ex, meter, i, geoms[i].sets, geoms[i].ways)
+		slc, err := dm.countSetAssocLevel(ctx, ex, meter, i, geoms[i].sets, geoms[i].ways)
 		if err != nil {
 			return err
 		}

@@ -11,14 +11,10 @@ import (
 // CountBasicSet returns the exact number of integer points of the basic set,
 // computed symbolically (no parameters). The summand form is used directly:
 // the total is the sum over all zero-dimensional summand pieces, so the
-// disjointness fold of CardBasicSet would be pure overhead here.
-func CountBasicSet(bs presburger.BasicSet) (int64, error) {
-	return CountBasicSetOp(bs, nil)
-}
-
-// CountBasicSetOp is CountBasicSet charging the given budget operation
-// (one cost unit per intermediate elimination system; nil = unlimited).
-func CountBasicSetOp(bs presburger.BasicSet, op *budget.Op) (int64, error) {
+// disjointness fold of CardBasicSet would be pure overhead here. The budget
+// operation is charged one cost unit per intermediate elimination system; a
+// nil op is unlimited.
+func CountBasicSet(bs presburger.BasicSet, op *budget.Op) (int64, error) {
 	sum, err := CardBasicSetSummands(bs, 0, presburger.NewSpace(bs.Space().Name), op)
 	if err != nil {
 		return 0, err
@@ -41,20 +37,15 @@ func CountBasicSetOp(bs presburger.BasicSet, op *budget.Op) (int64, error) {
 
 // CountSet returns the exact number of distinct integer points of the set.
 // Overlapping basic sets are made disjoint by subtraction before counting.
-func CountSet(s presburger.Set) (int64, error) {
-	return CountSetOp(s, nil)
-}
-
-// CountSetOp is CountSet charging the given budget operation (nil =
-// unlimited).
-func CountSetOp(s presburger.Set, op *budget.Op) (int64, error) {
-	disjoint, err := DisjointBasicSets(s)
+// The budget operation is charged as in CountBasicSet (nil = unlimited).
+func CountSet(s presburger.Set, op *budget.Op) (int64, error) {
+	disjoint, err := disjointBasicSets(s)
 	if err != nil {
 		return 0, err
 	}
 	var total int64
 	for _, bs := range disjoint {
-		n, err := CountBasicSetOp(bs, op)
+		n, err := CountBasicSet(bs, op)
 		if err != nil {
 			return 0, err
 		}
@@ -67,21 +58,16 @@ func CountSetOp(s presburger.Set, op *budget.Op) (int64, error) {
 // first nParam dimensions: the result maps every value of the parameter
 // dimensions to the number of points of the remaining dimensions.
 // Overlapping basic sets are made disjoint by subtraction before counting,
-// so union semantics hold for every parameter value.
-func CardSet(s presburger.Set, nParam int, paramSpace presburger.Space) (qpoly.PwQPoly, error) {
-	return CardSetOp(s, nParam, paramSpace, nil)
-}
-
-// CardSetOp is CardSet charging the given budget operation (nil =
-// unlimited).
-func CardSetOp(s presburger.Set, nParam int, paramSpace presburger.Space, op *budget.Op) (qpoly.PwQPoly, error) {
-	disjoint, err := DisjointBasicSets(s)
+// so union semantics hold for every parameter value. The budget operation is
+// charged as in CardBasicSet (nil = unlimited).
+func CardSet(s presburger.Set, nParam int, paramSpace presburger.Space, op *budget.Op) (qpoly.PwQPoly, error) {
+	disjoint, err := disjointBasicSets(s)
 	if err != nil {
 		return qpoly.PwQPoly{}, err
 	}
 	total := qpoly.ZeroPw(paramSpace)
 	for _, bs := range disjoint {
-		card, err := CardBasicSetOp(bs, nParam, paramSpace, op)
+		card, err := CardBasicSet(bs, nParam, paramSpace, op)
 		if err != nil {
 			return qpoly.PwQPoly{}, err
 		}
@@ -103,7 +89,7 @@ func CardSetRanges(u presburger.UnionMap, nParam int, paramSpace presburger.Spac
 	}
 	total := qpoly.ZeroPw(paramSpace)
 	for _, s := range ranges.Sets() {
-		card, err := CardSet(s, nParam, paramSpace)
+		card, err := CardSet(s, nParam, paramSpace, nil)
 		if err != nil {
 			return qpoly.PwQPoly{}, err
 		}
@@ -112,11 +98,11 @@ func CardSetRanges(u presburger.UnionMap, nParam int, paramSpace presburger.Spac
 	return total, nil
 }
 
-// DisjointBasicSets rewrites the union of basic sets of s into a list of
+// disjointBasicSets rewrites the union of basic sets of s into a list of
 // pairwise disjoint basic sets covering the same points. The input is
 // coalesced first: fewer and simpler basic sets keep the quadratic
 // subtraction chain below from fanning out.
-func DisjointBasicSets(s presburger.Set) ([]presburger.BasicSet, error) {
+func disjointBasicSets(s presburger.Set) ([]presburger.BasicSet, error) {
 	s = s.Coalesce()
 	var out []presburger.BasicSet
 	covered := presburger.EmptySet(s.Space())
@@ -139,10 +125,10 @@ func DisjointBasicSets(s presburger.Set) ([]presburger.BasicSet, error) {
 	return out, nil
 }
 
-// DisjointBasicMaps rewrites the union of basic maps of m into pairwise
+// disjointBasicMaps rewrites the union of basic maps of m into pairwise
 // disjoint basic maps covering the same relation pairs. The input is
-// coalesced first (see DisjointBasicSets).
-func DisjointBasicMaps(m presburger.Map) ([]presburger.BasicMap, error) {
+// coalesced first (see disjointBasicSets).
+func disjointBasicMaps(m presburger.Map) ([]presburger.BasicMap, error) {
 	m = m.Coalesce()
 	var out []presburger.BasicMap
 	covered := presburger.EmptyMap(m.InSpace(), m.OutSpace())
@@ -165,24 +151,12 @@ func DisjointBasicMaps(m presburger.Map) ([]presburger.BasicMap, error) {
 	return out, nil
 }
 
-// CardBasicMap counts, for every point of the input space, the number of
-// related output points of the basic map. The result is a piecewise
-// quasi-polynomial over the input space.
-func CardBasicMap(bm presburger.BasicMap) (qpoly.PwQPoly, error) {
-	return CardBasicSet(bm.AsSet(), bm.NIn(), bm.InSpace())
-}
-
 // MapCard counts, for every point of the input space, the number of distinct
 // related output points of the map (union semantics: an output point related
-// through several basic maps is counted once).
-func MapCard(m presburger.Map) (qpoly.PwQPoly, error) {
-	return MapCardOp(m, nil)
-}
-
-// MapCardOp is MapCard charging the given budget operation (nil =
-// unlimited).
-func MapCardOp(m presburger.Map, op *budget.Op) (qpoly.PwQPoly, error) {
-	cards, err := MapCardPieces(m, op)
+// through several basic maps is counted once). The budget operation is
+// charged as in CardBasicSet (nil = unlimited).
+func MapCard(m presburger.Map, op *budget.Op) (qpoly.PwQPoly, error) {
+	cards, err := mapCardPieces(m, op)
 	if err != nil {
 		return qpoly.PwQPoly{}, err
 	}
@@ -193,21 +167,21 @@ func MapCardOp(m presburger.Map, op *budget.Op) (qpoly.PwQPoly, error) {
 	return qpoly.MergeDisjointSum(m.InSpace(), cards), nil
 }
 
-// MapCardPieces is MapCardOp without the final disjoint merge: it returns
-// one piecewise card per disjoint basic map of the union, and the pointwise
-// sum of the returned polynomials equals the MapCardOp result. Callers that
+// mapCardPieces is MapCard without the final disjoint merge: it returns one
+// piecewise card per disjoint basic map of the union, and the pointwise sum
+// of the returned polynomials equals the MapCard result. Callers that
 // only evaluate the cardinality at concrete points keep the sum lazy and
 // skip the merge entirely — the set-associative restriction stripes the
 // card domains by residue classes, and the disjoint piecewise normal form
 // of the merged sum grows quadratically with the stripe count.
-func MapCardPieces(m presburger.Map, op *budget.Op) ([]qpoly.PwQPoly, error) {
-	disjoint, err := DisjointBasicMaps(m)
+func mapCardPieces(m presburger.Map, op *budget.Op) ([]qpoly.PwQPoly, error) {
+	disjoint, err := disjointBasicMaps(m)
 	if err != nil {
 		return nil, err
 	}
 	cards := make([]qpoly.PwQPoly, 0, len(disjoint))
 	for _, bm := range disjoint {
-		card, err := CardBasicSetOp(bm.AsSet(), bm.NIn(), bm.InSpace(), op)
+		card, err := CardBasicSet(bm.AsSet(), bm.NIn(), bm.InSpace(), op)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +190,7 @@ func MapCardPieces(m presburger.Map, op *budget.Op) ([]qpoly.PwQPoly, error) {
 	return cards, nil
 }
 
-// MapCardSummands is the sum form of MapCardPieces: it returns the raw
+// MapCardSummands is the sum form of mapCardPieces: it returns the raw
 // summand pieces of every disjoint basic map (overlapping domains, sum
 // semantics — the cardinality at a point is the sum of every piece whose
 // domain contains it), skipping the per-basic-map disjointness fold of
@@ -227,7 +201,7 @@ func MapCardPieces(m presburger.Map, op *budget.Op) ([]qpoly.PwQPoly, error) {
 // never needs. Every summand is a chamber count — nonnegative on its domain
 // — so threshold evaluation may stop early (qpoly.Bag.SumExceeds).
 func MapCardSummands(m presburger.Map, op *budget.Op) ([]qpoly.Piece, error) {
-	disjoint, err := DisjointBasicMaps(m)
+	disjoint, err := disjointBasicMaps(m)
 	if err != nil {
 		return nil, err
 	}
@@ -244,24 +218,6 @@ func MapCardSummands(m presburger.Map, op *budget.Op) ([]qpoly.Piece, error) {
 	return pieces, nil
 }
 
-// CountMapPairs returns the exact number of distinct relation pairs of the
-// map.
-func CountMapPairs(m presburger.Map) (int64, error) {
-	disjoint, err := DisjointBasicMaps(m)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, bm := range disjoint {
-		n, err := CountBasicSet(bm.AsSet())
-		if err != nil {
-			return 0, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
 // CountSetRanges counts the distinct points of the ranges of a union map per
 // output space (used for compulsory miss counting, where the range of the
 // cache line access map is the set of touched cache lines).
@@ -272,7 +228,7 @@ func CountSetRanges(u presburger.UnionMap) (int64, error) {
 	}
 	var total int64
 	for _, s := range ranges.Sets() {
-		n, err := CountSet(s)
+		n, err := CountSet(s, nil)
 		if err != nil {
 			return 0, err
 		}

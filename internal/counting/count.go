@@ -19,28 +19,13 @@ var ErrBudget = budget.ErrExceeded
 // CardBasicSet counts the integer points of bs parametrically in its first
 // nParam dimensions: the result maps every value of the parameter dimensions
 // to the number of points of the remaining dimensions. The piece domains of
-// the result live in paramSpace (which must have nParam dimensions).
-func CardBasicSet(bs presburger.BasicSet, nParam int, paramSpace presburger.Space) (qpoly.PwQPoly, error) {
-	return CardBasicSetOp(bs, nParam, paramSpace, nil)
-}
-
-// CardBasicSetBudgeted is CardBasicSet with a deterministic cap on the
-// number of intermediate systems the summation may fan out into (every
-// (lower bound, upper bound) pair of an eliminated dimension and every
-// residue class of a floor split produces one system). A budget of zero or
-// below means unlimited; exceeding a positive budget returns a
-// budget.Exceeded error matching ErrBudget. Callers with a cheaper exact
-// fallback — like the parametric capacity counter, which can instantiate a
-// piece per evaluation instead — use the budget to bound the one-time
-// symbolic cost.
-func CardBasicSetBudgeted(bs presburger.BasicSet, nParam int, paramSpace presburger.Space, cap int) (qpoly.PwQPoly, error) {
-	return CardBasicSetOp(bs, nParam, paramSpace, budget.LimitOp("parametric count", int64(cap)))
-}
-
-// CardBasicSetOp is CardBasicSet charging the given budget operation: one
-// cost unit per intermediate system of the summation. A nil op is
-// unlimited.
-func CardBasicSetOp(bs presburger.BasicSet, nParam int, paramSpace presburger.Space, op *budget.Op) (qpoly.PwQPoly, error) {
+// the result live in paramSpace (which must have nParam dimensions). The
+// budget operation is charged one cost unit per intermediate system of the
+// summation (every (lower bound, upper bound) pair of an eliminated
+// dimension and every residue class of a floor split); a nil op is
+// unlimited, and exceeding a limited op returns a budget.Exceeded error
+// matching ErrBudget.
+func CardBasicSet(bs presburger.BasicSet, nParam int, paramSpace presburger.Space, op *budget.Op) (qpoly.PwQPoly, error) {
 	summands, err := CardBasicSetSummands(bs, nParam, paramSpace, op)
 	if err != nil {
 		return qpoly.PwQPoly{}, err
@@ -56,7 +41,7 @@ func CardBasicSetOp(bs presburger.BasicSet, nParam int, paramSpace presburger.Sp
 	return result, nil
 }
 
-// CardBasicSetSummands is the sum form of CardBasicSetOp: it returns the
+// CardBasicSetSummands is the sum form of CardBasicSet: it returns the
 // per-system cardinalities as a qpoly.PwSum (overlapping domains, sum
 // semantics) without the quadratic disjointness fold of CardBasicSet. For
 // counts that are only evaluated — never compared piecewise — this is

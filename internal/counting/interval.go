@@ -196,7 +196,7 @@ func scanLower(scan func(fn func([]int64) error) error, op *budget.Op, maxEnum i
 // prefix (every enumerated point is a distinct member); the upper bound is
 // the bounding-box volume. Cancellation errors abort instead of degrading.
 func CountBasicSetInterval(bs presburger.BasicSet, op *budget.Op, maxEnum int64) (Interval, error) {
-	n, serr := CountBasicSetOp(bs, op)
+	n, serr := CountBasicSet(bs, op)
 	if serr == nil {
 		return Exact(n), nil
 	}
@@ -225,7 +225,7 @@ func CountBasicSetInterval(bs presburger.BasicSet, op *budget.Op, maxEnum int64)
 // union (deduplicated) up to the cap; if enumeration completes the result
 // is exact even though the symbolic count failed.
 func CountSetInterval(s presburger.Set, op *budget.Op, maxEnum int64) (Interval, error) {
-	n, serr := CountSetOp(s, op)
+	n, serr := CountSet(s, op)
 	if serr == nil {
 		return Exact(n), nil
 	}

@@ -177,9 +177,9 @@ func TestCountIntervalCancellation(t *testing.T) {
 }
 
 func TestErrBudgetMatchesTypedExceeded(t *testing.T) {
-	_, err := CardBasicSetBudgeted(boxSet("S", 100, 100, 100).
+	_, err := CardBasicSet(boxSet("S", 100, 100, 100).
 		AddConstraint(ineq(boxSet("S", 100, 100, 100).NCols(), 0, 1, -1, 0)),
-		0, presburger.NewSpace("S"), 1)
+		0, presburger.NewSpace("S"), budget.LimitOp("parametric count", 1))
 	if err == nil {
 		t.Fatal("budget 1 must trip")
 	}

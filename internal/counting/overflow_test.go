@@ -34,7 +34,7 @@ func TestHugeCoefficientCountNeverCertifiesWrong(t *testing.T) {
 	const trueCount = m + 200
 	bs := hugeCrossSet()
 
-	n, err := CountBasicSet(bs)
+	n, err := CountBasicSet(bs, nil)
 	if err == nil {
 		if n != trueCount {
 			t.Errorf("CountBasicSet = %d, want %d or a typed error", n, trueCount)

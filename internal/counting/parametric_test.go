@@ -78,7 +78,7 @@ func TestCardBasicSetParametricRandom(t *testing.T) {
 			paramDims[i] = fmt.Sprintf("P%d", i)
 		}
 		paramSpace := presburger.NewParamSpace("Params", nParam, paramDims...)
-		card, err := CardBasicSet(bs, nParam, paramSpace)
+		card, err := CardBasicSet(bs, nParam, paramSpace, nil)
 		if err != nil {
 			t.Fatalf("case %d (%v): CardBasicSet: %v", ci, bs, err)
 		}
@@ -123,7 +123,7 @@ func TestCardSetParametricUnion(t *testing.T) {
 			paramDims[i] = fmt.Sprintf("P%d", i)
 		}
 		paramSpace := presburger.NewParamSpace("Params", nParam, paramDims...)
-		card, err := CardSet(s, nParam, paramSpace)
+		card, err := CardSet(s, nParam, paramSpace, nil)
 		if err != nil {
 			t.Fatalf("case %d: CardSet: %v", ci, err)
 		}

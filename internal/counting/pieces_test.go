@@ -10,7 +10,7 @@ import (
 
 // TestMapCardPiecesSumMatchesMerged pins the lazy-sum contract the
 // set-associative classifier relies on: the pointwise sum of the per-basic
-// cards returned by MapCardPieces equals the merged MapCardOp result at
+// cards returned by mapCardPieces equals the merged MapCard result at
 // every domain point — including points where overlapping basic maps were
 // made disjoint by subtraction.
 func TestMapCardPiecesSumMatchesMerged(t *testing.T) {
@@ -36,11 +36,11 @@ func TestMapCardPiecesSumMatchesMerged(t *testing.T) {
 	c = cd.AddConstraint(even)
 	m := presburger.MapFromBasics(a, b, c)
 
-	merged, err := MapCardOp(m, nil)
+	merged, err := MapCard(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pieces, err := MapCardPieces(m, nil)
+	pieces, err := mapCardPieces(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

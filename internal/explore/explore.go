@@ -82,8 +82,8 @@ type Options struct {
 	// non-positive Analysis.Parallelism is balanced against the outer pool
 	// (see DefaultOptions); a positive value fixes the inner parallelism of
 	// every analysis. Analysis.Mode selects the degradation ladder rung of
-	// every grid point; ModeSim routes all variants (tiled and untiled)
-	// through exact trace profiling, like AnalyzeContext does.
+	// every grid point (core.ComputeDistancesContext resolves it); ModeSim
+	// routes all variants, tiled and untiled, through exact trace profiling.
 	Analysis core.Options
 	// Parallelism is the worker count of the sweep's outer pool, which fans
 	// out over configurations; zero or below selects the number of CPUs.
@@ -171,9 +171,9 @@ type modelJob struct {
 // tiler is syntactic and cheap), then the distance models of all distinct
 // (variant, line size) pairs are computed on the outer worker pool, and
 // finally every (variant, hierarchy) grid point is counted on the same
-// pool. Any failing grid point fails the sweep; with
-// Options.Analysis.TraceFallback enabled, programs outside the symbolic
-// fragment degrade to exact trace profiling instead of failing.
+// pool. Any failing grid point fails the sweep; under core.ModeAuto (the
+// default), programs outside the symbolic fragment degrade to exact trace
+// profiling instead of failing.
 func Sweep(grid Grid, opts Options) (*Result, error) {
 	return SweepContext(context.Background(), grid, opts)
 }
@@ -264,7 +264,7 @@ func SweepContext(ctx context.Context, grid Grid, opts Options) (*Result, error)
 		v := variants[job.variant]
 		var dm *core.DistanceModel
 		var err error
-		if analysis.Mode == core.ModeSim || (v.tiled && opts.Tiled == TiledProfile) {
+		if v.tiled && opts.Tiled == TiledProfile {
 			dm, err = core.ComputeDistancesByProfiling(v.program, job.lineSize)
 		} else {
 			// The analysis runs on this worker: Options.Exec is call scoped,

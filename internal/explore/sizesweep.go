@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -76,7 +77,9 @@ func SizeSweep(prog *scop.Program, cfg core.Config, sizes []map[string]int64, op
 		workers = runtime.NumCPU()
 	}
 	evals := make([]SizeEvaluation, len(sizes))
-	err = parwork.Run(len(sizes), workers, func(idx int) error {
+	ex, release := parwork.NewExec(min(workers, len(sizes)))
+	defer release()
+	err = ex.RunGroup(context.Background(), len(sizes), func(_ *parwork.Worker, idx int) error {
 		res, err := pm.Eval(cfg, sizes[idx])
 		if err != nil {
 			return fmt.Errorf("explore: evaluating %s at %v: %w", prog.Name, sizes[idx], err)

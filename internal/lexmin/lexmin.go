@@ -27,52 +27,24 @@ var ErrUnsupported = errors.New("lexmin: outside supported fragment")
 // MapLexmin returns the relation that maps every input point of m to the
 // lexicographically smallest output point m relates it to. The result is
 // single-valued and covers exactly the domain of m.
-func MapLexmin(m presburger.Map) (presburger.Map, error) { return MapLexminWith(m, 1) }
-
-// MapLexminWith is MapLexmin with the per-basic-map minima computed by the
-// given number of worker goroutines (values below one mean one). The basic
-// maps are independent; only their combination is order dependent (ties go
-// to the earlier relation), so the combining fold stays sequential in the
-// original order and the result is bit-identical for every worker count.
 //
-// The combination is domain partitioned: candidates whose domains provably
-// never overlap (different statements of a schedule space pin different
-// constant dimensions) are folded in independent chambers and the chamber
-// results are concatenated. Cross-chamber combineMin calls would degenerate
-// to plain unions, so skipping them changes nothing semantically while
-// removing the all-pairs subtraction cascade that made triangular kernels
-// intractable.
-func MapLexminWith(m presburger.Map, workers int) (presburger.Map, error) {
-	return MapLexminCtx(context.Background(), m, workers)
+// The basic maps are independent; only their combination is order
+// dependent (ties go to the earlier relation). The combination is domain
+// partitioned: candidates whose domains provably never overlap (different
+// statements of a schedule space pin different constant dimensions) are
+// folded in independent chambers and the chamber results are concatenated.
+// Cross-chamber combineMin calls would degenerate to plain unions, so
+// skipping them changes nothing semantically while removing the all-pairs
+// subtraction cascade that made triangular kernels intractable.
+func MapLexmin(m presburger.Map) (presburger.Map, error) {
+	return mapLexmin(context.Background(), m, parwork.InlineExec(), true)
 }
 
-// MapLexminCtx is MapLexminWith observing ctx: the computation checks for
-// cancellation between basic maps, between fold steps, and between the
-// output dimensions of each per-basic-map minimum, and returns the context
-// error promptly. The result is identical to MapLexminWith when the context
-// never fires.
-func MapLexminCtx(ctx context.Context, m presburger.Map, workers int) (presburger.Map, error) {
-	ex, release := parwork.NewExec(workers)
-	defer release()
-	return mapLexmin(ctx, m, ex, true)
-}
-
-// MapLexminExec is MapLexminCtx scheduling the per-basic-map minima on the
-// given executor. When ex is a Worker inside a running pool, the basic maps
-// become splittable work units that idle workers steal; the combining fold
-// stays sequential, so the result is bit-identical to every other entry
-// point regardless of executor shape.
-func MapLexminExec(ctx context.Context, m presburger.Map, ex parwork.Exec) (presburger.Map, error) {
-	return mapLexmin(ctx, m, ex, true)
-}
-
-// mapLexminFlat is MapLexminWith without the domain partitioning: every
+// mapLexminFlat is MapLexmin without the domain partitioning: every
 // candidate folds into one accumulated relation. Kept as the reference
 // implementation for differential tests.
-func mapLexminFlat(m presburger.Map, workers int) (presburger.Map, error) {
-	ex, release := parwork.NewExec(workers)
-	defer release()
-	return mapLexmin(context.Background(), m, ex, false)
+func mapLexminFlat(m presburger.Map) (presburger.Map, error) {
+	return mapLexmin(context.Background(), m, parwork.InlineExec(), false)
 }
 
 func mapLexmin(ctx context.Context, m presburger.Map, ex parwork.Exec, partition bool) (presburger.Map, error) {
@@ -193,28 +165,18 @@ func partitionByDomain(candidates []presburger.Map) [][]presburger.Map {
 	return groups
 }
 
-// MapLexmax returns the relation mapping every input point to the
-// lexicographically largest related output point.
-func MapLexmax(m presburger.Map) (presburger.Map, error) { return MapLexmaxWith(m, 1) }
-
-// MapLexmaxWith is MapLexmax computed by the given number of worker
-// goroutines (see MapLexminWith).
-func MapLexmaxWith(m presburger.Map, workers int) (presburger.Map, error) {
-	return MapLexmaxCtx(context.Background(), m, workers)
-}
-
-// MapLexmaxCtx is MapLexmaxWith observing ctx (see MapLexminCtx).
-func MapLexmaxCtx(ctx context.Context, m presburger.Map, workers int) (presburger.Map, error) {
-	ex, release := parwork.NewExec(workers)
-	defer release()
-	return MapLexmaxExec(ctx, m, ex)
-}
-
-// MapLexmaxExec is MapLexmaxCtx scheduling the per-basic-map maxima on the
-// given executor (see MapLexminExec).
+// MapLexmaxExec returns the relation mapping every input point of m to the
+// lexicographically largest related output point, with the per-basic-map
+// maxima scheduled on the given executor. When ex is a Worker inside a
+// running pool, the basic maps become splittable work units that idle
+// workers steal. The computation checks ctx between basic maps, between fold
+// steps, and between the output dimensions of each per-basic-map extremum,
+// and returns the context error promptly. The combining fold stays
+// sequential in the original order (see MapLexmin), so the result is
+// bit-identical for every executor shape.
 func MapLexmaxExec(ctx context.Context, m presburger.Map, ex parwork.Exec) (presburger.Map, error) {
 	neg := negateOutputs(m)
-	mn, err := MapLexminExec(ctx, neg, ex)
+	mn, err := mapLexmin(ctx, neg, ex, true)
 	if err != nil {
 		return presburger.Map{}, err
 	}

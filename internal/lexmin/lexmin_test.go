@@ -1,10 +1,12 @@
 package lexmin
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"haystack/internal/parwork"
 	"haystack/internal/presburger"
 )
 
@@ -116,7 +118,7 @@ func TestLexminTriangular(t *testing.T) {
 	checkLexmin(t, m, 1)
 
 	// And the lexmax is j = 7.
-	mx, err := MapLexmax(m)
+	mx, err := MapLexmaxExec(context.Background(), m, parwork.InlineExec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +294,7 @@ func TestLexminUnionRandom(t *testing.T) {
 func differentialCheck(t *testing.T, trial int, m presburger.Map, nIn int) {
 	t.Helper()
 	part, errP := MapLexmin(m)
-	flat, errF := mapLexminFlat(m, 1)
+	flat, errF := mapLexminFlat(m)
 	if (errP == nil) != (errF == nil) {
 		t.Fatalf("trial %d: partitioned err=%v, flat err=%v\nmap=%v", trial, errP, errF, m)
 	}
@@ -450,7 +452,9 @@ func TestLexminWorkerCountDoesNotChangeResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		par, err := MapLexminWith(m, workers)
+		ex, release := parwork.NewExec(workers)
+		par, err := mapLexmin(context.Background(), m, ex, true)
+		release()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -458,11 +462,13 @@ func TestLexminWorkerCountDoesNotChangeResult(t *testing.T) {
 			t.Fatalf("workers=%d: result differs\nparallel:   %s\nsequential: %s", workers, got, want)
 		}
 	}
-	mx, err := MapLexmaxWith(m, 4)
+	ex, release := parwork.NewExec(4)
+	defer release()
+	mx, err := MapLexmaxExec(context.Background(), m, ex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqMax, err := MapLexmax(m)
+	seqMax, err := MapLexmaxExec(context.Background(), m, parwork.InlineExec())
 	if err != nil {
 		t.Fatal(err)
 	}

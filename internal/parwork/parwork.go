@@ -23,10 +23,10 @@
 // group are claimed. Cancellation is observed between items: a runaway
 // analysis stops claiming work promptly after its context fires.
 //
-// The legacy entry points (Run, RunCtx, RunTimed, RunTimedCtx) are thin
-// wrappers creating a transient pool per call; long-lived callers (sweeps)
-// share one Pool across phases so idle workers can steal chamber-level
-// units from whichever analysis is still running.
+// NewExec builds the executor of one call: inline for a single worker, a
+// fresh Pool otherwise. Long-lived callers (sweeps) share one Pool across
+// phases so idle workers can steal chamber-level units from whichever
+// analysis is still running.
 package parwork
 
 import (
@@ -443,38 +443,6 @@ func protectGroup(fn GroupFunc, w *Worker, item int) (err error) {
 	return fn(w, item)
 }
 
-// Run executes fn(0..n-1) on up to workers goroutines (values below one, or
-// above n, are clamped). When an item fails no further items are claimed and
-// the error of the lowest-indexed failed item is returned. fn must write its
-// result to a caller-owned slot at the item index; it is called exactly once
-// per claimed item.
-func Run(n, workers int, fn func(item int) error) error {
-	_, err := run(context.Background(), n, workers, false, func(_, item int) error { return fn(item) })
-	return err
-}
-
-// RunCtx is Run observing ctx: no new item is claimed after ctx is
-// cancelled, and the context error is returned (items already running are
-// completed — fn observes cancellation itself if it needs mid-item aborts).
-func RunCtx(ctx context.Context, n, workers int, fn func(item int) error) error {
-	_, err := run(ctx, n, workers, false, func(_, item int) error { return fn(item) })
-	return err
-}
-
-// RunTimed is Run with per-worker bookkeeping: fn additionally receives the
-// worker id (0 <= worker < len(times)) and the returned slice holds every
-// worker's busy time — the accumulated wall-clock time of the items it
-// executed, not the goroutine lifetime, so claim overhead and post-failure
-// spin-down are excluded and a worker that claimed nothing reports zero.
-func RunTimed(n, workers int, fn func(worker, item int) error) (times []time.Duration, err error) {
-	return run(context.Background(), n, workers, true, fn)
-}
-
-// RunTimedCtx is RunTimed observing ctx between items.
-func RunTimedCtx(ctx context.Context, n, workers int, fn func(worker, item int) error) (times []time.Duration, err error) {
-	return run(ctx, n, workers, true, fn)
-}
-
 // HardestFirst returns the permutation of 0..len(weights)-1 that orders
 // items by descending weight (stable, so equal weights keep item order).
 // Pools whose items vary by orders of magnitude schedule through it —
@@ -488,38 +456,4 @@ func HardestFirst(weights []int) []int {
 	}
 	sort.SliceStable(order, func(a, b int) bool { return weights[order[a]] > weights[order[b]] })
 	return order
-}
-
-// run is the transient-pool implementation behind the legacy entry points.
-func run(ctx context.Context, n, workers int, timed bool, fn func(worker, item int) error) ([]time.Duration, error) {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	gf := func(w *Worker, item int) error { return fn(w.id, item) }
-	if workers == 1 {
-		// Degenerate pool: run inline so single-threaded callers pay no
-		// goroutine or lock overhead. Panic containment and cancellation
-		// semantics match the pooled path.
-		times, err := runInline(ctx, &Worker{}, n, gf)
-		if err != nil {
-			return nil, err
-		}
-		if !timed {
-			return nil, nil
-		}
-		return times, nil
-	}
-	p := NewPool(workers)
-	defer p.Close()
-	times, err := p.RunGroupTimed(ctx, n, gf)
-	if err != nil {
-		return nil, err
-	}
-	if !timed {
-		return nil, nil
-	}
-	return times, nil
 }

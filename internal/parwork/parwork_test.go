@@ -8,11 +8,19 @@ import (
 	"testing"
 )
 
+// runN runs fn over n items on a fresh executor of the given parallelism,
+// the way one-shot callers use the package.
+func runN(ctx context.Context, n, workers int, fn GroupFunc) error {
+	ex, release := NewExec(workers)
+	defer release()
+	return ex.RunGroup(ctx, n, fn)
+}
+
 func TestRunVisitsEveryItemOnce(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		n := 100
 		visits := make([]int32, n)
-		err := Run(n, workers, func(item int) error {
+		err := runN(context.Background(), n, workers, func(_ *Worker, item int) error {
 			atomic.AddInt32(&visits[item], 1)
 			return nil
 		})
@@ -29,7 +37,7 @@ func TestRunVisitsEveryItemOnce(t *testing.T) {
 
 func TestRunReturnsLowestIndexedError(t *testing.T) {
 	boom := errors.New("boom")
-	err := Run(10, 1, func(item int) error {
+	err := runN(context.Background(), 10, 1, func(_ *Worker, item int) error {
 		if item >= 4 {
 			return fmt.Errorf("item %d: %w", item, boom)
 		}
@@ -45,7 +53,7 @@ func TestRunReturnsLowestIndexedError(t *testing.T) {
 
 func TestRunStopsClaimingAfterFailure(t *testing.T) {
 	var ran atomic.Int32
-	err := Run(1000, 2, func(item int) error {
+	err := runN(context.Background(), 1000, 2, func(_ *Worker, item int) error {
 		ran.Add(1)
 		return errors.New("fail fast")
 	})
@@ -58,9 +66,11 @@ func TestRunStopsClaimingAfterFailure(t *testing.T) {
 }
 
 func TestRunTimedReportsPerWorkerTimes(t *testing.T) {
+	p := NewPool(3)
+	defer p.Close()
 	workerSeen := make([]int32, 3)
-	times, err := RunTimed(30, 3, func(worker, item int) error {
-		atomic.AddInt32(&workerSeen[worker], 1)
+	times, err := p.RunGroupTimed(context.Background(), 30, func(w *Worker, item int) error {
+		atomic.AddInt32(&workerSeen[w.ID()], 1)
 		return nil
 	})
 	if err != nil {
@@ -78,31 +88,54 @@ func TestRunTimedReportsPerWorkerTimes(t *testing.T) {
 	}
 }
 
+// TestRunClampsWorkers: worker counts below one clamp to a single worker,
+// and worker ids stay within [0, Workers()) whatever the item count.
 func TestRunClampsWorkers(t *testing.T) {
-	times, err := RunTimed(2, 16, func(worker, item int) error {
-		if worker < 0 || worker >= 2 {
-			return fmt.Errorf("worker id %d out of range", worker)
+	for _, workers := range []int{-3, 0, 1} {
+		ex, release := NewExec(workers)
+		times, err := ex.RunGroupTimed(context.Background(), 2, func(w *Worker, item int) error { return nil })
+		release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Workers() != 1 || len(times) != 1 {
+			t.Fatalf("NewExec(%d): %d workers, %d time slots, want 1", workers, ex.Workers(), len(times))
+		}
+	}
+	p := NewPool(-1)
+	if p.Workers() != 1 {
+		t.Fatalf("NewPool(-1) has %d workers, want 1", p.Workers())
+	}
+	p.Close()
+
+	ex, release := NewExec(16)
+	defer release()
+	times, err := ex.RunGroupTimed(context.Background(), 2, func(w *Worker, item int) error {
+		if w.ID() < 0 || w.ID() >= 16 {
+			return fmt.Errorf("worker id %d out of range", w.ID())
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(times) != 2 {
-		t.Fatalf("expected the pool to clamp to 2 workers, got %d", len(times))
+	if len(times) != 16 {
+		t.Fatalf("expected one time slot per pool worker, got %d", len(times))
 	}
 }
 
 func TestRunZeroItems(t *testing.T) {
-	if err := Run(0, 4, func(int) error { return errors.New("must not run") }); err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 4} {
+		if err := runN(context.Background(), 0, workers, func(*Worker, int) error { return errors.New("must not run") }); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 	}
 }
 
 func TestPanicRecoveredAsTypedError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int32
-		err := Run(100, workers, func(item int) error {
+		err := runN(context.Background(), 100, workers, func(_ *Worker, item int) error {
 			ran.Add(1)
 			if item == 7 {
 				panic("kaboom")
@@ -127,7 +160,7 @@ func TestPanicRecoveredAsTypedError(t *testing.T) {
 
 func TestPanicDoesNotMaskLowerIndexedError(t *testing.T) {
 	boom := errors.New("boom")
-	err := Run(10, 1, func(item int) error {
+	err := runN(context.Background(), 10, 1, func(_ *Worker, item int) error {
 		if item == 3 {
 			return boom
 		}
@@ -145,7 +178,7 @@ func TestRunCtxObservesCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int32
-		err := RunCtx(ctx, 10000, workers, func(item int) error {
+		err := runN(ctx, 10000, workers, func(_ *Worker, item int) error {
 			if ran.Add(1) == 3 {
 				cancel()
 			}
@@ -161,11 +194,19 @@ func TestRunCtxObservesCancellation(t *testing.T) {
 	}
 }
 
+// TestRunCtxNilSafeDefaults: a nil context means context.Background() on
+// every executor shape.
 func TestRunCtxNilSafeDefaults(t *testing.T) {
-	if err := RunCtx(context.Background(), 5, 2, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunTimedCtx(context.Background(), 5, 2, func(int, int) error { return nil }); err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 2} {
+		ex, release := NewExec(workers)
+		//lint:ignore SA1012 the nil context is the case under test
+		if err := ex.RunGroup(nil, 5, func(*Worker, int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		//lint:ignore SA1012 the nil context is the case under test
+		if _, err := ex.RunGroupTimed(nil, 5, func(*Worker, int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		release()
 	}
 }

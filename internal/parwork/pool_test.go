@@ -11,38 +11,48 @@ import (
 )
 
 // TestIdleWorkerReportsZeroBusyTime is the regression test for the busy-time
-// accounting bug: RunTimed used to report goroutine lifetime (claim overhead
-// plus spin-down included), so a worker that claimed nothing still showed the
-// full wall time. With per-item accumulation an idle worker reports ~0 even
-// while a sibling holds the only item for a while.
+// accounting bug: the timed runner used to report goroutine lifetime (claim
+// overhead plus spin-down included), so a worker that claimed nothing still
+// showed the full wall time. With per-item accumulation an idle worker
+// reports zero even while a sibling holds the only item for a while.
 func TestIdleWorkerReportsZeroBusyTime(t *testing.T) {
 	const hold = 50 * time.Millisecond
-	times, err := RunTimed(1, 4, func(worker, item int) error {
+	p := NewPool(4)
+	defer p.Close()
+	times, err := p.RunGroupTimed(context.Background(), 1, func(_ *Worker, item int) error {
 		time.Sleep(hold)
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("RunTimed: %v", err)
+		t.Fatalf("RunGroupTimed: %v", err)
 	}
-	// workers clamp to n=1, so a single worker slot exists and it was busy.
-	if len(times) != 1 {
-		t.Fatalf("expected 1 worker slot, got %d", len(times))
+	if len(times) != 4 {
+		t.Fatalf("expected 4 worker slots, got %d", len(times))
 	}
-	if times[0] < hold/2 {
-		t.Errorf("busy worker reported %v, expected >= %v", times[0], hold/2)
+	busy, idle := 0, 0
+	for _, d := range times {
+		switch {
+		case d >= hold/2:
+			busy++
+		case d == 0:
+			idle++
+		}
+	}
+	if busy != 1 || idle != 3 {
+		t.Errorf("want one busy worker (>= %v) and three at zero, got times=%v", hold/2, times)
 	}
 
-	// Unclamped case: more items than one, but one giant item and several
-	// trivial ones across 4 workers. The workers that only ran trivial items
-	// must report far less than the giant item's duration.
-	times, err = RunTimed(4, 4, func(worker, item int) error {
+	// More items than one, but one giant item and several trivial ones
+	// across 4 workers. The workers that only ran trivial items must report
+	// far less than the giant item's duration.
+	times, err = p.RunGroupTimed(context.Background(), 4, func(_ *Worker, item int) error {
 		if item == 0 {
 			time.Sleep(hold)
 		}
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("RunTimed: %v", err)
+		t.Fatalf("RunGroupTimed: %v", err)
 	}
 	small := 0
 	for _, d := range times {
@@ -340,7 +350,7 @@ func TestInlineExecNestedStaysInline(t *testing.T) {
 }
 
 // TestGroupErrorLowestIndexWins: with several failing items in one group the
-// reported error is the lowest-indexed one, matching the legacy contract.
+// reported error is the lowest-indexed one on every executor shape.
 func TestGroupErrorLowestIndexWins(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()

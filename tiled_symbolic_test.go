@@ -29,7 +29,7 @@ func TestTiledSymbolicMatchesReference(t *testing.T) {
 		t.Fatal("gemm should have a rectangular tiling")
 	}
 	opts := haystack.DefaultOptions()
-	opts.TraceFallback = false // fail loudly if the symbolic pipeline gives up
+	opts.Mode = haystack.ModeExact // fail loudly if the symbolic pipeline gives up
 	cfg := haystack.Config{LineSize: 64, CacheSizes: []int64{32 * 1024, 1024 * 1024}}
 
 	dm, err := core.ComputeDistances(tiled, cfg.LineSize, opts)
