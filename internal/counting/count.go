@@ -145,19 +145,18 @@ func (s *system) toPiece(paramSpace presburger.Space) (qpoly.Piece, error) {
 	// Rebuild the domain over the parameter dimensions only: drop the counted
 	// dimension columns (all unreferenced at this point).
 	shift := func(v presburger.Vec) (presburger.Vec, error) {
-		v = v.Resized(s.ncols())
 		out := presburger.NewVec(1 + s.nParam + len(s.divs))
-		out[0] = v[0]
+		out[0] = v.At(0)
 		for i := 0; i < s.nParam; i++ {
-			out[1+i] = v[s.dimCol(i)]
+			out[1+i] = v.At(s.dimCol(i))
 		}
 		for i := s.nParam; i < s.ndim; i++ {
-			if v[s.dimCol(i)] != 0 {
+			if v.At(s.dimCol(i)) != 0 {
 				return nil, fmt.Errorf("%w: counted dimension %d still referenced by the domain", ErrUnsupported, i)
 			}
 		}
 		for i := range s.divs {
-			out[1+s.nParam+i] = v[s.divCol(i)]
+			out[1+s.nParam+i] = v.At(s.divCol(i))
 		}
 		return out, nil
 	}
@@ -254,7 +253,7 @@ func (s *system) splitResidues(dim int) ([]*system, error) {
 	col := s.dimCol(dim)
 	var period int64 = 1
 	for _, d := range s.divs {
-		if d.Num.Resized(s.ncols())[col] != 0 {
+		if d.Num.At(col) != 0 {
 			period = ints.LCM(period, d.Den)
 		}
 	}
@@ -299,8 +298,8 @@ func (s *system) residueFeasible(dim int, period, r int64) bool {
 		if !c.Eq {
 			continue
 		}
-		cc := c.C.Resized(s.ncols())
-		a := cc[col]
+		cc := c.C
+		a := cc.At(col)
 		if a == 0 {
 			continue
 		}
@@ -343,46 +342,43 @@ func (s *system) substituteProgression(dim int, period, r int64) (*system, error
 	// The substituted coefficients a*period and constants c0 + a*r are
 	// overflow-checked: a silent wrap here fabricates a different residue
 	// system and corrupts counts, so overflow degrades to ErrUnsupported
-	// (the caller falls back to enumeration or the bounded tier).
-	subst := func(v presburger.Vec) (presburger.Vec, error) {
-		a := v[col]
+	// (the caller falls back to enumeration or the bounded tier). out owns
+	// its rows (a fresh clone), so the substitution writes in place.
+	subst := func(v presburger.Vec) error {
+		a := v.At(col)
 		if a == 0 {
-			return v, nil
+			return nil
 		}
 		ar, ok1 := ints.TryMul(a, r)
 		ap, ok2 := ints.TryMul(a, period)
 		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("%w: int64 overflow substituting progression with coefficient %d and period %d", ErrUnsupported, a, period)
+			return fmt.Errorf("%w: int64 overflow substituting progression with coefficient %d and period %d", ErrUnsupported, a, period)
 		}
 		k, ok := ints.TryAdd(v[0], ar)
 		if !ok {
-			return nil, fmt.Errorf("%w: int64 overflow substituting progression constant", ErrUnsupported)
+			return fmt.Errorf("%w: int64 overflow substituting progression constant", ErrUnsupported)
 		}
 		v[0] = k
 		v[col] = ap
-		return v, nil
+		return nil
 	}
 	// Constraints.
 	for i := range out.cons {
-		c, err := subst(out.cons[i].C.Resized(out.ncols()))
-		if err != nil {
+		if err := subst(out.cons[i].C); err != nil {
 			return nil, err
 		}
-		out.cons[i].C = c
 	}
 	// Div numerators.
 	for i := range out.divs {
-		num, err := subst(out.divs[i].Num.Resized(out.ncols()))
-		if err != nil {
+		if err := subst(out.divs[i].Num); err != nil {
 			return nil, err
 		}
-		out.divs[i].Num = num
 	}
 	// Now rewrite divs that reference dim directly: floor((a*P*t + rest)/den)
 	// with den | a*P  ->  (a*P/den)*t + floor(rest/den).
 	for i := 0; i < len(out.divs); i++ {
-		num := out.divs[i].Num.Resized(out.ncols())
-		a := num[col]
+		num := out.divs[i].Num
+		a := num.At(col)
 		if a == 0 {
 			continue
 		}
@@ -393,23 +389,28 @@ func (s *system) substituteProgression(dim int, period, r int64) (*system, error
 		rest := num.Clone()
 		rest[col] = 0
 		newCol := out.addDiv(rest, den)
-		// Replace references to div i by (a/den)*t + newDiv.
+		// Replace references to div i by (a/den)*t + newDiv, in place; a
+		// row too short to hold newCol is widened once.
 		oldCol := out.divCol(i)
 		factor := a / den
 		overflow := false
 		replace := func(v presburger.Vec) presburger.Vec {
-			v = v.Resized(out.ncols())
-			if k := v[oldCol]; k != 0 {
-				kf, ok1 := ints.TryMul(k, factor)
-				nc, ok2 := ints.TryAdd(v[col], kf)
-				if !ok1 || !ok2 {
-					overflow = true
-					return v
-				}
-				v[col] = nc
-				v[newCol] += k
-				v[oldCol] = 0
+			k := v.At(oldCol)
+			if k == 0 {
+				return v
 			}
+			kf, ok1 := ints.TryMul(k, factor)
+			nc, ok2 := ints.TryAdd(v[col], kf)
+			if !ok1 || !ok2 {
+				overflow = true
+				return v
+			}
+			if len(v) <= newCol {
+				v = v.Resized(out.ncols())
+			}
+			v[col] = nc
+			v[newCol] += k
+			v[oldCol] = 0
 			return v
 		}
 		for j := range out.cons {
@@ -488,23 +489,23 @@ func (s *system) sumOutDimNoFloors(dim int) ([]*system, error) {
 	col := s.dimCol(dim)
 	// Equality strategy.
 	for i, c := range s.cons {
-		if c.Eq && c.C.Resized(s.ncols())[col] != 0 {
+		if c.Eq && c.C.At(col) != 0 {
 			return s.eliminateByEquality(dim, i)
 		}
 	}
-	// Bound summation strategy.
+	// Bound summation strategy. The bound lists share s's rows: they are
+	// only read (sumBetweenBounds copies what it keeps).
 	var lowers, uppers []presburger.Constraint
 	var rest []presburger.Constraint
 	for _, c := range s.cons {
-		cc := c.C.Resized(s.ncols())
-		a := cc[col]
+		a := c.C.At(col)
 		switch {
 		case a == 0:
-			rest = append(rest, presburger.Constraint{C: cc, Eq: c.Eq})
+			rest = append(rest, c)
 		case a > 0:
-			lowers = append(lowers, presburger.Constraint{C: cc})
+			lowers = append(lowers, presburger.Constraint{C: c.C})
 		default:
-			uppers = append(uppers, presburger.Constraint{C: cc})
+			uppers = append(uppers, presburger.Constraint{C: c.C})
 		}
 	}
 	if !s.poly.UsesVar(dim) && len(lowers) == 0 && len(uppers) == 0 {
@@ -536,55 +537,59 @@ func (s *system) sumOutDimNoFloors(dim int) ([]*system, error) {
 func (s *system) eliminateByEquality(dim, consIdx int) ([]*system, error) {
 	out := s.clone()
 	col := out.dimCol(dim)
-	c := out.cons[consIdx].C.Resized(out.ncols())
-	a := c[col]
+	c := out.cons[consIdx].C
+	a := c.At(col)
 	out.cons = append(out.cons[:consIdx], out.cons[consIdx+1:]...)
 
 	var exprVec presburger.Vec
 	den := ints.Abs(a)
 	// a*dim + e == 0  =>  dim = -e/a.
 	exprVec = presburger.NewVec(out.ncols())
-	for j := range c {
+	for j, x := range c[:min(len(c), len(exprVec))] {
 		if j == col {
 			continue
 		}
 		if a > 0 {
-			exprVec[j] = -c[j]
+			exprVec[j] = -x
 		} else {
-			exprVec[j] = c[j]
+			exprVec[j] = x
 		}
 	}
 	if den > 1 {
 		// dim = exprVec/den: introduce the div d = floor(exprVec/den) plus a
 		// divisibility constraint, and use d as the substitution expression.
 		dcol := out.addDiv(exprVec, den)
-		exprVec = exprVec.Resized(out.ncols())
-		divisibility := exprVec.Clone()
+		divisibility := exprVec.Resized(out.ncols())
 		divisibility[dcol] -= den
 		out.cons = append(out.cons, presburger.Constraint{C: divisibility, Eq: true})
 		newExpr := presburger.NewVec(out.ncols())
 		newExpr[dcol] = 1
 		exprVec = newExpr
 	}
-	// Substitute in constraints and div numerators.
-	substitute := func(v presburger.Vec) presburger.Vec {
-		v = v.Resized(out.ncols())
-		k := v[col]
+	// Substitute in constraints: only rows referencing dim are rewritten,
+	// each into one fresh row. A coefficient that would wrap int64 leaves
+	// the supported fragment.
+	n := out.ncols()
+	for i := range out.cons {
+		v := out.cons[i].C
+		k := v.At(col)
 		if k == 0 {
-			return v
+			continue
 		}
-		nv := v.Clone()
+		nv := presburger.NewVec(n)
 		for j := range nv {
-			nv[j] += k * exprVec.Resized(out.ncols())[j]
+			kx, ok1 := ints.TryMul(k, exprVec.At(j))
+			x, ok2 := ints.TryAdd(v.At(j), kx)
+			if !ok1 || !ok2 {
+				return nil, fmt.Errorf("%w: int64 overflow substituting an equality into a constraint", ErrUnsupported)
+			}
+			nv[j] = x
 		}
 		nv[col] = 0
-		return nv
-	}
-	for i := range out.cons {
-		out.cons[i].C = substitute(out.cons[i].C)
+		out.cons[i].C = nv
 	}
 	for i := range out.divs {
-		if out.divs[i].Num.Resized(out.ncols())[col] != 0 {
+		if out.divs[i].Num.At(col) != 0 {
 			return nil, fmt.Errorf("%w: div still depends on substituted dimension", ErrUnsupported)
 		}
 	}
@@ -604,32 +609,38 @@ func (s *system) eliminateByEquality(dim, consIdx int) ([]*system, error) {
 // bound li and upper bound ui are the binding bounds, summing the polynomial
 // over that range.
 func (s *system) sumBetweenBounds(dim int, lowers, uppers []presburger.Constraint, li, ui int, rest []presburger.Constraint) (*system, error) {
-	out := s.clone()
+	out := s.cloneWith(rest)
 	col := out.dimCol(dim)
-	out.cons = nil
-	for _, c := range rest {
-		out.cons = append(out.cons, presburger.Constraint{C: c.C.Clone(), Eq: c.Eq})
-	}
 
+	// A bound a*dim + e >= 0 is read in place: its coefficient a is the
+	// row's entry at col, and e is the row with that entry read as zero.
 	boundVal := func(c presburger.Constraint) (coef int64, e presburger.Vec) {
-		cc := c.C.Resized(s.ncols())
-		e = cc.Clone()
-		coef = cc[col]
-		e[col] = 0
-		return coef, e
+		return c.C.At(col), c.C
+	}
+	// withoutCol returns a fresh copy of e with column col zeroed, scaled
+	// by sign, for the bound expressions that outlive this call.
+	withoutCol := func(e presburger.Vec, sign int64) presburger.Vec {
+		v := presburger.NewVec(out.ncols())
+		for j, x := range e[:min(len(e), len(v))] {
+			v[j] = sign * x
+		}
+		v[col] = 0
+		return v
 	}
 
-	// crossDiff builds a*x - b*y per column with overflow-checked products:
-	// the bound pair cross-multiplies are the largest intermediates of the
-	// counting pipeline (coefficient × coefficient), and a wrapped value
-	// here silently flips a dominance constraint.
+	// crossDiff builds a*x - b*y per column (col reads as zero in both)
+	// with overflow-checked products: the bound pair cross-multiplies are
+	// the largest intermediates of the counting pipeline (coefficient ×
+	// coefficient), and a wrapped value here silently flips a dominance
+	// constraint.
 	crossDiff := func(a int64, x presburger.Vec, b int64, y presburger.Vec) (presburger.Vec, error) {
 		c := presburger.NewVec(out.ncols())
-		xr := x.Resized(out.ncols())
-		yr := y.Resized(out.ncols())
 		for j := range c {
-			ax, ok1 := ints.TryMul(a, xr[j])
-			by, ok2 := ints.TryMul(b, yr[j])
+			if j == col {
+				continue
+			}
+			ax, ok1 := ints.TryMul(a, x.At(j))
+			by, ok2 := ints.TryMul(b, y.At(j))
 			d, ok3 := ints.TrySub(ax, by)
 			if !ok1 || !ok2 || !ok3 {
 				return nil, fmt.Errorf("%w: int64 overflow in bound-pair cross product", ErrUnsupported)
@@ -678,18 +689,22 @@ func (s *system) sumBetweenBounds(dim int, lowers, uppers []presburger.Constrain
 	}
 
 	// Bound expressions: lo = ceil(-eStar/aStar), hi = floor(fStar/bStar).
-	loVec, loPoly, err := out.ceilExpr(eStar.Neg(), aStar)
+	loVec, loPoly, err := out.ceilExpr(withoutCol(eStar, -1), aStar)
 	if err != nil {
 		return nil, err
 	}
-	hiVec, hiPoly, err := out.floorExpr(fStar, bStar)
+	hiVec, hiPoly, err := out.floorExpr(withoutCol(fStar, 1), bStar)
 	if err != nil {
 		return nil, err
 	}
 	// Piece requires lo <= hi: hi - lo >= 0.
 	nonEmpty := presburger.NewVec(out.ncols())
 	for j := range nonEmpty {
-		nonEmpty[j] = hiVec.Resized(out.ncols())[j] - loVec.Resized(out.ncols())[j]
+		d, ok := ints.TrySub(hiVec.At(j), loVec.At(j))
+		if !ok {
+			return nil, fmt.Errorf("%w: int64 overflow in bound difference", ErrUnsupported)
+		}
+		nonEmpty[j] = d
 	}
 	out.cons = append(out.cons, presburger.Constraint{C: nonEmpty})
 
@@ -702,32 +717,31 @@ func (s *system) sumBetweenBounds(dim int, lowers, uppers []presburger.Constrain
 }
 
 // ceilExpr returns ceil(e/a) for a > 0 as a column vector (adding a div when
-// a > 1) together with the equivalent quasi-polynomial.
+// a > 1) together with the equivalent quasi-polynomial. It takes ownership
+// of e, which must be at least one column wide.
 func (s *system) ceilExpr(e presburger.Vec, a int64) (presburger.Vec, qpoly.QPoly, error) {
 	if a <= 0 {
 		return nil, qpoly.QPoly{}, fmt.Errorf("%w: non-positive bound coefficient", ErrUnsupported)
 	}
 	if a == 1 {
-		v := e.Resized(s.ncols())
-		return v, s.vecToQPoly(v), nil
+		return e, s.vecToQPoly(e), nil
 	}
 	// ceil(e/a) = floor((e + a - 1)/a)
-	num := e.Resized(s.ncols()).Clone()
-	num[0] += a - 1
-	return s.floorExpr(num, a)
+	e[0] += a - 1
+	return s.floorExpr(e, a)
 }
 
 // floorExpr returns floor(e/a) for a > 0 as a column vector (adding a div
-// when a > 1) together with the equivalent quasi-polynomial.
+// when a > 1) together with the equivalent quasi-polynomial. It takes
+// ownership of e.
 func (s *system) floorExpr(e presburger.Vec, a int64) (presburger.Vec, qpoly.QPoly, error) {
 	if a <= 0 {
 		return nil, qpoly.QPoly{}, fmt.Errorf("%w: non-positive bound coefficient", ErrUnsupported)
 	}
 	if a == 1 {
-		v := e.Resized(s.ncols())
-		return v, s.vecToQPoly(v), nil
+		return e, s.vecToQPoly(e), nil
 	}
-	dcol := s.addDiv(e.Resized(s.ncols()), a)
+	dcol := s.addDiv(e, a)
 	v := presburger.NewVec(s.ncols())
 	v[dcol] = 1
 	return v, s.vecToQPoly(v), nil

@@ -100,3 +100,19 @@ func TestHugeCoefficientContains(t *testing.T) {
 		t.Error("Contains accepts (m+100, 2), which violates x - m*y >= 0")
 	}
 }
+
+// TestEliminateByEqualityOverflowUnsupported substitutes x := 2^40*y (from
+// the equality x - 2^40*y == 0) into the bound 2^40*x + y >= 0, whose y
+// coefficient 1 + 2^80 wraps int64. The elimination must leave the supported
+// fragment instead of returning the wrapped row.
+func TestEliminateByEqualityOverflowUnsupported(t *testing.T) {
+	const m = int64(1) << 40
+	bs := presburger.UniverseBasicSet(presburger.NewSpace("S", "x", "y"))
+	bs = bs.AddConstraint(eq(bs.NCols(), 0, 1, -m))  // x - m*y == 0
+	bs = bs.AddConstraint(ineq(bs.NCols(), 0, m, 1)) // m*x + y >= 0
+	s := newSystem(bs, 0)
+	out, err := s.eliminateByEquality(0, 0)
+	if !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("eliminateByEquality = %v, %v; want ErrUnsupported", out, err)
+	}
+}

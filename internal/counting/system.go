@@ -31,6 +31,12 @@ var ErrUnbounded = errors.New("counting: unbounded set")
 // basic set. Column layout of all vectors: [const, dims..., divs...]. The
 // first nParam dims are parameters (never summed); dims that have already
 // been summed keep their column but are unreferenced.
+//
+// Rows follow the ownership rule of the presburger basics: a system owns
+// every row it holds (newSystem and clone copy on entry), only a fresh
+// clone is rewritten, and reads go through Vec.At. Rows may be shorter than
+// ncols: adding a div widens the layout without padding the rows, whose
+// missing columns read as zero.
 type system struct {
 	space  presburger.Space
 	nParam int
@@ -41,7 +47,7 @@ type system struct {
 }
 
 func newSystem(bs presburger.BasicSet, nParam int) *system {
-	s := &system{
+	return &system{
 		space:  bs.Space(),
 		nParam: nParam,
 		ndim:   bs.NDim(),
@@ -49,53 +55,57 @@ func newSystem(bs presburger.BasicSet, nParam int) *system {
 		cons:   bs.Constraints(),
 		poly:   qpoly.ConstInt(bs.NDim(), 1),
 	}
-	s.resize()
-	return s
 }
 
 func (s *system) ncols() int       { return 1 + s.ndim + len(s.divs) }
 func (s *system) dimCol(i int) int { return 1 + i }
 func (s *system) divCol(i int) int { return 1 + s.ndim + i }
 
-func (s *system) clone() *system {
+func (s *system) clone() *system { return s.cloneWith(s.cons) }
+
+// cloneWith copies s with cons in place of its constraints. All copied rows
+// share one slab allocation; each row's capacity is clamped to its length,
+// so an append to one reallocates instead of overwriting its neighbour.
+func (s *system) cloneWith(cons []presburger.Constraint) *system {
 	out := &system{space: s.space, nParam: s.nParam, ndim: s.ndim, poly: s.poly}
+	total := 0
+	for _, d := range s.divs {
+		total += len(d.Num)
+	}
+	for _, c := range cons {
+		total += len(c.C)
+	}
+	slab := make([]int64, total)
+	row := func(v presburger.Vec) presburger.Vec {
+		n := len(v)
+		dst := slab[:n:n]
+		slab = slab[n:]
+		copy(dst, v)
+		return dst
+	}
 	out.divs = make([]presburger.Div, len(s.divs))
 	for i, d := range s.divs {
-		out.divs[i] = presburger.Div{Num: d.Num.Clone(), Den: d.Den}
+		out.divs[i] = presburger.Div{Num: row(d.Num), Den: d.Den}
 	}
-	out.cons = make([]presburger.Constraint, len(s.cons))
-	for i, c := range s.cons {
-		out.cons[i] = presburger.Constraint{C: c.C.Clone(), Eq: c.Eq}
+	out.cons = make([]presburger.Constraint, len(cons))
+	for i, c := range cons {
+		out.cons[i] = presburger.Constraint{C: row(c.C), Eq: c.Eq}
 	}
 	return out
 }
 
-// resize pads all vectors to the current column count.
-func (s *system) resize() {
-	n := s.ncols()
-	for i := range s.cons {
-		if len(s.cons[i].C) != n {
-			s.cons[i].C = s.cons[i].C.Resized(n)
-		}
-	}
-	for i := range s.divs {
-		if len(s.divs[i].Num) != n {
-			s.divs[i].Num = s.divs[i].Num.Resized(n)
-		}
-	}
-}
-
-// addDiv appends (or reuses) a div and returns its column index.
+// addDiv appends (or reuses) a div and returns its column index. num is
+// only read: a new div gets its own copy, already at the widened layout.
+// The other rows are not padded to the new width.
 func (s *system) addDiv(num presburger.Vec, den int64) int {
-	num = num.Resized(s.ncols())
+	n := s.ncols()
 	for i, d := range s.divs {
 		if d.Den != den {
 			continue
 		}
 		same := true
-		dn := d.Num.Resized(s.ncols())
-		for j := range num {
-			if dn[j] != num[j] {
+		for j := 0; j < n; j++ {
+			if d.Num.At(j) != num.At(j) {
 				same = false
 				break
 			}
@@ -104,8 +114,9 @@ func (s *system) addDiv(num presburger.Vec, den int64) int {
 			return s.divCol(i)
 		}
 	}
-	s.divs = append(s.divs, presburger.Div{Num: num.Clone(), Den: den})
-	s.resize()
+	row := presburger.NewVec(n + 1)
+	copy(row, num[:min(len(num), n)])
+	s.divs = append(s.divs, presburger.Div{Num: row, Den: den})
 	return s.divCol(len(s.divs) - 1)
 }
 
@@ -124,11 +135,11 @@ func (s *system) usesDim(dim int) bool {
 	col := s.dimCol(dim)
 	dep := s.divDependsOnDim(dim)
 	for _, c := range s.cons {
-		if c.C[col] != 0 {
+		if c.C.At(col) != 0 {
 			return true
 		}
 		for i := range s.divs {
-			if dep[i] && c.C[s.divCol(i)] != 0 {
+			if dep[i] && c.C.At(s.divCol(i)) != 0 {
 				return true
 			}
 		}
@@ -164,7 +175,7 @@ func (s *system) fanOutEstimate(dim int) int64 {
 	var period int64 = 1
 	if s.hasDimDependentFloors(dim) {
 		for _, d := range s.divs {
-			if d.Num.Resized(s.ncols())[col] != 0 {
+			if d.Num.At(col) != 0 {
 				period = satLCM(period, d.Den)
 			}
 		}
@@ -181,8 +192,8 @@ func (s *system) fanOutEstimate(dim int) int64 {
 	penalty := int64(1)
 	hasEq := false
 	for _, c := range s.cons {
-		cc := c.C.Resized(s.ncols())
-		a := cc[col]
+		cc := c.C
+		a := cc.At(col)
 		switch {
 		case a == 0:
 			continue
@@ -204,7 +215,7 @@ func (s *system) fanOutEstimate(dim int) int64 {
 		// summed), but still worth losing ties over.
 		w := int64(2)
 		for d := s.nParam; d < s.ndim; d++ {
-			if d != dim && cc[s.dimCol(d)] != 0 {
+			if d != dim && cc.At(s.dimCol(d)) != 0 {
 				w = ints.Abs(a)
 				break
 			}
@@ -229,13 +240,13 @@ func (s *system) divDependsOnDim(dim int) []bool {
 	col := s.dimCol(dim)
 	dep := make([]bool, len(s.divs))
 	for i, d := range s.divs {
-		num := d.Num.Resized(s.ncols())
-		if num[col] != 0 {
+		num := d.Num
+		if num.At(col) != 0 {
 			dep[i] = true
 			continue
 		}
 		for j := 0; j < i; j++ {
-			if dep[j] && num[s.divCol(j)] != 0 {
+			if dep[j] && num.At(s.divCol(j)) != 0 {
 				dep[i] = true
 				break
 			}
@@ -251,15 +262,14 @@ func (s *system) divDependsOnDim(dim int) []bool {
 // to combine the result with an existing polynomial simply Add them (atom
 // tables merge by structural identity).
 func (s *system) vecToQPoly(v presburger.Vec) qpoly.QPoly {
-	v = v.Resized(s.ncols())
-	p := qpoly.ConstInt(s.ndim, v[0])
+	p := qpoly.ConstInt(s.ndim, v.At(0))
 	for i := 0; i < s.ndim; i++ {
-		if c := v[s.dimCol(i)]; c != 0 {
+		if c := v.At(s.dimCol(i)); c != 0 {
 			p = p.Add(qpoly.Var(s.ndim, i).Scale(ints.RatInt(c)))
 		}
 	}
 	for i := range s.divs {
-		if c := v[s.divCol(i)]; c != 0 {
+		if c := v.At(s.divCol(i)); c != 0 {
 			carrier, idx := s.ensureDivAtom(qpoly.Zero(s.ndim), i)
 			p = p.Add(carrier.AtomPoly(idx).Scale(ints.RatInt(c)))
 		}
@@ -271,25 +281,25 @@ func (s *system) vecToQPoly(v presburger.Vec) qpoly.QPoly {
 // creating atoms for the divs it references) and returns the updated
 // polynomial and the atom index.
 func (s *system) ensureDivAtom(poly qpoly.QPoly, i int) (qpoly.QPoly, int) {
-	num := s.divs[i].Num.Resized(s.ncols())
+	num := s.divs[i].Num
 	refIdx := map[int]int{}
 	for j := 0; j < i; j++ {
-		if num[s.divCol(j)] != 0 {
+		if num.At(s.divCol(j)) != 0 {
 			poly, refIdx[j] = s.ensureDivAtom(poly, j)
 		}
 	}
 	for j := i; j < len(s.divs); j++ {
-		if num[s.divCol(j)] != 0 {
+		if num.At(s.divCol(j)) != 0 {
 			panic("counting: div references later div")
 		}
 	}
 	full := make([]int64, 1+s.ndim+len(poly.Atoms))
-	full[0] = num[0]
+	full[0] = num.At(0)
 	for v := 0; v < s.ndim; v++ {
-		full[1+v] = num[s.dimCol(v)]
+		full[1+v] = num.At(s.dimCol(v))
 	}
 	for j, idx := range refIdx {
-		full[1+s.ndim+idx] += num[s.divCol(j)]
+		full[1+s.ndim+idx] += num.At(s.divCol(j))
 	}
 	return poly.WithAtom(full, s.divs[i].Den)
 }

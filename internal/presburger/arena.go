@@ -5,18 +5,28 @@ import (
 	"sync/atomic"
 )
 
-// The arena layer takes the Presburger hot paths off the allocator in two
+// The arena layer takes the Presburger hot paths off the allocator in three
 // ways. First, basic.clone packs every coefficient vector of the copy into
 // one slab allocation (see basic.go): capacity-clamped subslices keep the
 // vectors independent — an append can only reallocate, never clobber a
-// neighbour — and Vec.Resized always copies, so a slab-backed vector that
-// changes width leaves the slab behind. Second, the transient scratch of
-// the innermost loops (simplify's per-column bound tracking, point
-// evaluation during enumeration) is recycled through free lists.
+// neighbour. Second, rows are copy-on-write. A basic owns every row it
+// holds (constructors and clone copy on entry; checkInvariants rejects
+// rows that share memory), so:
 //
-// Ownership rule: scratch obtained from a free list never escapes the call
-// that got it — anything that must outlive the call is cloned into fresh
-// memory first. Callers of the public API never see arena-backed memory.
+//   - a short row is never padded to be read: Vec.At reads missing columns
+//     as zero;
+//   - a write copies a row at most once, and only a row whose coefficient
+//     at the rewritten column is non-zero;
+//   - dropColumn compacts every row in place within its own slab window.
+//
+// Third, the transient scratch of the innermost loops (simplify's
+// per-column bound tracking, point evaluation during enumeration) is
+// recycled through free lists.
+//
+// Ownership rule for scratch: a buffer obtained from a free list never
+// escapes the call that got it — anything that must outlive the call is
+// cloned into fresh memory first. Callers of the public API never see
+// arena-backed memory.
 
 // Process-wide free-list effectiveness counters, atomically maintained so
 // concurrent workers can share the free lists. A hit is a buffer served

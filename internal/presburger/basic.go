@@ -10,8 +10,10 @@ import (
 )
 
 // Div is a local variable defined as floor(Num·cols / Den) with Den > 0.
-// Num is a full-width vector over the columns of the owning basic set or
-// map; the coefficient of the div itself and of later divs must be zero.
+// Num is a vector over the columns of the owning basic set or map; the
+// coefficient of the div itself and of later divs must be zero. Inside a
+// basic, Num may be shorter than the column count (missing columns read as
+// zero).
 type Div struct {
 	Num Vec
 	Den int64
@@ -34,6 +36,14 @@ func (c Constraint) Clone() Constraint { return Constraint{C: c.C.Clone(), Eq: c
 // tuple dimensions (for a map, input dims followed by output dims), a list
 // of local div variables, and a conjunction of constraints. The column
 // layout of every Vec is [const, dim_0..dim_{ndim-1}, div_0..div_{k-1}].
+//
+// Rows are copy-on-write under one ownership rule: a basic exclusively owns
+// every row it holds. The constructors and clone copy rows on entry, no two
+// rows of a basic share memory (checkInvariants verifies it), and only a
+// freshly built or cloned basic is ever mutated. So reads never copy
+// (columns beyond a row's width read as zero through Vec.At), a rewrite
+// copies a row at most once and only when its coefficient at the rewritten
+// column is non-zero, and dropColumn compacts rows in place.
 type basic struct {
 	ndim int
 	divs []Div
@@ -51,47 +61,66 @@ func (b *basic) divCol(i int) int { return 1 + b.ndim + i }
 // dimCol returns the column index of dim i.
 func (b *basic) dimCol(i int) int { return 1 + i }
 
-// clone deep-copies b. All coefficient vectors of the copy are packed into
-// a single slab allocation: the subslices are capacity-clamped, so a
-// later append or Resized on any of them reallocates instead of growing
-// into a neighbour, and in-place coefficient writes stay within the
-// vector's own window. This keeps clone at O(1) allocations instead of one
-// per constraint and div — by far the dominant allocation site of the
-// simplify/coalesce/gist pipeline.
-func (b *basic) clone() basic {
-	nb := basic{ndim: b.ndim}
-	total := 0
-	for i := range b.divs {
-		total += len(b.divs[i].Num)
-	}
-	for i := range b.cons {
-		total += len(b.cons[i].C)
-	}
-	slab := make([]int64, total)
-	off := 0
-	sub := func(v Vec) Vec {
-		n := len(v)
-		dst := slab[off : off+n : off+n]
+// clone deep-copies b (see newBasicFrom), padding every row to ncols.
+func (b *basic) clone() basic { return newBasicFrom(b.ndim, b.divs, b.cons) }
+
+// newBasicFrom builds a basic over ndim dimensions that owns copies of the
+// given rows, each padded (or truncated) to the basic's width. All rows are
+// packed into a single slab allocation: the subslices are
+// capacity-clamped, so a later append to any of them reallocates instead of
+// growing into a neighbour, and in-place writes (simplify's tightening,
+// dropColumn's compaction) stay within the row's own window. This keeps
+// clone at O(1) allocations instead of one per constraint and div — by far
+// the dominant allocation site of the simplify/coalesce/gist pipeline.
+func newBasicFrom(ndim int, divs []Div, cons []Constraint) basic {
+	b := basic{ndim: ndim}
+	n := 1 + ndim + len(divs)
+	slab := make([]int64, n*(len(divs)+len(cons)))
+	row := func(v Vec) Vec {
+		dst := slab[:n:n]
+		slab = slab[n:]
 		copy(dst, v)
-		off += n
 		return dst
 	}
-	if len(b.divs) > 0 {
-		nb.divs = make([]Div, len(b.divs))
-		for i, d := range b.divs {
-			nb.divs[i] = Div{Num: sub(d.Num), Den: d.Den}
+	if len(divs) > 0 {
+		b.divs = make([]Div, len(divs))
+		for i, d := range divs {
+			b.divs[i] = Div{Num: row(d.Num), Den: d.Den}
 		}
 	}
-	if len(b.cons) > 0 {
-		nb.cons = make([]Constraint, len(b.cons))
-		for i, c := range b.cons {
-			nb.cons[i] = Constraint{C: sub(c.C), Eq: c.Eq}
+	if len(cons) > 0 {
+		b.cons = make([]Constraint, len(cons))
+		for i, c := range cons {
+			b.cons[i] = Constraint{C: row(c.C), Eq: c.Eq}
 		}
 	}
-	return nb
+	return b
 }
 
-// resize pads every vector in b to the current ncols (after divs changed).
+// fit returns v at width n: v itself when it has that width already,
+// otherwise a padded (or truncated) copy. The caller either owns v or only
+// reads the result.
+func fit(v Vec, n int) Vec {
+	if len(v) == n {
+		return v
+	}
+	return v.Resized(n)
+}
+
+// clip returns v without the (zero, by checkInvariants) columns beyond n,
+// for loops that range over a row and index a per-column table.
+func clip(v Vec, n int) Vec {
+	if len(v) > n {
+		return v[:n]
+	}
+	return v
+}
+
+// resize pads every constraint of b to the current ncols (after a div was
+// added). Constraint rows stay full width because the elimination kernels
+// (fourierMotzkin, rationalEliminate) index them column by column. Div
+// numerators are not padded: a numerator only references columns before
+// its own div, and every reader of a numerator goes through At or clips.
 func (b *basic) resize() {
 	n := b.ncols()
 	for i := range b.cons {
@@ -99,16 +128,12 @@ func (b *basic) resize() {
 			b.cons[i].C = b.cons[i].C.Resized(n)
 		}
 	}
-	for i := range b.divs {
-		if len(b.divs[i].Num) != n {
-			b.divs[i].Num = b.divs[i].Num.Resized(n)
-		}
-	}
 }
 
-// addConstraint appends a constraint, padding it to the current width.
+// addConstraint appends a constraint and takes ownership of its row: a row
+// of the current width is kept as is, any other is copied to that width.
 func (b *basic) addConstraint(c Constraint) {
-	c.C = c.C.Resized(b.ncols())
+	c.C = fit(c.C, b.ncols())
 	b.cons = append(b.cons, c)
 }
 
@@ -119,7 +144,7 @@ func (b *basic) addDiv(num Vec, den int64) int {
 	if den <= 0 {
 		panic("presburger: div with non-positive denominator")
 	}
-	num = num.Resized(b.ncols())
+	n := b.ncols()
 	// Normalize by gcd of numerator and denominator? Keep literal: floor
 	// semantics change under scaling only if all terms share a factor with
 	// the denominator; normalize when gcd divides everything exactly.
@@ -128,9 +153,8 @@ func (b *basic) addDiv(num Vec, den int64) int {
 			continue
 		}
 		same := true
-		dn := d.Num.Resized(b.ncols())
-		for j := range num {
-			if dn[j] != num[j] {
+		for j := 0; j < n; j++ {
+			if d.Num.At(j) != num.At(j) {
 				same = false
 				break
 			}
@@ -139,7 +163,10 @@ func (b *basic) addDiv(num Vec, den int64) int {
 			return b.divCol(i)
 		}
 	}
-	b.divs = append(b.divs, Div{Num: num, Den: den})
+	// The new div's row is copied once, straight to the widened layout.
+	row := NewVec(n + 1)
+	copy(row, clip(num, n))
+	b.divs = append(b.divs, Div{Num: row, Den: den})
 	b.resize()
 	return b.divCol(len(b.divs) - 1)
 }
@@ -324,7 +351,7 @@ func normalizeConstraint(c Constraint) Constraint {
 func (b *basic) normalizeDivs() {
 	for i := 0; i < len(b.divs); i++ {
 		d := &b.divs[i]
-		num := d.Num.Resized(b.ncols())
+		num := d.Num
 		// Greatest common divisor of the denominator and the non-constant
 		// coefficients.
 		g := d.Den
@@ -332,21 +359,25 @@ func (b *basic) normalizeDivs() {
 			g = ints.GCD(g, num[j])
 		}
 		if g > 1 {
+			// b owns the row: divide it in place.
 			for j := 1; j < len(num); j++ {
 				num[j] /= g
 			}
-			num[0] = ints.FloorDiv(num[0], g)
-			d.Num = num
+			if len(num) > 0 {
+				num[0] = ints.FloorDiv(num[0], g)
+			}
 			d.Den = d.Den / g
 		}
 		if d.Den == 1 {
 			// The div equals its numerator: substitute it away if the
 			// numerator does not reference the div itself or later divs
-			// (always true by construction) and drop the column.
+			// (always true by construction) and drop the column. The
+			// substitution reads the numerator without copying it; it
+			// rewrites only rows that reference col, which the numerator
+			// does not.
 			col := b.divCol(i)
-			expr := d.Num.Resized(b.ncols()).Clone()
-			if expr[col] == 0 && !referencesLaterDiv(expr, b, i) {
-				b.substituteDivColumn(col, expr)
+			if num.At(col) == 0 && !referencesLaterDiv(num, b, i) {
+				b.substituteDivColumn(col, num)
 				b.dropColumn(col)
 				i--
 			}
@@ -356,7 +387,7 @@ func (b *basic) normalizeDivs() {
 
 func referencesLaterDiv(v Vec, b *basic, i int) bool {
 	for j := i; j < len(b.divs); j++ {
-		if v[b.divCol(j)] != 0 {
+		if v.At(b.divCol(j)) != 0 {
 			return true
 		}
 	}
@@ -365,17 +396,20 @@ func referencesLaterDiv(v Vec, b *basic, i int) bool {
 
 // substituteDivColumn replaces every reference to the div column col by the
 // affine expression expr (which must not reference col or any later div).
+// Only rows with a non-zero coefficient at col are rewritten, each into one
+// fresh row; expr is only read, so it may be a row of b that does not
+// reference col. A coefficient that would wrap int64 panics, like
+// ints.MulChecked.
 func (b *basic) substituteDivColumn(col int, expr Vec) {
-	expr = expr.Resized(b.ncols())
+	n := b.ncols()
 	apply := func(v Vec) Vec {
-		v = v.Resized(b.ncols())
-		k := v[col]
+		k := v.At(col)
 		if k == 0 {
 			return v
 		}
-		out := v.Clone()
+		out := NewVec(n)
 		for j := range out {
-			out[j] += k * expr[j]
+			out[j] = combineOrPanic(1, v.At(j), k, expr.At(j))
 		}
 		out[col] = 0
 		return out
@@ -742,7 +776,7 @@ func (b *basic) embed(src *basic, dimMap []int) {
 		return out
 	}
 	for i := range src.divs {
-		num := remap(src.divs[i].Num.Resized(src.ncols()))
+		num := remap(clip(src.divs[i].Num, src.ncols()))
 		col := b.addDiv(num, src.divs[i].Den)
 		colMap[src.divCol(i)] = col
 	}
@@ -757,66 +791,65 @@ func (b *basic) embed(src *basic, dimMap []int) {
 // by den (sign-preserving); div numerators that reference col are rewritten
 // to a*expr + den*rest with their denominator scaled by den, which preserves
 // floor semantics. expr must not reference col itself, and col must be a
-// tuple dimension column (not a div column).
+// tuple dimension column (not a div column). Only rows with a non-zero
+// coefficient at col are rewritten, each into one fresh row; a coefficient
+// that would wrap int64 panics, like ints.MulChecked.
 func (b *basic) substituteColumn(col int, expr Vec, den int64) {
 	if den <= 0 {
 		panic("presburger: substituteColumn with non-positive denominator")
 	}
-	expr = expr.Resized(b.ncols())
-	if expr[col] != 0 {
+	if expr.At(col) != 0 {
 		panic("presburger: substitution expression references substituted column")
 	}
-	for i := range b.cons {
-		v := b.cons[i].C
-		a := v[col]
-		if a == 0 {
-			continue
-		}
-		out := NewVec(len(v))
-		for j := range v {
-			out[j] = den*v[j] + a*expr[j]
+	n := b.ncols()
+	rewrite := func(v Vec, a int64) Vec {
+		out := NewVec(n)
+		for j := range out {
+			out[j] = combineOrPanic(den, v.At(j), a, expr.At(j))
 		}
 		out[col] = 0
-		b.cons[i].C = out
+		return out
+	}
+	for i := range b.cons {
+		if a := b.cons[i].C.At(col); a != 0 {
+			b.cons[i].C = rewrite(b.cons[i].C, a)
+		}
 	}
 	for i := range b.divs {
-		v := b.divs[i].Num.Resized(b.ncols())
-		a := v[col]
-		if a == 0 {
-			b.divs[i].Num = v
-			continue
+		if a := b.divs[i].Num.At(col); a != 0 {
+			b.divs[i].Num = rewrite(b.divs[i].Num, a)
+			b.divs[i].Den = ints.MulChecked(b.divs[i].Den, den)
 		}
-		out := NewVec(len(v))
-		for j := range v {
-			out[j] = den*v[j] + a*expr[j]
-		}
-		out[col] = 0
-		b.divs[i].Num = out
-		b.divs[i].Den = ints.MulChecked(b.divs[i].Den, den)
 	}
+}
+
+// combineOrPanic returns s*x + f*y, panicking like ints.MulChecked when a
+// product or the sum wraps int64. The substitution kernels use it: a
+// wrapped coefficient would silently change the set.
+func combineOrPanic(s, x, f, y int64) int64 {
+	v, ok := combineTry(s, x, f, y)
+	if !ok {
+		panic(fmt.Sprintf("presburger: int64 overflow in %d*%d + %d*%d", s, x, f, y))
+	}
+	return v
 }
 
 // dropColumn removes a column (which must be unused: zero coefficient in all
 // constraints and div numerators) and renumbers the remaining columns.
 // If the column is a div column the div definition is removed as well.
+// Every row is compacted in place (b owns its rows), so nothing allocates.
 func (b *basic) dropColumn(col int) {
-	remove := func(v Vec) Vec {
-		out := make(Vec, 0, len(v)-1)
-		out = append(out, v[:col]...)
-		out = append(out, v[col+1:]...)
-		return out
-	}
 	for i := range b.cons {
-		if b.cons[i].C[col] != 0 {
+		if b.cons[i].C.At(col) != 0 {
 			panic("presburger: dropColumn of used column")
 		}
-		b.cons[i].C = remove(b.cons[i].C)
+		b.cons[i].C = dropEntry(b.cons[i].C, col)
 	}
 	for i := range b.divs {
-		if b.divs[i].Num.Resized(b.ncols())[col] != 0 {
+		if b.divs[i].Num.At(col) != 0 {
 			panic("presburger: dropColumn referenced by div")
 		}
-		b.divs[i].Num = remove(b.divs[i].Num.Resized(b.ncols()))
+		b.divs[i].Num = dropEntry(b.divs[i].Num, col)
 	}
 	if col <= b.ndim {
 		b.ndim--
@@ -826,28 +859,34 @@ func (b *basic) dropColumn(col int) {
 	}
 }
 
+// dropEntry removes entry j of v in place: the tail shifts left and the
+// result is resliced with its capacity clamped to its length, so a later
+// append reallocates instead of reusing the vacated slot. A row too short
+// to have entry j is returned unchanged.
+func dropEntry(v Vec, j int) Vec {
+	if j >= len(v) {
+		return v
+	}
+	copy(v[j:], v[j+1:])
+	n := len(v) - 1
+	return v[:n:n]
+}
+
 // usesColumn reports whether any constraint or div numerator has a non-zero
 // coefficient at col.
 func (b *basic) usesColumn(col int) bool {
 	for _, c := range b.cons {
-		if col < len(c.C) && c.C[col] != 0 {
+		if c.C.At(col) != 0 {
 			return true
 		}
 	}
-	for _, d := range b.divs {
-		n := d.Num.Resized(b.ncols())
-		if n[col] != 0 {
-			return true
-		}
-	}
-	return false
+	return b.divUsesColumn(col)
 }
 
 // divUsesColumn reports whether any div numerator references col.
 func (b *basic) divUsesColumn(col int) bool {
 	for _, d := range b.divs {
-		n := d.Num.Resized(b.ncols())
-		if n[col] != 0 {
+		if d.Num.At(col) != 0 {
 			return true
 		}
 	}

@@ -358,14 +358,20 @@ func semanticallyContains(sup, sub *coalEntry, maxMissing int) bool {
 // it checks that cons ∧ ¬c is infeasible within the elimination budget.
 // Equalities are checked as two inequalities.
 func impliedByRational(cons []Constraint, c Constraint, ncols int) bool {
-	cc := c.C.Resized(ncols)
 	if c.Eq {
-		le := Constraint{C: cc}
-		ge := Constraint{C: cc.Neg()}
-		return impliedByRational(cons, le, ncols) && impliedByRational(cons, ge, ncols)
+		return impliedIneq(cons, c.C, 1, ncols) && impliedIneq(cons, c.C, -1, ncols)
 	}
+	return impliedIneq(cons, c.C, 1, ncols)
+}
+
+// impliedIneq reports whether sign*e >= 0 (sign ±1) is implied by cons over
+// the rationals, with integer tightening of the negation.
+func impliedIneq(cons []Constraint, e Vec, sign int64, ncols int) bool {
 	// ¬(e >= 0) over the integers is -e - 1 >= 0.
-	neg := cc.Neg()
+	neg := NewVec(ncols)
+	for j := range neg {
+		neg[j] = -sign * e.At(j)
+	}
 	neg[0]--
 	test := make([]Constraint, 0, len(cons)+1)
 	test = append(test, cons...)
@@ -548,7 +554,7 @@ func tryAdjacentMerge(a, b *coalEntry, ai, bi int) (*coalEntry, bool) {
 		// S∧(e==0) ∪ S∧(-e-1>=0) == S∧(-e>=0)
 		if relaxed, ok := eqAdjacent(eqC.C, ineqC.C); ok {
 			nb := (*host).clone()
-			nb.cons[drop] = Constraint{C: relaxed.Resized(nb.ncols())}
+			nb.cons[drop] = Constraint{C: fit(relaxed, nb.ncols())}
 			if !nb.simplify() {
 				return nil, false
 			}
@@ -584,7 +590,7 @@ func tryExtensionMerge(a, b *coalEntry, extrasA, extrasB []int) (*coalEntry, boo
 				continue
 			}
 			cand := b.b.clone()
-			cand.cons[bi] = Constraint{C: relaxed.Resized(cand.ncols())}
+			cand.cons[bi] = Constraint{C: fit(relaxed, cand.ncols())}
 			for _, aj := range extrasA {
 				if aj != ai {
 					cand.addConstraint(a.b.cons[aj].Clone())
@@ -668,7 +674,7 @@ func (b *basic) removeRedundantCons() {
 		rest := make([]Constraint, 0, len(b.cons)-1+2*len(b.divs))
 		for j, o := range b.cons {
 			if j != i {
-				rest = append(rest, Constraint{C: o.C.Resized(b.ncols()), Eq: o.Eq})
+				rest = append(rest, Constraint{C: fit(o.C, b.ncols()), Eq: o.Eq})
 			}
 		}
 		rest = append(rest, b.divBoundConstraints()...)
@@ -677,23 +683,6 @@ func (b *basic) removeRedundantCons() {
 			coalesceRedundantHits.Add(1)
 		}
 	}
-}
-
-// divBoundConstraints returns the defining bounds of every div
-// (den*d <= num <= den*d + den - 1) as constraints over b's columns.
-func (b *basic) divBoundConstraints() []Constraint {
-	out := make([]Constraint, 0, 2*len(b.divs))
-	for i, d := range b.divs {
-		num := d.Num.Resized(b.ncols())
-		col := b.divCol(i)
-		lower := num.Clone()
-		lower[col] -= d.Den
-		upper := num.Neg()
-		upper[col] += d.Den
-		upper[0] += d.Den - 1
-		out = append(out, Constraint{C: lower}, Constraint{C: upper})
-	}
-	return out
 }
 
 // dropUnusedDivs removes div definitions no constraint or other div

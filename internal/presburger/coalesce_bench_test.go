@@ -39,3 +39,23 @@ func BenchmarkSimplifyDedup(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDropColumnSubstitute measures the row kernels of projection and
+// div resolution on a clone: substituting a dimension away and dropping its
+// column, then resolving a div (normalizeDivs substitutes its numerator and
+// drops the div column). Reads are copy-free and drops compact in place, so
+// what allocates is the clone and the rewritten rows.
+func BenchmarkDropColumnSubstitute(b *testing.B) {
+	proto := rowKernelBasic()
+	expr := Vec{2, 0, 1, 0, 0, 0} // d0 := d1 + 2
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cl := proto.clone()
+		cl.substituteColumn(1, expr, 1)
+		cl.dropColumn(1)
+		cl.normalizeDivs()
+		if len(cl.divs) != 0 || cl.ndim != 3 {
+			b.Fatal("the div should resolve and d0 be gone")
+		}
+	}
+}

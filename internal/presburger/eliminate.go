@@ -126,8 +126,7 @@ func (b *basic) substitutionBreaksDivs(col int, expr Vec) bool {
 		return false
 	}
 	for i := range b.divs {
-		num := b.divs[i].Num.Resized(b.ncols())
-		if num[col] != 0 && b.divCol(i) <= maxDivCol {
+		if b.divs[i].Num.At(col) != 0 && b.divCol(i) <= maxDivCol {
 			return true
 		}
 	}
@@ -166,7 +165,7 @@ func (b *basic) tryDivisibilityEquality(col int) bool {
 		dcol := b.addDiv(e, den)
 		// divisibility: e - den*d == 0
 		div := NewVec(b.ncols())
-		copy(div, e.Resized(b.ncols()))
+		copy(div, e)
 		div[dcol] -= den
 		b.addConstraint(Constraint{C: div, Eq: true})
 		// x := d
@@ -322,13 +321,13 @@ func (b *basic) eliminateDimColApprox(col int) {
 			if removed[i] {
 				continue
 			}
-			num := b.divs[i].Num.Resized(b.ncols())
-			if num[col] != 0 {
+			num := b.divs[i].Num
+			if num.At(col) != 0 {
 				removed[i], changed = true, true
 				continue
 			}
 			for j := range b.divs {
-				if removed[j] && num[b.divCol(j)] != 0 {
+				if removed[j] && num.At(b.divCol(j)) != 0 {
 					removed[i], changed = true, true
 					break
 				}
@@ -340,7 +339,7 @@ func (b *basic) eliminateDimColApprox(col int) {
 	}
 	keep := b.cons[:0]
 	for _, c := range b.cons {
-		cc := c.C.Resized(b.ncols())
+		cc := fit(c.C, b.ncols())
 		drop := false
 		for i := range b.divs {
 			if removed[i] && cc[b.divCol(i)] != 0 {

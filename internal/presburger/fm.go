@@ -13,20 +13,35 @@ import (
 // weakening.
 const maxFMConstraints = 512
 
-// materializedConstraints returns a copy of b's constraints together with
-// the defining constraints of every div (den*d <= num <= den*d + den - 1),
-// so that divs can be treated as ordinary rational variables.
+// materializedConstraints returns b's constraints together with the
+// defining constraints of every div (den*d <= num <= den*d + den - 1), so
+// that divs can be treated as ordinary rational variables. Every row is
+// ncols wide. Constraint rows of that width are shared with b, not copied:
+// the consumers (rational elimination, the scanner, gist filtering) only
+// read them and build new rows for what they derive.
 func (b *basic) materializedConstraints() []Constraint {
 	out := make([]Constraint, 0, len(b.cons)+2*len(b.divs))
 	for _, c := range b.cons {
-		out = append(out, Constraint{C: c.C.Resized(b.ncols()), Eq: c.Eq})
+		out = append(out, Constraint{C: fit(c.C, b.ncols()), Eq: c.Eq})
 	}
+	return append(out, b.divBoundConstraints()...)
+}
+
+// divBoundConstraints returns the defining bounds of every div
+// (den*d <= num <= den*d + den - 1) as fresh ncols-wide constraints.
+func (b *basic) divBoundConstraints() []Constraint {
+	n := b.ncols()
+	out := make([]Constraint, 0, 2*len(b.divs))
 	for i, d := range b.divs {
-		num := d.Num.Resized(b.ncols())
 		col := b.divCol(i)
-		lower := num.Clone() // num - den*d >= 0
+		num := clip(d.Num, n)
+		lower := NewVec(n) // num - den*d >= 0
+		copy(lower, num)
 		lower[col] -= d.Den
-		upper := num.Neg() // den*d + den - 1 - num >= 0
+		upper := NewVec(n) // den*d + den - 1 - num >= 0
+		for j, x := range num {
+			upper[j] = -x
+		}
 		upper[col] += d.Den
 		upper[0] += d.Den - 1
 		out = append(out, Constraint{C: lower}, Constraint{C: upper})
@@ -79,20 +94,33 @@ func rationalEliminate(cons []Constraint, col int) []Constraint {
 			return out
 		}
 	}
-	var lowers, uppers, rest []Constraint
+	// Size the result once: the rows without col, then one combination per
+	// (lower, upper) pair, in that order.
+	var nz, nl, nu int
 	for _, c := range cons {
-		a := c.C[col]
-		switch {
+		switch a := c.C[col]; {
 		case a == 0:
-			rest = append(rest, c)
+			nz++
 		case a > 0:
-			lowers = append(lowers, c)
+			nl++
 		default:
-			uppers = append(uppers, c)
+			nu++
 		}
 	}
-	for _, lo := range lowers {
-		for _, up := range uppers {
+	rest := make([]Constraint, 0, nz+nl*nu)
+	for _, c := range cons {
+		if c.C[col] == 0 {
+			rest = append(rest, c)
+		}
+	}
+	for _, lo := range cons {
+		if lo.C[col] <= 0 {
+			continue
+		}
+		for _, up := range cons {
+			if up.C[col] >= 0 {
+				continue
+			}
 			a := lo.C[col]
 			if up.C[col] == math.MinInt64 {
 				continue
@@ -130,21 +158,27 @@ func mulNoWrap(a, b int64) (int64, bool) {
 func combineChecked(s int64, x Vec, f int64, y Vec) (Vec, bool) {
 	nc := NewVec(len(x))
 	for k := range nc {
-		v1, ok := mulNoWrap(s, x[k])
+		v, ok := combineTry(s, x[k], f, y[k])
 		if !ok {
 			return nil, false
 		}
-		v2, ok := mulNoWrap(f, y[k])
-		if !ok {
-			return nil, false
-		}
-		sum, ok := ints.TryAdd(v1, v2)
-		if !ok {
-			return nil, false
-		}
-		nc[k] = sum
+		nc[k] = v
 	}
 	return nc, true
+}
+
+// combineTry computes s*x + f*y for one coefficient, reporting false when a
+// product or the sum would wrap int64.
+func combineTry(s, x, f, y int64) (int64, bool) {
+	v1, ok := mulNoWrap(s, x)
+	if !ok {
+		return 0, false
+	}
+	v2, ok := mulNoWrap(f, y)
+	if !ok {
+		return 0, false
+	}
+	return ints.TryAdd(v1, v2)
 }
 
 // rationalFeasible reports whether the basic set/map has a rational

@@ -203,14 +203,22 @@ func divSeed() []byte {
 	}
 }
 
-func addSetSeeds(f *testing.F) {
+// setSeeds is the seed corpus of FuzzSimplify.
+func setSeeds(tb testing.TB) [][]byte {
+	var seeds [][]byte
 	for _, kernel := range []string{"gemm", "trmm"} {
-		for _, s := range polybenchSeeds(f, kernel) {
-			f.Add(s)
-		}
+		seeds = append(seeds, polybenchSeeds(tb, kernel)...)
 	}
-	f.Add(divSeed())
-	f.Add([]byte{1, 0, 0, 2, 4, 2, 1}) // 2 dims, ineq d0 - d1 + 2 >= 0 fragment
+	return append(seeds,
+		divSeed(),
+		[]byte{1, 0, 0, 2, 4, 2, 1}, // 2 dims, ineq d0 - d1 + 2 >= 0 fragment
+	)
+}
+
+func addSetSeeds(f *testing.F) {
+	for _, s := range setSeeds(f) {
+		f.Add(s)
+	}
 }
 
 func FuzzSimplify(f *testing.F) {

@@ -60,13 +60,13 @@ func gistBasic(b, ctx *basic) {
 	}
 	base := make([]Constraint, 0, len(work.cons)-nOwn+2*len(work.divs))
 	for _, c := range work.cons[nOwn:] {
-		base = append(base, Constraint{C: c.C.Resized(work.ncols()), Eq: c.Eq})
+		base = append(base, Constraint{C: fit(c.C, work.ncols()), Eq: c.Eq})
 	}
 	base = append(base, work.divBoundConstraints()...)
 	ncols := work.ncols()
 	cands := make([]Constraint, nOwn)
 	for i, c := range b.cons {
-		cands[i] = Constraint{C: work.cons[i].C.Resized(ncols), Eq: c.Eq}
+		cands[i] = Constraint{C: fit(work.cons[i].C, ncols), Eq: c.Eq}
 	}
 	keep := gistFilter(base, ncols, cands)
 	kept := b.cons[:0]

@@ -1,7 +1,10 @@
 package presburger
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"unsafe"
 
 	"haystack/internal/ints"
 )
@@ -30,7 +33,7 @@ func (b *basic) checkInvariants() error {
 	}
 	ncols := b.ncols()
 	// Vectors may be shorter than ncols (missing columns read as zero), but
-	// a longer vector silently truncates under Resized: any non-zero
+	// a vector longer than ncols is clipped by every reader: any non-zero
 	// coefficient beyond ncols is latent corruption.
 	checkWidth := func(v Vec, what string) error {
 		for j := ncols; j < len(v); j++ {
@@ -66,6 +69,45 @@ func (b *basic) checkInvariants() error {
 	for i, c := range b.cons {
 		if err := checkWidth(c.C, fmt.Sprintf("constraint %d", i)); err != nil {
 			return err
+		}
+	}
+	return b.checkOwnership()
+}
+
+// checkOwnership validates the ownership rule the in-place row operations
+// rely on (see basic): no two rows of the basic share backing memory. Each
+// row is taken as the address range of its full capacity; the rows of a
+// clone's slab are adjacent but disjoint, because clone clamps their
+// capacities.
+func (b *basic) checkOwnership() error {
+	type span struct {
+		lo, hi uintptr
+		row    int // index into divs, then cons
+	}
+	spans := make([]span, 0, len(b.divs)+len(b.cons))
+	add := func(v Vec, row int) {
+		if cap(v) == 0 {
+			return
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(v)))
+		spans = append(spans, span{lo: lo, hi: lo + uintptr(cap(v))*unsafe.Sizeof(v[0]), row: row})
+	}
+	for i, d := range b.divs {
+		add(d.Num, i)
+	}
+	for i, c := range b.cons {
+		add(c.C, len(b.divs)+i)
+	}
+	slices.SortFunc(spans, func(x, y span) int { return cmp.Compare(x.lo, y.lo) })
+	name := func(row int) string {
+		if row < len(b.divs) {
+			return fmt.Sprintf("div %d numerator", row)
+		}
+		return fmt.Sprintf("constraint %d", row-len(b.divs))
+	}
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[i-1].hi {
+			return fmt.Errorf("presburger: %s and %s share backing memory: a basic must own each of its rows", name(spans[i-1].row), name(spans[i].row))
 		}
 	}
 	return nil
@@ -127,7 +169,8 @@ func (b *basic) checkCanonical() error {
 // CheckInvariants validates the structural invariants of the basic set:
 // arity consistent with its space, div definitions acyclic and well-ordered
 // (numerators reference strictly earlier columns only, denominators
-// positive), and vector widths consistent with the column layout.
+// positive), vector widths consistent with the column layout, and no two
+// rows sharing memory.
 func (bs BasicSet) CheckInvariants() error {
 	if bs.b.ndim != bs.space.Dim() {
 		return fmt.Errorf("presburger: basic set has %d dimensions, space %v has %d", bs.b.ndim, bs.space, bs.space.Dim())

@@ -21,15 +21,7 @@ func UniverseBasicMap(in, out Space) BasicMap {
 // NewBasicMap builds a basic map from explicit divs and constraints with
 // column layout [const, in..., out..., divs...].
 func NewBasicMap(in, out Space, divs []Div, cons []Constraint) BasicMap {
-	bm := UniverseBasicMap(in, out)
-	for _, d := range divs {
-		bm.b.divs = append(bm.b.divs, d.Clone())
-	}
-	bm.b.resize()
-	for _, c := range cons {
-		bm.b.addConstraint(c.Clone())
-	}
-	return bm
+	return BasicMap{in: in, out: out, b: newBasicFrom(in.Dim()+out.Dim(), divs, cons)}
 }
 
 // InSpace returns the input space.
@@ -44,11 +36,11 @@ func (bm BasicMap) NIn() int { return bm.in.Dim() }
 // NOut returns the number of output dimensions.
 func (bm BasicMap) NOut() int { return bm.out.Dim() }
 
-// Divs returns a copy of the div definitions.
+// Divs returns a copy of the div definitions, every numerator NCols wide.
 func (bm BasicMap) Divs() []Div {
 	out := make([]Div, len(bm.b.divs))
 	for i, d := range bm.b.divs {
-		out[i] = d.Clone()
+		out[i] = Div{Num: d.Num.Resized(bm.b.ncols()), Den: d.Den}
 	}
 	return out
 }
@@ -80,7 +72,7 @@ func (bm BasicMap) AddConstraint(c Constraint) BasicMap {
 // column index of the new (or existing identical) div.
 func (bm BasicMap) AddDiv(num Vec, den int64) (BasicMap, int) {
 	out := bm.clone()
-	col := out.b.addDiv(num.Clone(), den)
+	col := out.b.addDiv(num, den)
 	return out, col
 }
 

@@ -20,11 +20,12 @@ func (bs BasicSet) ModEq(expr Vec, m, residue int64) BasicSet {
 	if residue < 0 || residue >= m {
 		panic(fmt.Sprintf("presburger: ModEq residue %d outside [0, %d)", residue, m))
 	}
-	out, col := bs.AddDiv(expr.Resized(bs.NCols()), m)
+	out, col := bs.AddDiv(expr, m)
 	c := Constraint{C: expr.Resized(out.NCols()), Eq: true}
 	c.C[0] -= residue
 	c.C[col] -= m
-	return out.AddConstraint(c)
+	out.b.addConstraint(c)
+	return out
 }
 
 // ResidueSet returns the subset of the universe of sp whose value of expr is

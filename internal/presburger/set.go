@@ -23,15 +23,7 @@ func UniverseBasicSet(sp Space) BasicSet {
 // NewBasicSet builds a basic set from explicit divs and constraints. The
 // column layout of the vectors is [const, dims..., divs...].
 func NewBasicSet(sp Space, divs []Div, cons []Constraint) BasicSet {
-	bs := UniverseBasicSet(sp)
-	for _, d := range divs {
-		bs.b.divs = append(bs.b.divs, d.Clone())
-	}
-	bs.b.resize()
-	for _, c := range cons {
-		bs.b.addConstraint(c.Clone())
-	}
-	return bs
+	return BasicSet{space: sp, b: newBasicFrom(sp.Dim(), divs, cons)}
 }
 
 // Space returns the space of the basic set.
@@ -40,11 +32,11 @@ func (bs BasicSet) Space() Space { return bs.space }
 // NDim returns the number of dimensions.
 func (bs BasicSet) NDim() int { return bs.b.ndim }
 
-// Divs returns a copy of the div definitions.
+// Divs returns a copy of the div definitions, every numerator NCols wide.
 func (bs BasicSet) Divs() []Div {
 	out := make([]Div, len(bs.b.divs))
 	for i, d := range bs.b.divs {
-		out[i] = d.Clone()
+		out[i] = Div{Num: d.Num.Resized(bs.b.ncols()), Den: d.Den}
 	}
 	return out
 }
@@ -77,7 +69,7 @@ func (bs BasicSet) AddConstraint(c Constraint) BasicSet {
 // column index of the new (or existing identical) div.
 func (bs BasicSet) AddDiv(num Vec, den int64) (BasicSet, int) {
 	out := bs.clone()
-	col := out.b.addDiv(num.Clone(), den)
+	col := out.b.addDiv(num, den)
 	return out, col
 }
 
@@ -152,14 +144,15 @@ func (bs BasicSet) SubstituteLeadingDims(vals []int64) (BasicSet, bool) {
 	}
 	oldCols := bs.b.ncols()
 	fold := func(v Vec) Vec {
-		v = v.Resized(oldCols)
-		out := make(Vec, 0, oldCols-n)
-		c0 := v[0]
+		out := NewVec(oldCols - n)
+		c0 := v.At(0)
 		for i := 0; i < n; i++ {
-			c0 += v[1+i] * vals[i]
+			c0 += v.At(1+i) * vals[i]
 		}
-		out = append(out, c0)
-		out = append(out, v[1+n:]...)
+		out[0] = c0
+		if len(v) > 1+n {
+			copy(out[1:], v[1+n:])
+		}
 		return out
 	}
 	nb := newBasic(bs.b.ndim - n)

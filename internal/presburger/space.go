@@ -85,7 +85,10 @@ func AnonymousSpace(n int) Space {
 
 // Vec is an affine row vector over the column layout of a basic set or map:
 // column 0 is the constant term, columns 1..ndim are the tuple dimensions,
-// and the remaining columns are the local div variables.
+// and the remaining columns are the local div variables. A row may be
+// shorter than the column count of its owner; the missing columns read as
+// zero. Read a coefficient through At, which needs no padded copy; Resized
+// is for building a new row of a given width.
 type Vec []int64
 
 // NewVec returns a zero vector with n columns.
@@ -99,6 +102,15 @@ func (v Vec) Resized(n int) Vec {
 	w := make(Vec, n)
 	copy(w, v)
 	return w
+}
+
+// At returns the coefficient at column j; columns beyond the width of v
+// read as zero.
+func (v Vec) At(j int) int64 {
+	if j < len(v) {
+		return v[j]
+	}
+	return 0
 }
 
 // IsZero reports whether every entry of v is zero.

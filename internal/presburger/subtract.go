@@ -11,7 +11,7 @@ func (b *basic) transferDivs(src *basic, dimMap []int) []int {
 	}
 	for i := range src.divs {
 		num := NewVec(b.ncols())
-		for j, x := range src.divs[i].Num.Resized(src.ncols()) {
+		for j, x := range clip(src.divs[i].Num, src.ncols()) {
 			if x == 0 {
 				continue
 			}
