@@ -193,8 +193,17 @@ func (cc *capacityCounter) Count(distances []StatementDistance, cacheLines []int
 	for w := range workerStats {
 		cc.stats.merge(&workerStats[w])
 	}
+	// A caller may count several distance sets into one Stats (Eval counts
+	// its residual pieces, then each capacity's extra pieces): busy times
+	// accumulate per worker.
 	cc.stats.CapacityWorkers = len(workerTimes)
-	cc.stats.CapacityWorkerTime = workerTimes
+	if len(cc.stats.CapacityWorkerTime) == len(workerTimes) {
+		for w, d := range workerTimes {
+			cc.stats.CapacityWorkerTime[w] += d
+		}
+	} else {
+		cc.stats.CapacityWorkerTime = workerTimes
+	}
 
 	// Fold the per-item results in canonical item order so totals and bounds
 	// stay bit-identical for every worker count. Exact pieces contribute

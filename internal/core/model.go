@@ -425,24 +425,40 @@ type Result struct {
 	CompulsoryBounds counting.Interval
 }
 
-// finalizeBounds makes the bounds fields of every result coherent: any
-// level whose interval was not filled by a bounded path gets the width-0
-// interval of its exact counts, and Stats.BoundWidth is (re)derived from
-// the per-level total miss intervals.
-func (res *Result) finalizeBounds() {
-	if res.CompulsoryBounds == (counting.Interval{}) && res.CompulsoryMisses != 0 {
-		res.CompulsoryBounds = counting.Exact(res.CompulsoryMisses)
+// setLevels is the one place a Result's levels are assembled. From the
+// certified capacity miss interval of every level (width 0 when exact) and
+// the per-statement capacity counts (nil when not attributed), it fills
+// res.Levels, derives each total miss interval from res.CompulsoryBounds,
+// and records Stats.BoundWidth. Degradation reasons, or an inexact
+// compulsory count, mark the result TierBounded with their summary as
+// provenance. res.TotalAccesses and res.CompulsoryBounds must be set.
+func (res *Result) setLevels(sizes []int64, capBounds []counting.Interval, perStmt []map[string]int64, reasons []string) {
+	res.Levels = make([]LevelResult, len(sizes))
+	res.Stats.BoundWidth = make([]int64, len(sizes))
+	for i, size := range sizes {
+		capacity := capBounds[i]
+		if !capacity.IsExact() {
+			// Certified cap: capacity misses are repeat accesses, so they
+			// cannot exceed the non-compulsory access count. Exact counts are
+			// left untouched.
+			capacity = capacity.ClampHi(res.TotalAccesses - res.CompulsoryBounds.Lo)
+		}
+		total := capacity.Add(res.CompulsoryBounds).ClampHi(res.TotalAccesses)
+		res.Levels[i] = LevelResult{
+			CacheBytes:         size,
+			CapacityMisses:     capacity.Hi,
+			TotalMisses:        total.Hi,
+			CapacityMissBounds: capacity,
+			TotalMissBounds:    total,
+		}
+		if perStmt != nil {
+			res.Levels[i].PerStatementCapacity = perStmt[i]
+		}
+		res.Stats.BoundWidth[i] = total.Width()
 	}
-	res.Stats.BoundWidth = make([]int64, len(res.Levels))
-	for i := range res.Levels {
-		lv := &res.Levels[i]
-		if lv.CapacityMissBounds == (counting.Interval{}) && lv.CapacityMisses != 0 {
-			lv.CapacityMissBounds = counting.Exact(lv.CapacityMisses)
-		}
-		if lv.TotalMissBounds == (counting.Interval{}) && lv.TotalMisses != 0 {
-			lv.TotalMissBounds = lv.CapacityMissBounds.Add(res.CompulsoryBounds)
-		}
-		res.Stats.BoundWidth[i] = lv.TotalMissBounds.Width()
+	if len(reasons) > 0 || !res.CompulsoryBounds.IsExact() {
+		res.Tier = TierBounded
+		res.FallbackReason = degradationSummary(reasons, res.CompulsoryBounds)
 	}
 }
 

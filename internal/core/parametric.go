@@ -10,7 +10,6 @@ import (
 
 	"haystack/internal/budget"
 	"haystack/internal/counting"
-	"haystack/internal/lexmin"
 	"haystack/internal/presburger"
 	"haystack/internal/qpoly"
 	"haystack/internal/scop"
@@ -42,24 +41,17 @@ const maxClassifyDepth = 64
 // parametric/residual split is reproducible across machines.
 const parametricCountBudget = 3000
 
-// stmtPiece is one piece of a statement's stack distance quasi-polynomial,
-// tagged with the owning statement for per-statement attribution.
-type stmtPiece struct {
-	stmt   string
-	domain presburger.BasicSet
-	poly   qpoly.QPoly
-}
-
 // missPolys holds the parametric capacity miss counts for one cache capacity
 // (in lines): per-statement piecewise quasi-polynomial sums over the
 // parameter space, plus the affine pieces whose parametric count failed at
-// this capacity and therefore join the residual pieces at evaluation time.
+// this capacity and therefore join the residual pieces at evaluation time
+// (grouped by statement, like every distance the counting engine takes).
 // The counts are qpoly.PwSum rather than disjoint PwQPoly: the per-piece
 // cardinalities overlap heavily in the parameter space, and keeping them as
 // summands makes accumulation O(1) instead of quadratic.
 type missPolys struct {
 	perStmt map[string]qpoly.PwSum
-	extra   []stmtPiece
+	extra   []StatementDistance
 }
 
 // ParametricModel is the fully size-independent form of the analysis: the
@@ -104,11 +96,11 @@ type ParametricModel struct {
 	baseStats         Stats
 	computeTime       time.Duration
 
-	// Capacity-independent classification of the distance pieces: affine
-	// pieces are countable parametrically, residual pieces are instantiated
-	// and counted per evaluation.
-	affine   []stmtPiece
-	residual []stmtPiece
+	// Capacity-independent classification of the distance pieces, both
+	// parallel to distances: affine pieces are countable parametrically,
+	// residual pieces are instantiated and counted per evaluation.
+	affine   []StatementDistance
+	residual []StatementDistance
 
 	mu        sync.Mutex
 	missCache map[int64]*missPolys // capacity in lines -> parametric counts
@@ -181,16 +173,8 @@ func ComputeParametricModelContext(ctx context.Context, prog *scop.Program, line
 	}
 	pm.TotalAccesses = total
 
-	tStack := time.Now()
-	// Frontier and coalesce statistics mirror computeSymbolic (twophase.go):
-	// the parametric distance phase runs the same coalescing-heavy pipeline,
-	// so its Results should report the same observability counters. The
-	// process-wide counter delta has the same caveat as there: under
-	// concurrent model construction it can include hits of other models.
-	coalesceBase := presburger.CoalesceCountersSnapshot()
-	var fs frontierStats
 	ex, release := opts.executor()
-	distances, _, _, err := computeStackDistances(ctx, info, lineSize, ex, &fs, meter, false)
+	distances, _, _, err := stackDistancePhase(ctx, info, lineSize, ex, meter, false, &pm.baseStats)
 	release()
 	if err != nil {
 		if budget.IsCancellation(err) {
@@ -199,18 +183,6 @@ func ComputeParametricModelContext(ctx context.Context, prog *scop.Program, line
 		return nil, nonParametric("stack distances", err)
 	}
 	pm.distances = distances
-	pm.baseStats.StackDistanceTime = time.Since(tStack)
-	pm.baseStats.PeakBasicMaps = int(fs.peak.Load())
-	pm.baseStats.BasicMapsBeforeCoalesce = fs.before.Load()
-	pm.baseStats.BasicMapsAfterCoalesce = fs.after.Load()
-	hits := presburger.CoalesceCountersSnapshot().Sub(coalesceBase)
-	pm.baseStats.CoalesceDedup = hits.Dedup
-	pm.baseStats.CoalesceSubsumed = hits.Subsumed
-	pm.baseStats.CoalesceAdjacent = hits.Adjacent
-	pm.baseStats.CoalesceRedundantCons = hits.RedundantConstraints
-	for _, d := range distances {
-		pm.baseStats.DistancePieces += d.Distance.NumPieces()
-	}
 
 	tComp := time.Now()
 	A := info.LineAccessMap(lineSize)
@@ -238,14 +210,18 @@ func ComputeParametricModelContext(ctx context.Context, prog *scop.Program, line
 // enumeration are not available parametrically — their pieces become
 // residual.
 func (pm *ParametricModel) classify() {
-	for _, sd := range pm.distances {
+	pm.affine = make([]StatementDistance, len(pm.distances))
+	pm.residual = make([]StatementDistance, len(pm.distances))
+	for i, sd := range pm.distances {
+		pm.affine[i] = StatementDistance{Statement: sd.Statement, Distance: qpoly.PwQPoly{Space: sd.Distance.Space}}
+		pm.residual[i] = pm.affine[i]
 		for _, piece := range sd.Distance.Pieces {
-			pm.classifyPiece(sd.Statement, piece.Domain, piece.Poly, 0)
+			pm.classifyPiece(i, piece.Domain, piece.Poly, 0)
 		}
 	}
 }
 
-func (pm *ParametricModel) classifyPiece(stmt string, domain presburger.BasicSet, poly qpoly.QPoly, depth int) {
+func (pm *ParametricModel) classifyPiece(stmt int, domain presburger.BasicSet, poly qpoly.QPoly, depth int) {
 	if poly.Degree() <= 1 {
 		// Trim the domain once here rather than at every instantiation:
 		// redundant parallel bounds and orphaned divs multiply the fan-out
@@ -253,7 +229,7 @@ func (pm *ParametricModel) classifyPiece(stmt string, domain presburger.BasicSet
 		// dimension becomes a piece, and any div-referenced dimension is
 		// residue-split).
 		if dom, ok := domain.RemoveRedundancies(); ok {
-			pm.affine = append(pm.affine, stmtPiece{stmt: stmt, domain: dom, poly: poly})
+			addPiece(&pm.affine[stmt], dom, poly)
 		}
 		return
 	}
@@ -276,20 +252,34 @@ func (pm *ParametricModel) classifyPiece(stmt string, domain presburger.BasicSet
 		}
 	}
 	if dom, ok := domain.RemoveRedundancies(); ok {
-		pm.residual = append(pm.residual, stmtPiece{stmt: stmt, domain: dom, poly: poly})
+		addPiece(&pm.residual[stmt], dom, poly)
 	}
+}
+
+// addPiece appends one piece to a statement's distances.
+func addPiece(sd *StatementDistance, domain presburger.BasicSet, poly qpoly.QPoly) {
+	sd.Distance.Pieces = append(sd.Distance.Pieces, qpoly.Piece{Domain: domain, Poly: poly})
+}
+
+// numPieces is the total number of pieces of a set of distances.
+func numPieces(distances []StatementDistance) int {
+	n := 0
+	for _, sd := range distances {
+		n += sd.Distance.NumPieces()
+	}
+	return n
 }
 
 // ParametricPieces returns the number of distance pieces (after floor
 // elimination splits) whose capacity misses are counted symbolically in the
 // parameters.
-func (pm *ParametricModel) ParametricPieces() int { return len(pm.affine) }
+func (pm *ParametricModel) ParametricPieces() int { return numPieces(pm.affine) }
 
 // ResidualPieces returns the number of distance pieces that must be
 // instantiated and counted per evaluation (non-affine distance polynomials,
 // e.g. products of a parameter and a loop variable, whose miss sets are not
 // polyhedra in the parameters).
-func (pm *ParametricModel) ResidualPieces() int { return len(pm.residual) }
+func (pm *ParametricModel) ResidualPieces() int { return numPieces(pm.residual) }
 
 // DistancePieces returns the number of pieces of the parametric stack
 // distance quasi-polynomials.
@@ -319,7 +309,7 @@ func (pm *ParametricModel) CapacityMissPoly(capacityBytes int64) (qpoly.PwSum, b
 	for _, name := range names {
 		total = total.AddSum(mp.perStmt[name])
 	}
-	return total, len(pm.residual) == 0 && len(mp.extra) == 0
+	return total, pm.ResidualPieces() == 0 && len(mp.extra) == 0
 }
 
 // missPolysFor returns (computing and memoizing on first use) the parametric
@@ -331,35 +321,41 @@ func (pm *ParametricModel) missPolysFor(capacityLines int64) *missPolys {
 		return mp
 	}
 	mp := &missPolys{perStmt: map[string]qpoly.PwSum{}}
-	for _, cp := range pm.affine {
-		ms, err := affineMissSet(cp.domain, cp.poly, capacityLines)
-		if err != nil {
-			mp.extra = append(mp.extra, cp)
-			continue
+	for _, sd := range pm.affine {
+		extra := StatementDistance{Statement: sd.Statement, Distance: qpoly.PwQPoly{Space: sd.Distance.Space}}
+		for _, p := range sd.Distance.Pieces {
+			ms, err := affineMissSet(p.Domain, p.Poly, capacityLines)
+			if err != nil {
+				addPiece(&extra, p.Domain, p.Poly)
+				continue
+			}
+			// Redundant bounds multiply the fan-out of the parametric count
+			// (every lower/upper bound pair of an eliminated dimension becomes
+			// a piece), so trim them first; a detectably empty miss set
+			// contributes nothing.
+			ms, ok := ms.RemoveRedundancies()
+			if !ok {
+				continue
+			}
+			card, err := counting.CardBasicSetSummands(ms, len(pm.Params), pm.paramSpace,
+				budget.LimitOp("parametric piece count", parametricCountBudget))
+			if err != nil {
+				addPiece(&extra, p.Domain, p.Poly)
+				continue
+			}
+			cur, ok := mp.perStmt[sd.Statement]
+			if !ok {
+				cur = qpoly.ZeroSum(pm.paramSpace)
+			}
+			// The accumulator is uniquely owned until it is published in the
+			// cache, so append in place instead of paying AddSum's defensive
+			// copy per piece.
+			cur.Terms = append(cur.Terms, card.Terms...)
+			mp.perStmt[sd.Statement] = cur
 		}
-		// Redundant bounds multiply the fan-out of the parametric count
-		// (every lower/upper bound pair of an eliminated dimension becomes a
-		// piece), so trim them first; a detectably empty miss set contributes
-		// nothing.
-		ms, ok := ms.RemoveRedundancies()
-		if !ok {
-			continue
+		if extra.Distance.NumPieces() > 0 {
+			mp.extra = append(mp.extra, extra)
 		}
-		card, err := counting.CardBasicSetSummands(ms, len(pm.Params), pm.paramSpace,
-			budget.LimitOp("parametric piece count", parametricCountBudget))
-		if err != nil {
-			mp.extra = append(mp.extra, cp)
-			continue
-		}
-		cur, ok := mp.perStmt[cp.stmt]
-		if !ok {
-			cur = qpoly.ZeroSum(pm.paramSpace)
-		}
-		// The accumulator is uniquely owned until it is published in the
-		// cache, so append in place instead of paying AddSum's defensive
-		// copy per piece.
-		cur.Terms = append(cur.Terms, card.Terms...)
-		mp.perStmt[cp.stmt] = cur
 	}
 	pm.missCache[capacityLines] = mp
 	return mp
@@ -394,18 +390,16 @@ func bindPiece(domain presburger.BasicSet, poly qpoly.QPoly, point []int64) (pre
 	return dom, poly.BindLeadingVars(point), true
 }
 
-// instantiatePiece is bindPiece for a classified capacity piece.
-func instantiatePiece(p stmtPiece, point []int64) (presburger.BasicSet, qpoly.QPoly, bool) {
-	return bindPiece(p.domain, p.poly, point)
-}
-
 // Eval instantiates the model at a parameter binding against a cache
 // hierarchy and returns the Result a concrete Analyze of the instantiated
 // program would produce (bit-identical counts; the Stats describe the
 // parametric pipeline instead). Total accesses and compulsory misses are
 // polynomial evaluations; capacity misses evaluate the per-capacity
 // parametric polynomials (computed once per capacity across all Eval calls)
-// plus a concrete count of the residual pieces.
+// plus a count of the instantiated residual pieces by the same counting
+// engine CountMisses uses: in parallel on a transient executor sized by the
+// model's Options.Parallelism, and degrading to certified bounds under
+// ModeBounded.
 func (pm *ParametricModel) Eval(cfg Config, bindings map[string]int64) (*Result, error) {
 	start := time.Now()
 	if cfg.LineSize != pm.LineSize {
@@ -424,10 +418,12 @@ func (pm *ParametricModel) Eval(cfg Config, bindings map[string]int64) (*Result,
 	if err != nil {
 		return nil, err
 	}
+	compulsory := pm.CompulsoryMisses.EvalInt(point)
 	res := &Result{
 		Kernel:           pm.Kernel,
 		TotalAccesses:    pm.TotalAccesses.EvalInt(point),
-		CompulsoryMisses: pm.CompulsoryMisses.EvalInt(point),
+		CompulsoryMisses: compulsory,
+		CompulsoryBounds: counting.Exact(compulsory),
 		Stats:            pm.baseStats.clone(),
 	}
 	if pm.perStmtCompulsory != nil {
@@ -439,123 +435,38 @@ func (pm *ParametricModel) Eval(cfg Config, bindings map[string]int64) (*Result,
 	for i, size := range cfg.CacheSizes {
 		lines[i] = size / cfg.LineSize
 	}
-	totals := make([]int64, len(lines))
-	perStmt := make([]map[string]int64, len(lines))
-	for l := range perStmt {
-		perStmt[l] = map[string]int64{}
-		for _, sd := range pm.distances {
-			perStmt[l][sd.Statement] = 0
-		}
-	}
-	// Parametric pieces: one polynomial evaluation per capacity.
-	polys := make([]*missPolys, len(lines))
-	for l, capacity := range lines {
-		polys[l] = pm.missPolysFor(capacity)
-		for stmt, poly := range polys[l].perStmt {
-			n := poly.EvalInt(point)
-			perStmt[l][stmt] += n
-			totals[l] += n
-		}
-	}
-	// The parametric polynomial evaluations above are exact; piece results
-	// below accumulate onto these width-zero intervals (degraded pieces widen
-	// them under ModeBounded).
-	bounds := make([]counting.Interval, len(lines))
-	for l := range bounds {
-		bounds[l] = counting.Exact(totals[l])
-	}
-	var degradedReasons []string
-	bounded := pm.opts.Mode == ModeBounded
-	// Residual pieces: instantiate once, classify against all capacities in a
-	// single pass with the concrete counting engine.
-	countOpts := pm.opts
-	counter := newCapacityCounter(countOpts, &res.Stats)
+	counter := newCapacityCounter(pm.opts, &res.Stats)
 	counter.meter = budget.New(context.Background(), pm.opts.Budget)
-	countConcrete := func(stmt string, dom presburger.BasicSet, poly qpoly.QPoly, caps []int64) ([]int64, []counting.Interval, error) {
-		stage := "residual piece of " + stmt
-		op := counter.meter.Op(stage)
-		counts, err := counter.countPiece(dom, poly, caps, false, op, stage)
-		if err == nil {
-			return counts, nil, nil
-		}
-		if !bounded || budget.IsCancellation(err) {
-			return nil, nil, fmt.Errorf("core: counting residual piece of %s: %w", stmt, err)
-		}
-		ivs, berr := counter.boundPiece(dom, poly, caps, op)
-		if berr != nil {
-			return nil, nil, fmt.Errorf("core: bounding residual piece of %s: %w", stmt, berr)
-		}
-		degradedReasons = append(degradedReasons, fmt.Sprintf("%s: residual piece bounded (%v)", stmt, err))
-		return nil, ivs, nil
+	// Residual pieces: instantiated once and classified against all
+	// capacities in a single pass. The residual distances list every
+	// statement, so the per-statement maps start with all of them.
+	counts, err := counter.Count(bindDistances(pm.residual, point), lines)
+	if err != nil {
+		return nil, err
 	}
-	for _, rp := range pm.residual {
-		dom, poly, ok := instantiatePiece(rp, point)
-		if !ok || dom.DefinitelyEmpty() {
+	for l, capacity := range lines {
+		mp := pm.missPolysFor(capacity)
+		// Parametric pieces: one exact polynomial evaluation per statement.
+		for stmt, poly := range mp.perStmt {
+			n := poly.EvalInt(point)
+			counts.perStmt[l][stmt] = satAddCount(counts.perStmt[l][stmt], n)
+			counts.bounds[l] = counts.bounds[l].Add(counting.Exact(n))
+		}
+		// Affine pieces whose parametric count failed at this capacity.
+		if len(mp.extra) == 0 {
 			continue
 		}
-		counts, ivs, err := countConcrete(rp.stmt, dom, poly, lines)
+		extra, err := counter.Count(bindDistances(mp.extra, point), lines[l:l+1])
 		if err != nil {
 			return nil, err
 		}
-		if counts != nil {
-			for l, n := range counts {
-				perStmt[l][rp.stmt] += n
-				totals[l] += n
-				bounds[l] = bounds[l].Add(counting.Exact(n))
-			}
-			continue
+		for stmt, n := range extra.perStmt[0] {
+			counts.perStmt[l][stmt] = satAddCount(counts.perStmt[l][stmt], n)
 		}
-		for l, iv := range ivs {
-			perStmt[l][rp.stmt] = satAddCount(perStmt[l][rp.stmt], iv.Hi)
-			totals[l] = satAddCount(totals[l], iv.Hi)
-			bounds[l] = bounds[l].Add(iv)
-		}
+		counts.bounds[l] = counts.bounds[l].Add(extra.bounds[0])
+		counts.degraded = append(counts.degraded, extra.degraded...)
 	}
-	// Affine pieces whose parametric count failed for a specific capacity.
-	for l, mp := range polys {
-		for _, rp := range mp.extra {
-			dom, poly, ok := instantiatePiece(rp, point)
-			if !ok || dom.DefinitelyEmpty() {
-				continue
-			}
-			counts, ivs, err := countConcrete(rp.stmt, dom, poly, lines[l:l+1])
-			if err != nil {
-				return nil, err
-			}
-			if counts != nil {
-				perStmt[l][rp.stmt] += counts[0]
-				totals[l] += counts[0]
-				bounds[l] = bounds[l].Add(counting.Exact(counts[0]))
-				continue
-			}
-			perStmt[l][rp.stmt] = satAddCount(perStmt[l][rp.stmt], ivs[0].Hi)
-			totals[l] = satAddCount(totals[l], ivs[0].Hi)
-			bounds[l] = bounds[l].Add(ivs[0])
-		}
-	}
-	for i, size := range cfg.CacheSizes {
-		capBounds := bounds[i]
-		if !capBounds.IsExact() {
-			// Certified cap: capacity misses are repeat accesses, so they
-			// cannot exceed the non-compulsory access count. Exact counts are
-			// left untouched.
-			capBounds = capBounds.ClampHi(res.TotalAccesses - res.CompulsoryMisses)
-		}
-		total := capBounds.AddConst(res.CompulsoryMisses)
-		res.Levels = append(res.Levels, LevelResult{
-			CacheBytes:           size,
-			CapacityMisses:       capBounds.Hi,
-			TotalMisses:          total.Hi,
-			PerStatementCapacity: perStmt[i],
-			CapacityMissBounds:   capBounds,
-			TotalMissBounds:      total,
-		})
-	}
-	if len(degradedReasons) > 0 {
-		res.Tier = TierBounded
-		res.FallbackReason = degradationSummary(degradedReasons, counting.Exact(res.CompulsoryMisses))
-	}
-	res.finalizeBounds()
+	res.setLevels(cfg.CacheSizes, counts.bounds, counts.perStmt, counts.degraded)
 	res.Stats.BudgetUsed += counter.meter.Total()
 	res.Stats.CapacityTime = time.Since(tCap)
 	res.Stats.TotalTime = time.Since(start)
@@ -586,11 +497,8 @@ func (pm *ParametricModel) Bind(bindings map[string]int64) (*DistanceModel, erro
 	if pm.perStmtCompulsory != nil {
 		dm.perStmtCompulsory = evalCounts(pm.perStmtCompulsory, point)
 	}
-	for _, sd := range pm.distances {
-		bound := bindPieces(sd.Distance, point)
-		dm.baseStats.DistancePieces += bound.NumPieces()
-		dm.distances = append(dm.distances, StatementDistance{Statement: sd.Statement, Distance: bound})
-	}
+	dm.distances = bindDistances(pm.distances, point)
+	dm.baseStats.DistancePieces = numPieces(dm.distances)
 	dm.computeTime = time.Since(start)
 	return dm, nil
 }
@@ -625,6 +533,16 @@ func bindPieces(pw qpoly.PwQPoly, point []int64) qpoly.PwQPoly {
 	return out
 }
 
+// bindDistances instantiates every statement's distances at a parameter
+// point (bindPieces per statement).
+func bindDistances(distances []StatementDistance, point []int64) []StatementDistance {
+	out := make([]StatementDistance, len(distances))
+	for i, sd := range distances {
+		out[i] = StatementDistance{Statement: sd.Statement, Distance: bindPieces(sd.Distance, point)}
+	}
+	return out
+}
+
 // evalCounts evaluates a map of parametric counts at a parameter point.
 func evalCounts(polys map[string]qpoly.PwQPoly, point []int64) map[string]int64 {
 	out := make(map[string]int64, len(polys))
@@ -638,38 +556,21 @@ func evalCounts(polys map[string]qpoly.PwQPoly, point []int64) map[string]int64 
 // statement performing the first access of every line, parametrically in the
 // program parameters (the parametric analogue of attributeCompulsory).
 func attributeCompulsoryParametric(info *scop.PolyInfo, lineSize int64, nParam int, paramSpace presburger.Space) (map[string]qpoly.PwQPoly, error) {
-	S := info.Schedule()
-	A := info.LineAccessMap(lineSize)
-	lineToSched, err := A.Reverse().ApplyRange(S)
+	out := map[string]qpoly.PwQPoly{}
+	err := walkFirstAccesses(info, lineSize, func(stmt string, dom presburger.Set) error {
+		card, err := counting.CardSet(dom, nParam, paramSpace, nil)
+		if err != nil {
+			return err
+		}
+		cur, ok := out[stmt]
+		if !ok {
+			cur = qpoly.ZeroPw(paramSpace)
+		}
+		out[stmt] = cur.Add(card)
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := map[string]qpoly.PwQPoly{}
-	for _, m := range lineToSched.Maps() {
-		first, err := lexmin.MapLexmin(simplifyMap(m, nil))
-		if err != nil {
-			return nil, err
-		}
-		firstInst, err := presburger.NewUnionMap().Add(first).ApplyRange(S.Reverse())
-		if err != nil {
-			return nil, err
-		}
-		for _, fm := range firstInst.Maps() {
-			dom, err := fm.Domain()
-			if err != nil {
-				return nil, err
-			}
-			card, err := counting.CardSet(dom, nParam, paramSpace, nil)
-			if err != nil {
-				return nil, err
-			}
-			name := fm.OutSpace().Name
-			cur, ok := out[name]
-			if !ok {
-				cur = qpoly.ZeroPw(paramSpace)
-			}
-			out[name] = cur.Add(card)
-		}
 	}
 	return out, nil
 }

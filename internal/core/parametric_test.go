@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -235,6 +236,110 @@ func TestParametricBindMatchesComputeDistances(t *testing.T) {
 				requireSameResult(t, sz.String(), gotRes, wantRes)
 			}
 		})
+	}
+}
+
+// parametricTrmm builds the parametric trmm model under opts. trmm is the
+// kernel with the most residual pieces (52 non-affine distance pieces counted
+// per evaluation), so its Eval exercises the shared counting engine hardest.
+func parametricTrmm(t *testing.T, opts Options) (*ParametricModel, polybench.ParametricKernel) {
+	t.Helper()
+	pk, ok := polybench.ParametricByName("trmm")
+	if !ok {
+		t.Fatal("no parametric trmm")
+	}
+	pm, err := ComputeParametricModel(pk.Build(), 64, opts)
+	if err != nil {
+		t.Fatalf("ComputeParametricModel(trmm): %v", err)
+	}
+	if pm.ResidualPieces() == 0 {
+		t.Fatal("trmm has no residual pieces; the test would not count any")
+	}
+	return pm, pk
+}
+
+// TestParametricEvalBounded runs Eval on the bounded tier: with a one-unit
+// budget every residual piece degrades, and each level's certified intervals
+// must still contain the exact Eval counts, with Stats.BoundWidth matching
+// the total interval and provenance on every inexact level. With an ample
+// budget nothing may widen.
+func TestParametricEvalBounded(t *testing.T) {
+	cfg := Config{LineSize: 64, CacheSizes: []int64{512, 2048}}
+	exactOpts := DefaultOptions()
+	exactOpts.Mode = ModeExact
+	exact, pk := parametricTrmm(t, exactOpts)
+	boundedOpts := DefaultOptions()
+	boundedOpts.Mode = ModeBounded
+	boundedOpts.Budget = 1
+	bounded, _ := parametricTrmm(t, boundedOpts)
+	boundedOpts.Budget = 0
+	ample, _ := parametricTrmm(t, boundedOpts)
+	for _, sz := range []polybench.Size{polybench.Mini, polybench.Small} {
+		want, err := exact.Eval(cfg, pk.Bindings(sz))
+		if err != nil {
+			t.Fatalf("exact Eval %v: %v", sz, err)
+		}
+		res, err := bounded.Eval(cfg, pk.Bindings(sz))
+		if err != nil {
+			t.Fatalf("bounded Eval %v: %v", sz, err)
+		}
+		for l, lvl := range res.Levels {
+			w := want.Levels[l]
+			if !lvl.CapacityMissBounds.Contains(w.CapacityMisses) {
+				t.Errorf("%v L%d: capacity bounds %v do not contain exact %d", sz, l+1, lvl.CapacityMissBounds, w.CapacityMisses)
+			}
+			if !lvl.TotalMissBounds.Contains(w.TotalMisses) {
+				t.Errorf("%v L%d: total bounds %v do not contain exact %d", sz, l+1, lvl.TotalMissBounds, w.TotalMisses)
+			}
+			width := lvl.TotalMissBounds.Width()
+			if res.Stats.BoundWidth[l] != width {
+				t.Errorf("%v L%d: Stats.BoundWidth %d, interval width %d", sz, l+1, res.Stats.BoundWidth[l], width)
+			}
+			if width > 0 && (res.FallbackReason == "" || res.Tier != TierBounded) {
+				t.Errorf("%v L%d: width %d but tier %s, provenance %q", sz, l+1, width, res.Tier, res.FallbackReason)
+			}
+		}
+		res, err = ample.Eval(cfg, pk.Bindings(sz))
+		if err != nil {
+			t.Fatalf("ample bounded Eval %v: %v", sz, err)
+		}
+		if res.Tier != TierExact {
+			t.Errorf("%v: ample budget gave tier %s (%s)", sz, res.Tier, res.FallbackReason)
+		}
+		for l, lvl := range res.Levels {
+			if res.Stats.BoundWidth[l] != 0 || lvl.TotalMisses != want.Levels[l].TotalMisses {
+				t.Errorf("%v L%d: ample budget gave %d misses, width %d; want exact %d",
+					sz, l+1, lvl.TotalMisses, res.Stats.BoundWidth[l], want.Levels[l].TotalMisses)
+			}
+		}
+	}
+}
+
+// TestParametricEvalWorkerCountInvariance checks that Eval, which fans its
+// residual pieces out over the model's executor, answers bit-identically at
+// one and at four workers: every level (per-statement counts and bounds
+// included) and the counted-piece statistic.
+func TestParametricEvalWorkerCountInvariance(t *testing.T) {
+	cfg := Config{LineSize: 64, CacheSizes: []int64{512, 2048}}
+	var results [2]*Result
+	for i, workers := range []int{1, 4} {
+		opts := DefaultOptions()
+		opts.Parallelism = workers
+		pm, pk := parametricTrmm(t, opts)
+		res, err := pm.Eval(cfg, pk.Bindings(polybench.Small))
+		if err != nil {
+			t.Fatalf("Eval at %d workers: %v", workers, err)
+		}
+		if res.Stats.CapacityWorkers != workers {
+			t.Errorf("Eval ran %d capacity workers, want %d", res.Stats.CapacityWorkers, workers)
+		}
+		results[i] = res
+	}
+	if !reflect.DeepEqual(results[0].Levels, results[1].Levels) {
+		t.Errorf("levels differ between 1 and 4 workers:\n%+v\n%+v", results[0].Levels, results[1].Levels)
+	}
+	if a, b := results[0].Stats.CountedPieces, results[1].Stats.CountedPieces; a != b {
+		t.Errorf("counted pieces: %d at 1 worker, %d at 4", a, b)
 	}
 }
 

@@ -352,44 +352,57 @@ func CountCompulsoryMisses(info *scop.PolyInfo, lineSize int64) (int64, map[stri
 // attributeCompulsory splits the compulsory misses by the statement that
 // performs the first access of every line.
 func attributeCompulsory(info *scop.PolyInfo, lineSize int64) (map[string]int64, error) {
+	out := map[string]int64{}
+	err := walkFirstAccesses(info, lineSize, func(stmt string, dom presburger.Set) error {
+		n, err := counting.CountSet(dom, nil)
+		if err != nil {
+			n, err = dom.CountByScan()
+			if err != nil {
+				return err
+			}
+		}
+		out[stmt] += n
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// walkFirstAccesses visits, per statement, the instances performing the
+// first access of some cache line: the domains of the first map
+// F = S⁻¹ ∘ lexmin(S ∘ A⁻¹). Both the concrete and the parametric
+// attribution count these domains, each with its own counter; any error
+// (including a domain the set algebra cannot compute) aborts the walk, so an
+// attribution is either complete or absent.
+func walkFirstAccesses(info *scop.PolyInfo, lineSize int64, visit func(stmt string, dom presburger.Set) error) error {
 	S := info.Schedule()
 	A := info.LineAccessMap(lineSize)
 	// lines -> schedule values of accesses to them.
 	lineToSched, err := A.Reverse().ApplyRange(S)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := map[string]int64{}
 	for _, m := range lineToSched.Maps() {
 		first, err := lexmin.MapLexmin(simplifyMap(m, nil))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Back to statement instances: lines -> first-touching instance.
 		firstInst, err := presburger.NewUnionMap().Add(first).ApplyRange(S.Reverse())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, fm := range firstInst.Maps() {
-			n, err := counting.CountSet(mustDomain(fm), nil)
+			dom, err := fm.Domain()
 			if err != nil {
-				n, err = mustDomain(fm).CountByScan()
-				if err != nil {
-					return nil, err
-				}
+				return err
 			}
-			out[fm.OutSpace().Name] += n
+			if err := visit(fm.OutSpace().Name, dom); err != nil {
+				return err
+			}
 		}
 	}
-	return out, nil
-}
-
-func mustDomain(m presburger.Map) presburger.Set {
-	d, err := m.Domain()
-	if err != nil {
-		// Fall back to an empty set; callers treat attribution as best
-		// effort.
-		return presburger.EmptySet(m.InSpace())
-	}
-	return d
+	return nil
 }

@@ -237,50 +237,54 @@ func ComputeDistancesByProfiling(prog *scop.Program, lineSize int64) (*DistanceM
 	return dm, nil
 }
 
-// computeSymbolic fills the model from the symbolic pipeline: stack
-// distances (section 3.1) and compulsory misses (section 3.4), together
-// with the coalescing statistics of the distance phase.
-func (dm *DistanceModel) computeSymbolic(ctx context.Context, info *scop.PolyInfo, meter *budget.Meter, ex parwork.Exec) error {
-	tStack := time.Now()
-	// The presburger coalescing counters are process-wide; the deltas
-	// around the distance phase attribute its hits to this model. Under
-	// concurrent ComputeDistances calls (design-space sweeps) the snapshot
-	// windows overlap, so each model's delta can include hits of the
-	// others — treat the per-model counters as observability, not as an
-	// exact partition (CoalesceCountersSnapshot itself stays exact
-	// process-wide).
+// stackDistancePhase runs the stack distance stage (section 3.1) of either
+// model and, on success, records the distance-phase Stats: its time, the
+// frontier, coalesce, arena and steal/split counters, and the number of
+// distance pieces. The coalesce, arena and scheduler counters are
+// process-wide; their deltas around the phase attribute its activity to the
+// model. Under concurrent model construction (design-space sweeps) the
+// snapshot windows overlap, so each model's delta can include the activity
+// of the others: treat them as observability, not as an exact partition.
+func stackDistancePhase(ctx context.Context, info *scop.PolyInfo, lineSize int64, ex parwork.Exec, meter *budget.Meter, bounded bool, stats *Stats) ([]StatementDistance, map[string]string, presburger.UnionMap, error) {
+	start := time.Now()
 	coalesceBase := presburger.CoalesceCountersSnapshot()
 	arenaBase := presburger.ArenaCountersSnapshot()
 	poolBase := ex.PoolStats()
 	var fs frontierStats
+	distances, degraded, touched, err := computeStackDistances(ctx, info, lineSize, ex, &fs, meter, bounded)
+	if err != nil {
+		return nil, nil, presburger.UnionMap{}, err
+	}
+	stats.StackDistanceTime = time.Since(start)
+	stats.PeakBasicMaps = int(fs.peak.Load())
+	stats.BasicMapsBeforeCoalesce = fs.before.Load()
+	stats.BasicMapsAfterCoalesce = fs.after.Load()
+	hits := presburger.CoalesceCountersSnapshot().Sub(coalesceBase)
+	stats.CoalesceDedup = hits.Dedup
+	stats.CoalesceSubsumed = hits.Subsumed
+	stats.CoalesceAdjacent = hits.Adjacent
+	stats.CoalesceRedundantCons = hits.RedundantConstraints
+	arena := presburger.ArenaCountersSnapshot().Sub(arenaBase)
+	stats.ArenaHits = arena.Hits
+	stats.ArenaMisses = arena.Misses
+	pool := ex.PoolStats()
+	stats.Steals = pool.Steals - poolBase.Steals
+	stats.Splits = pool.Splits - poolBase.Splits
+	stats.DistancePieces = numPieces(distances)
+	return distances, degraded, touched, nil
+}
+
+// computeSymbolic fills the model from the symbolic pipeline: stack
+// distances (section 3.1) and compulsory misses (section 3.4), together
+// with the statistics of the distance phase.
+func (dm *DistanceModel) computeSymbolic(ctx context.Context, info *scop.PolyInfo, meter *budget.Meter, ex parwork.Exec) error {
 	bounded := dm.opts.Mode == ModeBounded
-	distances, degraded, touched, err := computeStackDistances(ctx, info, dm.LineSize, ex, &fs, meter, bounded)
+	distances, degraded, touched, err := stackDistancePhase(ctx, info, dm.LineSize, ex, meter, bounded, &dm.baseStats)
 	if err != nil {
 		return err
 	}
 	dm.saInfo = info
 	dm.saTouched = touched
-	dm.baseStats.StackDistanceTime = time.Since(tStack)
-	dm.baseStats.PeakBasicMaps = int(fs.peak.Load())
-	dm.baseStats.BasicMapsBeforeCoalesce = fs.before.Load()
-	dm.baseStats.BasicMapsAfterCoalesce = fs.after.Load()
-	hits := presburger.CoalesceCountersSnapshot().Sub(coalesceBase)
-	dm.baseStats.CoalesceDedup = hits.Dedup
-	dm.baseStats.CoalesceSubsumed = hits.Subsumed
-	dm.baseStats.CoalesceAdjacent = hits.Adjacent
-	dm.baseStats.CoalesceRedundantCons = hits.RedundantConstraints
-	// Arena and scheduler counters are process-wide like the coalesce
-	// counters; the deltas attribute this phase's activity to the model,
-	// with the same overlap caveat under concurrent ComputeDistances calls.
-	arena := presburger.ArenaCountersSnapshot().Sub(arenaBase)
-	dm.baseStats.ArenaHits = arena.Hits
-	dm.baseStats.ArenaMisses = arena.Misses
-	pool := ex.PoolStats()
-	dm.baseStats.Steals = pool.Steals - poolBase.Steals
-	dm.baseStats.Splits = pool.Splits - poolBase.Splits
-	for _, d := range distances {
-		dm.baseStats.DistancePieces += d.Distance.NumPieces()
-	}
 	dm.distances = distances
 	dm.boundedStmts = degraded
 
@@ -369,18 +373,11 @@ func (dm *DistanceModel) CountMissesExec(ctx context.Context, cfg Config, ex par
 		res.UsedTraceFallback = true
 		res.FallbackReason = dm.fallbackReason
 		res.Tier = TierSimulated
-		res.finalizeBounds()
 		res.Stats.TotalTime = dm.computeTime + time.Since(start)
 		return res, nil
 	}
 	res.CompulsoryMisses = dm.CompulsoryMisses
 	res.CompulsoryBounds = dm.compulsoryBounds
-	if res.CompulsoryBounds == (counting.Interval{}) && res.CompulsoryMisses != 0 {
-		// Models built before the interval machinery (external constructors,
-		// tests) carry a zero-valued bounds field; the exact count is the
-		// width-zero interval.
-		res.CompulsoryBounds = counting.Exact(res.CompulsoryMisses)
-	}
 	res.PerStatementCompulsory = cloneCounts(dm.perStmtCompulsory)
 	if dm.boundedReason != "" {
 		// Global bounded tier: no distance polynomials exist. Every level's
@@ -405,7 +402,6 @@ func (dm *DistanceModel) CountMissesExec(ctx context.Context, cfg Config, ex par
 		res.FallbackReason = countErr.Error()
 		res.Tier = TierSimulated
 	}
-	res.finalizeBounds()
 	res.Stats.BudgetUsed += meter.Total()
 	res.Stats.TotalTime = dm.computeTime + time.Since(start)
 	return res, nil
@@ -417,21 +413,11 @@ func (dm *DistanceModel) CountMissesExec(ctx context.Context, cfg Config, ex par
 // [compulsory_lo, accesses]. The point fields carry the conservative upper
 // bounds.
 func (dm *DistanceModel) fillFromInstanceBounds(res *Result, cfg Config) {
-	capBounds := counting.Interval{Lo: 0, Hi: dm.TotalAccesses - dm.compulsoryBounds.Lo}
-	res.Levels = res.Levels[:0]
-	for _, size := range cfg.CacheSizes {
-		total := capBounds.Add(res.CompulsoryBounds).ClampHi(dm.TotalAccesses)
-		res.Levels = append(res.Levels, LevelResult{
-			CacheBytes:         size,
-			CapacityMisses:     capBounds.Hi,
-			TotalMisses:        total.Hi,
-			CapacityMissBounds: capBounds,
-			TotalMissBounds:    total,
-		})
+	capBounds := make([]counting.Interval, len(cfg.CacheSizes))
+	for i := range capBounds {
+		capBounds[i] = counting.Interval{Lo: 0, Hi: dm.TotalAccesses - dm.compulsoryBounds.Lo}
 	}
-	res.Tier = TierBounded
-	res.FallbackReason = dm.boundedReason
-	res.finalizeBounds()
+	res.setLevels(cfg.CacheSizes, capBounds, nil, []string{dm.boundedReason})
 }
 
 // countSymbolic counts the capacity misses of every level. Fully
@@ -533,29 +519,7 @@ func (dm *DistanceModel) countSymbolic(ctx context.Context, cfg Config, ex parwo
 			}
 		}
 	}
-	res.Levels = res.Levels[:0]
-	for i, size := range cfg.CacheSizes {
-		capBounds := levelBounds[i]
-		if !capBounds.IsExact() {
-			// Certified cap: capacity misses are repeat accesses, so they
-			// cannot exceed the non-compulsory access count. Exact counts are
-			// left untouched.
-			capBounds = capBounds.ClampHi(dm.TotalAccesses - dm.compulsoryBounds.Lo)
-		}
-		total := capBounds.Add(res.CompulsoryBounds).ClampHi(dm.TotalAccesses)
-		res.Levels = append(res.Levels, LevelResult{
-			CacheBytes:           size,
-			CapacityMisses:       capBounds.Hi,
-			TotalMisses:          total.Hi,
-			PerStatementCapacity: levelPerStmt[i],
-			CapacityMissBounds:   capBounds,
-			TotalMissBounds:      total,
-		})
-	}
-	if len(degradedReasons) > 0 || !res.CompulsoryBounds.IsExact() {
-		res.Tier = TierBounded
-		res.FallbackReason = degradationSummary(degradedReasons, res.CompulsoryBounds)
-	}
+	res.setLevels(cfg.CacheSizes, levelBounds, levelPerStmt, degradedReasons)
 	res.Stats.CapacityTime = time.Since(tCap)
 	return nil
 }
@@ -610,6 +574,7 @@ func (dm *DistanceModel) ensureProfile() error {
 // (still exact, still on the padded layout the model assumes).
 func (dm *DistanceModel) fillFromProfile(res *Result, cfg Config) error {
 	res.CompulsoryMisses = dm.profile.Compulsory
+	res.CompulsoryBounds = counting.Exact(res.CompulsoryMisses)
 	var ref Reference
 	haveRef := false
 	setAssoc := make([]bool, len(cfg.CacheSizes))
@@ -627,20 +592,15 @@ func (dm *DistanceModel) fillFromProfile(res *Result, cfg Config) error {
 			haveRef = true
 		}
 	}
-	res.Levels = res.Levels[:0]
+	capBounds := make([]counting.Interval, len(cfg.CacheSizes))
 	for i, size := range cfg.CacheSizes {
-		var capMisses int64
 		if setAssoc[i] {
-			capMisses = ref.TotalMisses[i] - res.CompulsoryMisses
+			capBounds[i] = counting.Exact(ref.TotalMisses[i] - res.CompulsoryMisses)
 		} else {
-			capMisses = dm.profile.CapacityMissesFor(size / cfg.LineSize)
+			capBounds[i] = counting.Exact(dm.profile.CapacityMissesFor(size / cfg.LineSize))
 		}
-		res.Levels = append(res.Levels, LevelResult{
-			CacheBytes:     size,
-			CapacityMisses: capMisses,
-			TotalMisses:    capMisses + res.CompulsoryMisses,
-		})
 	}
+	res.setLevels(cfg.CacheSizes, capBounds, nil, nil)
 	return nil
 }
 

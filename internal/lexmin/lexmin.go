@@ -40,13 +40,6 @@ func MapLexmin(m presburger.Map) (presburger.Map, error) {
 	return mapLexmin(context.Background(), m, parwork.InlineExec(), true)
 }
 
-// mapLexminFlat is MapLexmin without the domain partitioning: every
-// candidate folds into one accumulated relation. Kept as the reference
-// implementation for differential tests.
-func mapLexminFlat(m presburger.Map) (presburger.Map, error) {
-	return mapLexmin(context.Background(), m, parwork.InlineExec(), false)
-}
-
 func mapLexmin(ctx context.Context, m presburger.Map, ex parwork.Exec, partition bool) (presburger.Map, error) {
 	bms := m.Basics()
 	perBasic := make([][]presburger.BasicMap, len(bms))

@@ -25,6 +25,13 @@ func eq(ncols int, c0 int64, coeffs ...int64) presburger.Constraint {
 	return c
 }
 
+// mapLexminFlat is MapLexmin without the domain partitioning: every
+// candidate folds into one accumulated relation. Kept as the reference
+// implementation for differential tests.
+func mapLexminFlat(m presburger.Map) (presburger.Map, error) {
+	return mapLexmin(context.Background(), m, parwork.InlineExec(), false)
+}
+
 // bruteLexmin computes the lexicographic minimum per input point by scanning
 // the relation.
 func bruteLexmin(t *testing.T, m presburger.Map, nIn int) map[string][]int64 {
