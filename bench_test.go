@@ -2,7 +2,7 @@
 // evaluation section. Every benchmark exercises the code path that
 // regenerates the corresponding result; `cmd/experiments` runs the same
 // measurements at the full PolyBench problem sizes and prints the rows of
-// the figure (see EXPERIMENTS.md for the mapping and the recorded results).
+// the figure (README.md lists its subcommands).
 //
 // The benchmarks use small problem instances so that the whole suite
 // finishes in a few minutes; the analytical model's runtime is problem-size
@@ -243,7 +243,7 @@ func BenchmarkFig15_ModelVsSimulation(b *testing.B) {
 // exactly-supported quasi-affine fragment of this implementation; the
 // model's hybrid fallback (exact trace profiling) is therefore left enabled
 // here, exactly as a user would run it, and the benchmark measures the
-// end-to-end cost including that fallback (see EXPERIMENTS.md).
+// end-to-end cost including that fallback.
 func BenchmarkFig16_TiledKernel(b *testing.B) {
 	prog := smallStencil(24)
 	tiled, ok := tiling.Tile(prog, 16)

@@ -17,7 +17,7 @@
 //
 // The defaults use a subset of kernels and the SMALL problem size so that a
 // run completes in minutes; -kernels all -size LARGE reproduces the paper's
-// configuration (see EXPERIMENTS.md for the expected runtimes).
+// configuration.
 package main
 
 import (

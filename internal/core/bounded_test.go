@@ -122,6 +122,46 @@ func TestBoundedAmpleBudgetIsExact(t *testing.T) {
 	}
 }
 
+// TestDurbinSmallCachesExact covers the durbin capacity pieces whose
+// symbolic count leaves the fragment at small caches ("div references later
+// div"). The counting ladder enumerates them, so ModeExact and ModeBounded
+// with an unlimited budget both answer symbolically, without the trace,
+// exactly, and equal to the simulator.
+func TestDurbinSmallCachesExact(t *testing.T) {
+	k, ok := polybench.ByName("durbin")
+	if !ok {
+		t.Fatal("durbin kernel not registered")
+	}
+	prog := k.Build(polybench.Mini)
+	cfg := Config{LineSize: 64, CacheSizes: []int64{512, 2048}}
+	ref, err := SimulateReference(prog, cfg)
+	if err != nil {
+		t.Fatalf("SimulateReference: %v", err)
+	}
+	for _, mode := range []Mode{ModeExact, ModeBounded} {
+		opts := DefaultOptions()
+		opts.Mode = mode
+		res, err := Analyze(prog, cfg, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if res.UsedTraceFallback || res.Tier != TierExact {
+			t.Errorf("%s: tier %s, trace fallback %v; want exact and symbolic", mode, res.Tier, res.UsedTraceFallback)
+		}
+		if res.CompulsoryMisses != ref.CompulsoryMisses {
+			t.Errorf("%s: compulsory %d, reference %d", mode, res.CompulsoryMisses, ref.CompulsoryMisses)
+		}
+		for l, lvl := range res.Levels {
+			if lvl.TotalMisses != ref.TotalMisses[l] {
+				t.Errorf("%s: L%d total misses %d, reference %d", mode, l+1, lvl.TotalMisses, ref.TotalMisses[l])
+			}
+			if w := res.Stats.BoundWidth[l]; w != 0 {
+				t.Errorf("%s: L%d bound width %d, want 0", mode, l+1, w)
+			}
+		}
+	}
+}
+
 // TestBoundedAdiNoTraceFallback is the acceptance check for the kernel that
 // motivated the bounded tier: adi's previous-access lexmax leaves the
 // supported fragment, so exact mode answers it from the trace profile. In

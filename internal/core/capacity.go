@@ -238,41 +238,26 @@ func satAddCount(a, b int64) int64 {
 }
 
 // boundPiece computes certified bounds on the capacity misses of a piece
-// whose exact count degraded. The lower bound enumerates a prefix of the
-// domain and evaluates the distance polynomial at each point (every counted
-// point is a genuine miss); a complete enumeration makes the result exact.
+// whose exact count degraded. The lower bound evaluates the distance
+// polynomial at every point of the domain's enumeration prefix
+// (counting.ScanPrefix; every counted point is a genuine miss); a complete
+// prefix makes the result exact.
 // The upper bound is the bounding-box volume of the domain (the misses are a
 // subset of the piece), refined by interval arithmetic on the polynomial
 // over the box: a range maximum at or below the capacity certifies zero
 // misses. Only cancellation can fail.
 func (cc *capacityCounter) boundPiece(domain presburger.BasicSet, poly qpoly.QPoly, capacities []int64, op *budget.Op) ([]counting.Interval, error) {
 	los := make([]int64, len(capacities))
-	var seen int64
-	complete := true
-	errEnumStop := errors.New("enumeration cap reached")
-	scanErr := domain.Scan(func(point []int64) error {
-		if err := op.Err(); err != nil {
-			return err
-		}
-		if seen >= counting.DefaultMaxEnum {
-			return errEnumStop
-		}
-		seen++
+	complete, err := counting.ScanPrefix(presburger.SetFromBasic(domain), op, func(point []int64) {
 		v := poly.Eval(point)
 		for i, capacity := range capacities {
 			if v.Cmp(ints.RatInt(capacity)) > 0 {
 				los[i]++
 			}
 		}
-		return nil
 	})
-	if scanErr != nil {
-		if budget.IsCancellation(scanErr) {
-			return nil, scanErr
-		}
-		// Enumeration cap hit, or the scanner cannot walk the domain: the
-		// enumerated prefix still certifies the lower bounds.
-		complete = false
+	if err != nil {
+		return nil, err
 	}
 	if complete {
 		ivs := make([]counting.Interval, len(capacities))
@@ -427,15 +412,8 @@ func (cc *capacityCounter) countAffinePiece(domain presburger.BasicSet, poly qpo
 			}
 			if !counted {
 				var err error
-				n, err = counting.CountBasicSet(domain, op)
-				if err != nil {
-					if errors.Is(err, budget.ErrExceeded) || budget.IsCancellation(err) {
-						return nil, err
-					}
-					n, err = cc.scanCount(domain, op)
-					if err != nil {
-						return nil, err
-					}
+				if n, err = counting.CountSet(presburger.SetFromBasic(domain), op); err != nil {
+					return nil, err
 				}
 				counted = true
 			}
@@ -473,17 +451,9 @@ func (cc *capacityCounter) countAffinePiece(domain presburger.BasicSet, poly qpo
 			// cheaper to establish than running the symbolic summation.
 			continue
 		}
-		n, err := counting.CountBasicSet(trimmed, op)
+		n, err := counting.CountSet(presburger.SetFromBasic(trimmed), op)
 		if err != nil {
-			if errors.Is(err, budget.ErrExceeded) || budget.IsCancellation(err) {
-				return nil, err
-			}
-			// The symbolic counter could not handle the piece; enumeration of
-			// the restricted set stays exact.
-			n, err = cc.scanCount(trimmed, op)
-			if err != nil {
-				return nil, err
-			}
+			return nil, err
 		}
 		counts[i] = n
 	}
@@ -635,24 +605,6 @@ func (cc *capacityCounter) fullEnumeration(domain presburger.BasicSet, poly qpol
 		return nil, err
 	}
 	return total, nil
-}
-
-// scanCount counts the points of a basic set by enumeration, charging the
-// current operation one cost unit per point so an enumeration fallback
-// cannot silently blow past the budget the symbolic count just tripped.
-func (cc *capacityCounter) scanCount(bs presburger.BasicSet, op *budget.Op) (int64, error) {
-	var n int64
-	err := bs.Scan(func([]int64) error {
-		if err := op.Charge(1); err != nil {
-			return err
-		}
-		n++
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
 }
 
 // chooseEnumerationDims greedily selects the dimensions to enumerate: while

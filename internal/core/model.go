@@ -512,11 +512,7 @@ func totalAccesses(info *scop.PolyInfo) (int64, map[string]int64, error) {
 	for _, ps := range info.Statements {
 		n, err := counting.CountSet(ps.Domain, nil)
 		if err != nil {
-			// Fall back to enumeration of the iteration domain.
-			n, err = ps.Domain.CountByScan()
-			if err != nil {
-				return 0, nil, err
-			}
+			return 0, nil, err
 		}
 		perStmt[ps.Space.Name] += n
 		total += n

@@ -185,12 +185,18 @@ func ComputeParametricModelContext(ctx context.Context, prog *scop.Program, line
 	pm.distances = distances
 
 	tComp := time.Now()
-	A := info.LineAccessMap(lineSize)
-	compulsory, err := counting.CardSetRanges(A, nP, pm.paramSpace)
+	lines, err := touchedLines(info, lineSize)
 	if err != nil {
 		return nil, nonParametric("counting compulsory misses", err)
 	}
-	pm.CompulsoryMisses = compulsory
+	pm.CompulsoryMisses = qpoly.ZeroPw(pm.paramSpace)
+	for _, s := range lines {
+		card, err := counting.CardSet(s, nP, pm.paramSpace, nil)
+		if err != nil {
+			return nil, nonParametric("counting compulsory misses", err)
+		}
+		pm.CompulsoryMisses = pm.CompulsoryMisses.Add(card)
+	}
 	// Attribution is best effort, exactly like in the concrete pipeline:
 	// totals stay exact even when the per-statement split is unavailable.
 	if perStmt, err := attributeCompulsoryParametric(info, lineSize, nP, pm.paramSpace); err == nil {

@@ -336,17 +336,50 @@ func simplifyUnion(u presburger.UnionMap, fs *frontierStats) presburger.UnionMap
 // F = S⁻¹ ∘ lexmin(S ∘ A⁻¹), which assigns every line to the statement whose
 // access has the lexicographically smallest schedule value.
 func CountCompulsoryMisses(info *scop.PolyInfo, lineSize int64) (int64, map[string]int64, error) {
-	A := info.LineAccessMap(lineSize)
-	total, err := counting.CountSetRanges(A)
+	iv, perStmt, err := compulsoryMisses(info, lineSize, false, nil)
+	return iv.Hi, perStmt, err
+}
+
+// compulsoryMisses counts the touched lines of every array. The exact form
+// (bounded false) counts each with counting.CountSet and an unlimited
+// operation; the bounded form counts each with counting.CountSetInterval
+// under op. Only an exact total is attributed to statements, and the
+// attribution is best effort: a nil map leaves the total exact.
+func compulsoryMisses(info *scop.PolyInfo, lineSize int64, bounded bool, op *budget.Op) (counting.Interval, map[string]int64, error) {
+	lines, err := touchedLines(info, lineSize)
 	if err != nil {
-		return 0, nil, fmt.Errorf("core: counting distinct lines: %w", err)
+		return counting.Interval{}, nil, fmt.Errorf("core: counting distinct lines: %w", err)
 	}
-	perStmt, err := attributeCompulsory(info, lineSize)
-	if err != nil {
-		// Attribution is best effort: totals stay exact.
-		perStmt = nil
+	total := counting.Exact(0)
+	for _, s := range lines {
+		var iv counting.Interval
+		if bounded {
+			iv, err = counting.CountSetInterval(s, op)
+		} else {
+			var n int64
+			n, err = counting.CountSet(s, nil)
+			iv = counting.Exact(n)
+		}
+		if err != nil {
+			return counting.Interval{}, nil, fmt.Errorf("core: counting distinct lines: %w", err)
+		}
+		total = total.Add(iv)
 	}
+	if !total.IsExact() {
+		return total, nil, nil
+	}
+	perStmt, _ := attributeCompulsory(info, lineSize)
 	return total, perStmt, nil
+}
+
+// touchedLines returns the cache lines the program touches, one set per
+// array: the range of the line access map.
+func touchedLines(info *scop.PolyInfo, lineSize int64) ([]presburger.Set, error) {
+	lines, err := info.LineAccessMap(lineSize).Range()
+	if err != nil {
+		return nil, err
+	}
+	return lines.Sets(), nil
 }
 
 // attributeCompulsory splits the compulsory misses by the statement that
@@ -355,14 +388,8 @@ func attributeCompulsory(info *scop.PolyInfo, lineSize int64) (map[string]int64,
 	out := map[string]int64{}
 	err := walkFirstAccesses(info, lineSize, func(stmt string, dom presburger.Set) error {
 		n, err := counting.CountSet(dom, nil)
-		if err != nil {
-			n, err = dom.CountByScan()
-			if err != nil {
-				return err
-			}
-		}
 		out[stmt] += n
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err

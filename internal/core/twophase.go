@@ -183,18 +183,19 @@ func ComputeDistancesContext(ctx context.Context, prog *scop.Program, lineSize i
 func (dm *DistanceModel) degradeGlobal(info *scop.PolyInfo, meter *budget.Meter, symErr error) error {
 	dm.boundedReason = symErr.Error()
 	dm.distances = nil
-	return dm.boundCompulsory(info, meter)
+	return dm.countCompulsory(info, meter)
 }
 
-// boundCompulsory counts the compulsory misses on the bounded tier: exactly
-// if the budget allows, as a certified interval otherwise, and as
-// [0, TotalAccesses] (always sound) when the count fails. Only an exact
-// count is attributed to statements.
-func (dm *DistanceModel) boundCompulsory(info *scop.PolyInfo, meter *budget.Meter) error {
-	A := info.LineAccessMap(dm.LineSize)
-	iv, err := counting.CountSetRangesInterval(A, meter.Op("compulsory count"), counting.DefaultMaxEnum)
+// countCompulsory fills the model's compulsory misses. Outside ModeBounded
+// the count is exact and a failure fails the phase. Under ModeBounded it is
+// exact if the budget allows, a certified interval otherwise, and
+// [0, TotalAccesses] (always sound) when the count fails; only cancellation
+// fails it. Only an exact count is attributed to statements.
+func (dm *DistanceModel) countCompulsory(info *scop.PolyInfo, meter *budget.Meter) error {
+	bounded := dm.opts.Mode == ModeBounded
+	iv, perStmt, err := compulsoryMisses(info, dm.LineSize, bounded, meter.Op("compulsory count"))
 	if err != nil {
-		if budget.IsCancellation(err) {
+		if !bounded || budget.IsCancellation(err) {
 			return err
 		}
 		iv = counting.Interval{Lo: 0, Hi: dm.TotalAccesses}
@@ -202,11 +203,7 @@ func (dm *DistanceModel) boundCompulsory(info *scop.PolyInfo, meter *budget.Mete
 	iv = iv.ClampHi(dm.TotalAccesses)
 	dm.compulsoryBounds = iv
 	dm.CompulsoryMisses = iv.Hi
-	if iv.IsExact() {
-		if perStmt, err := attributeCompulsory(info, dm.LineSize); err == nil {
-			dm.perStmtCompulsory = perStmt
-		}
-	}
+	dm.perStmtCompulsory = perStmt
 	return nil
 }
 
@@ -289,18 +286,8 @@ func (dm *DistanceModel) computeSymbolic(ctx context.Context, info *scop.PolyInf
 	dm.boundedStmts = degraded
 
 	tComp := time.Now()
-	if bounded {
-		if err := dm.boundCompulsory(info, meter); err != nil {
-			return err
-		}
-	} else {
-		compulsory, perStmt, err := CountCompulsoryMisses(info, dm.LineSize)
-		if err != nil {
-			return err
-		}
-		dm.CompulsoryMisses = compulsory
-		dm.perStmtCompulsory = perStmt
-		dm.compulsoryBounds = counting.Exact(compulsory)
+	if err := dm.countCompulsory(info, meter); err != nil {
+		return err
 	}
 	dm.baseStats.CompulsoryTime = time.Since(tComp)
 	return nil

@@ -61,16 +61,16 @@ func TestCountCapacityPieceAllocBudget(t *testing.T) {
 	var n int64
 	allocs := testing.AllocsPerRun(5, func() {
 		var err error
-		if n, err = CountBasicSet(piece, nil); err != nil {
+		if n, err = countBasicSet(piece, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if n != want {
-		t.Fatalf("CountBasicSet = %d, scan counts %d", n, want)
+		t.Fatalf("countBasicSet = %d, scan counts %d", n, want)
 	}
 	// Measured at about 29.7k allocations; the budget leaves headroom for
 	// toolchain noise.
 	if allocs > 36000 {
-		t.Errorf("CountBasicSet = %.0f allocs/op, budget is 36000", allocs)
+		t.Errorf("countBasicSet = %.0f allocs/op, budget is 36000", allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package counting
 
 import (
+	"errors"
 	"fmt"
 
 	"haystack/internal/budget"
@@ -8,13 +9,13 @@ import (
 	"haystack/internal/qpoly"
 )
 
-// CountBasicSet returns the exact number of integer points of the basic set,
+// countBasicSet returns the exact number of integer points of the basic set,
 // computed symbolically (no parameters). The summand form is used directly:
 // the total is the sum over all zero-dimensional summand pieces, so the
 // disjointness fold of CardBasicSet would be pure overhead here. The budget
 // operation is charged one cost unit per intermediate elimination system; a
 // nil op is unlimited.
-func CountBasicSet(bs presburger.BasicSet, op *budget.Op) (int64, error) {
+func countBasicSet(bs presburger.BasicSet, op *budget.Op) (int64, error) {
 	sum, err := CardBasicSetSummands(bs, 0, presburger.NewSpace(bs.Space().Name), op)
 	if err != nil {
 		return 0, err
@@ -35,17 +36,39 @@ func CountBasicSet(bs presburger.BasicSet, op *budget.Op) (int64, error) {
 	return total, nil
 }
 
-// CountSet returns the exact number of distinct integer points of the set.
-// Overlapping basic sets are made disjoint by subtraction before counting.
-// The budget operation is charged as in CountBasicSet (nil = unlimited).
+// CountSet returns the exact number of distinct integer points of s. It is
+// the exact rung of the counting ladder: s is counted symbolically first (a
+// single basic set directly, a union after its basic sets are made disjoint
+// by subtraction), and a set the symbolic counter cannot handle is
+// enumerated instead, charging op one cost unit per point. A budget trip or
+// a cancellation is returned as its typed error and never falls through to
+// enumeration, which would re-spend the exhausted budget. The symbolic
+// count charges op as CardBasicSet does; a nil op is unlimited.
 func CountSet(s presburger.Set, op *budget.Op) (int64, error) {
-	disjoint, err := disjointBasicSets(s)
+	n, err := countSymbolic(s, op)
+	if err == nil || errors.Is(err, ErrBudget) || budget.IsCancellation(err) {
+		return n, err
+	}
+	n = 0
+	err = s.Scan(func([]int64) error {
+		n++
+		return op.Charge(1)
+	})
 	if err != nil {
 		return 0, err
 	}
+	return n, nil
+}
+
+// countSymbolic is the symbolic rung of CountSet.
+func countSymbolic(s presburger.Set, op *budget.Op) (int64, error) {
+	basics := s.Basics()
+	if len(basics) > 1 {
+		basics = disjointBasicSets(s)
+	}
 	var total int64
-	for _, bs := range disjoint {
-		n, err := CountBasicSet(bs, op)
+	for _, bs := range basics {
+		n, err := countBasicSet(bs, op)
 		if err != nil {
 			return 0, err
 		}
@@ -61,35 +84,9 @@ func CountSet(s presburger.Set, op *budget.Op) (int64, error) {
 // so union semantics hold for every parameter value. The budget operation is
 // charged as in CardBasicSet (nil = unlimited).
 func CardSet(s presburger.Set, nParam int, paramSpace presburger.Space, op *budget.Op) (qpoly.PwQPoly, error) {
-	disjoint, err := disjointBasicSets(s)
-	if err != nil {
-		return qpoly.PwQPoly{}, err
-	}
 	total := qpoly.ZeroPw(paramSpace)
-	for _, bs := range disjoint {
+	for _, bs := range disjointBasicSets(s) {
 		card, err := CardBasicSet(bs, nParam, paramSpace, op)
-		if err != nil {
-			return qpoly.PwQPoly{}, err
-		}
-		total = total.Add(card)
-	}
-	return total, nil
-}
-
-// CardSetRanges counts the distinct points of the ranges of a union map
-// parametrically in the first nParam dimensions of every output space,
-// summed over the output spaces (the parametric analogue of
-// CountSetRanges: for the cache line access map the result is the number of
-// touched lines, i.e. the compulsory misses, as a piecewise
-// quasi-polynomial in the program parameters).
-func CardSetRanges(u presburger.UnionMap, nParam int, paramSpace presburger.Space) (qpoly.PwQPoly, error) {
-	ranges, err := u.Range()
-	if err != nil {
-		return qpoly.PwQPoly{}, err
-	}
-	total := qpoly.ZeroPw(paramSpace)
-	for _, s := range ranges.Sets() {
-		card, err := CardSet(s, nParam, paramSpace, nil)
 		if err != nil {
 			return qpoly.PwQPoly{}, err
 		}
@@ -102,7 +99,7 @@ func CardSetRanges(u presburger.UnionMap, nParam int, paramSpace presburger.Spac
 // pairwise disjoint basic sets covering the same points. The input is
 // coalesced first: fewer and simpler basic sets keep the quadratic
 // subtraction chain below from fanning out.
-func disjointBasicSets(s presburger.Set) ([]presburger.BasicSet, error) {
+func disjointBasicSets(s presburger.Set) []presburger.BasicSet {
 	s = s.Coalesce()
 	var out []presburger.BasicSet
 	covered := presburger.EmptySet(s.Space())
@@ -122,13 +119,13 @@ func disjointBasicSets(s presburger.Set) ([]presburger.BasicSet, error) {
 		}
 		covered = covered.Union(presburger.SetFromBasic(bs))
 	}
-	return out, nil
+	return out
 }
 
 // disjointBasicMaps rewrites the union of basic maps of m into pairwise
 // disjoint basic maps covering the same relation pairs. The input is
 // coalesced first (see disjointBasicSets).
-func disjointBasicMaps(m presburger.Map) ([]presburger.BasicMap, error) {
+func disjointBasicMaps(m presburger.Map) []presburger.BasicMap {
 	m = m.Coalesce()
 	var out []presburger.BasicMap
 	covered := presburger.EmptyMap(m.InSpace(), m.OutSpace())
@@ -148,7 +145,7 @@ func disjointBasicMaps(m presburger.Map) ([]presburger.BasicMap, error) {
 		}
 		covered = covered.Union(presburger.MapFromBasic(bm))
 	}
-	return out, nil
+	return out
 }
 
 // MapCard counts, for every point of the input space, the number of distinct
@@ -175,10 +172,7 @@ func MapCard(m presburger.Map, op *budget.Op) (qpoly.PwQPoly, error) {
 // card domains by residue classes, and the disjoint piecewise normal form
 // of the merged sum grows quadratically with the stripe count.
 func mapCardPieces(m presburger.Map, op *budget.Op) ([]qpoly.PwQPoly, error) {
-	disjoint, err := disjointBasicMaps(m)
-	if err != nil {
-		return nil, err
-	}
+	disjoint := disjointBasicMaps(m)
 	cards := make([]qpoly.PwQPoly, 0, len(disjoint))
 	for _, bm := range disjoint {
 		card, err := CardBasicSet(bm.AsSet(), bm.NIn(), bm.InSpace(), op)
@@ -201,12 +195,8 @@ func mapCardPieces(m presburger.Map, op *budget.Op) ([]qpoly.PwQPoly, error) {
 // never needs. Every summand is a chamber count — nonnegative on its domain
 // — so threshold evaluation may stop early (qpoly.Bag.SumExceeds).
 func MapCardSummands(m presburger.Map, op *budget.Op) ([]qpoly.Piece, error) {
-	disjoint, err := disjointBasicMaps(m)
-	if err != nil {
-		return nil, err
-	}
 	var pieces []qpoly.Piece
-	for _, bm := range disjoint {
+	for _, bm := range disjointBasicMaps(m) {
 		sum, err := CardBasicSetSummands(bm.AsSet(), bm.NIn(), bm.InSpace(), op)
 		if err != nil {
 			return nil, err
@@ -216,42 +206,4 @@ func MapCardSummands(m presburger.Map, op *budget.Op) ([]qpoly.Piece, error) {
 		}
 	}
 	return pieces, nil
-}
-
-// CountSetRanges counts the distinct points of the ranges of a union map per
-// output space (used for compulsory miss counting, where the range of the
-// cache line access map is the set of touched cache lines).
-func CountSetRanges(u presburger.UnionMap) (int64, error) {
-	ranges, err := u.Range()
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, s := range ranges.Sets() {
-		n, err := CountSet(s, nil)
-		if err != nil {
-			return 0, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
-// CountSetRangesInterval is the bounded-tier form of CountSetRanges: it
-// counts each range set with CountSetInterval and sums the per-set
-// intervals. The result is exact (width 0) whenever every per-set count is.
-func CountSetRangesInterval(u presburger.UnionMap, op *budget.Op, maxEnum int64) (Interval, error) {
-	ranges, err := u.Range()
-	if err != nil {
-		return Interval{}, err
-	}
-	total := Exact(0)
-	for _, s := range ranges.Sets() {
-		iv, err := CountSetInterval(s, op, maxEnum)
-		if err != nil {
-			return Interval{}, err
-		}
-		total = total.Add(iv)
-	}
-	return total, nil
 }

@@ -421,6 +421,13 @@ func (s *system) substituteProgression(dim int, period, r int64) (*system, error
 				continue
 			}
 			out.divs[j].Num = replace(out.divs[j].Num)
+			// A div between i and a freshly appended replacement now
+			// references a later div. The presburger layer and the atom
+			// builder need well-ordered divs, so the system leaves the
+			// fragment here instead of being counted.
+			if out.divCol(j) < newCol && out.divs[j].Num.At(newCol) != 0 {
+				return nil, fmt.Errorf("%w: div references later div", ErrUnsupported)
+			}
 		}
 		if overflow {
 			return nil, fmt.Errorf("%w: int64 overflow rewriting div references under progression substitution", ErrUnsupported)
@@ -595,7 +602,10 @@ func (s *system) eliminateByEquality(dim, consIdx int) ([]*system, error) {
 	}
 	// Substitute in the polynomial.
 	if out.poly.UsesVar(dim) {
-		exprPoly := out.vecToQPoly(exprVec)
+		exprPoly, err := out.vecToQPoly(exprVec)
+		if err != nil {
+			return nil, err
+		}
 		p, ok := out.poly.SubstituteVar(dim, exprPoly)
 		if !ok {
 			return nil, fmt.Errorf("%w: polynomial substitution failed", ErrUnsupported)
@@ -724,7 +734,8 @@ func (s *system) ceilExpr(e presburger.Vec, a int64) (presburger.Vec, qpoly.QPol
 		return nil, qpoly.QPoly{}, fmt.Errorf("%w: non-positive bound coefficient", ErrUnsupported)
 	}
 	if a == 1 {
-		return e, s.vecToQPoly(e), nil
+		p, err := s.vecToQPoly(e)
+		return e, p, err
 	}
 	// ceil(e/a) = floor((e + a - 1)/a)
 	e[0] += a - 1
@@ -739,10 +750,12 @@ func (s *system) floorExpr(e presburger.Vec, a int64) (presburger.Vec, qpoly.QPo
 		return nil, qpoly.QPoly{}, fmt.Errorf("%w: non-positive bound coefficient", ErrUnsupported)
 	}
 	if a == 1 {
-		return e, s.vecToQPoly(e), nil
+		p, err := s.vecToQPoly(e)
+		return e, p, err
 	}
 	dcol := s.addDiv(e, a)
 	v := presburger.NewVec(s.ncols())
 	v[dcol] = 1
-	return v, s.vecToQPoly(v), nil
+	p, err := s.vecToQPoly(v)
+	return v, p, err
 }

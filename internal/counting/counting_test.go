@@ -53,7 +53,7 @@ func TestCountBox(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := CountBasicSet(bs, nil)
+		got, err := countBasicSet(bs, nil)
 		if err != nil {
 			t.Fatalf("bounds %v: %v", bounds, err)
 		}
@@ -66,7 +66,7 @@ func TestCountBox(t *testing.T) {
 func TestCountTriangleAndTetrahedron(t *testing.T) {
 	// Triangle 0 <= j <= i < 20.
 	tri := boxSet("S", 20, 20).AddConstraint(ineq(boxSet("S", 20, 20).NCols(), 0, 1, -1))
-	got, err := CountBasicSet(tri, nil)
+	got, err := countBasicSet(tri, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCountTriangleAndTetrahedron(t *testing.T) {
 	tet := boxSet("S", 12, 12, 12)
 	tet = tet.AddConstraint(ineq(tet.NCols(), 0, 1, -1, 0))
 	tet = tet.AddConstraint(ineq(tet.NCols(), 0, 0, 1, -1))
-	got, err = CountBasicSet(tet, nil)
+	got, err = countBasicSet(tet, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestCountTriangleAndTetrahedron(t *testing.T) {
 func TestCountWithEqualityAndDivisibility(t *testing.T) {
 	// { (i,j) : 0<=i<30, j == 2i, 0<=j<30 }  -> i in [0,14] -> 15 points.
 	bs := boxSet("S", 30, 30).AddConstraint(eq(boxSet("S", 30, 30).NCols(), 0, 2, -1))
-	got, err := CountBasicSet(bs, nil)
+	got, err := countBasicSet(bs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestCountWithEqualityAndDivisibility(t *testing.T) {
 	c.C[1] = 1
 	c.C[col] = -4
 	m4 = m4.AddConstraint(c)
-	got, err = CountBasicSet(m4, nil)
+	got, err = countBasicSet(m4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,13 +217,9 @@ func TestCountSetUnionDedup(t *testing.T) {
 // countMapPairs returns the exact number of distinct relation pairs of the
 // map.
 func countMapPairs(m presburger.Map) (int64, error) {
-	disjoint, err := disjointBasicMaps(m)
-	if err != nil {
-		return 0, err
-	}
 	var total int64
-	for _, bm := range disjoint {
-		n, err := CountBasicSet(bm.AsSet(), nil)
+	for _, bm := range disjointBasicMaps(m) {
+		n, err := countBasicSet(bm.AsSet(), nil)
 		if err != nil {
 			return 0, err
 		}
@@ -268,7 +264,7 @@ func TestRandomCountsMatchScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := CountBasicSet(bs, nil)
+		got, err := countBasicSet(bs, nil)
 		if err != nil {
 			// The random constraints may fall outside the supported fragment
 			// (e.g. produce unbounded relaxations); that is a legitimate

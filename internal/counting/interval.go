@@ -85,11 +85,10 @@ func satMul(a, b int64) int64 {
 	return p
 }
 
-// DefaultMaxEnum is the default cap on the number of points the certified
-// lower bound may enumerate when a symbolic count degrades.
-const DefaultMaxEnum = 4096
+// maxEnum caps the points ScanPrefix visits.
+const maxEnum = 4096
 
-// errEnumCap aborts a bounded scan once the enumeration cap is reached.
+// errEnumCap ends a prefix scan once maxEnum points have been visited.
 var errEnumCap = errors.New("counting: enumeration cap reached")
 
 // BoxBounds returns per-dimension constant bounds of a box enclosing bs.
@@ -150,81 +149,40 @@ func BoxCountUpper(bs presburger.BasicSet) (int64, bool) {
 	return total, true
 }
 
-// enumCheckStride bounds how many enumerated points pass between two
-// cancellation checks during a bounded scan.
-const enumCheckStride = 1024
-
-// scanLower enumerates up to maxEnum distinct points of scan (a closure
-// over BasicSet.Scan or Set.Scan). Every enumerated point is a member of
-// the set, so the returned count is a certified lower bound; complete is
-// true when enumeration finished without hitting the cap, in which case the
-// count is exact. A scan failure (e.g. an unbounded direction) ends the
-// enumeration early: the prefix already seen remains a valid lower bound.
-func scanLower(scan func(fn func([]int64) error) error, op *budget.Op, maxEnum int64) (count int64, complete bool, err error) {
-	if maxEnum <= 0 {
-		maxEnum = DefaultMaxEnum
-	}
-	scanErr := scan(func([]int64) error {
-		count++
-		if count%enumCheckStride == 0 {
-			if cerr := op.Err(); cerr != nil {
-				return cerr
-			}
+// ScanPrefix visits the distinct integer points of s in scan order and
+// stops after the first 4096. Every visited point is a member of s, so what
+// visit tallies is a certified lower bound; complete reports that every
+// point was visited (a set of exactly 4096 points completes). A scan the
+// enumerator cannot finish, such as one along an unbounded direction, ends
+// the prefix early. op is checked for cancellation before every point but
+// never charged, and only cancellation fails the scan.
+func ScanPrefix(s presburger.Set, op *budget.Op, visit func(point []int64)) (complete bool, err error) {
+	var seen int64
+	err = s.Scan(func(point []int64) error {
+		if err := op.Err(); err != nil {
+			return err
 		}
-		if count >= maxEnum {
+		if seen >= maxEnum {
 			return errEnumCap
 		}
+		seen++
+		visit(point)
 		return nil
 	})
-	switch {
-	case scanErr == nil:
-		return count, true, nil
-	case errors.Is(scanErr, errEnumCap):
-		return count, false, nil
-	case budget.IsCancellation(scanErr):
-		return count, false, scanErr
-	default:
-		// Enumeration itself failed (unbounded set, unsupported fragment):
-		// the points seen so far are still certified members.
-		return count, false, nil
+	if budget.IsCancellation(err) {
+		return false, err
 	}
+	return err == nil, nil
 }
 
-// CountBasicSetInterval counts the integer points of bs, degrading to a
-// certified interval when the symbolic count exceeds the budget operation
-// or leaves the supported fragment. The lower bound is an enumeration
-// prefix (every enumerated point is a distinct member); the upper bound is
-// the bounding-box volume. Cancellation errors abort instead of degrading.
-func CountBasicSetInterval(bs presburger.BasicSet, op *budget.Op, maxEnum int64) (Interval, error) {
-	n, serr := CountBasicSet(bs, op)
-	if serr == nil {
-		return Exact(n), nil
-	}
-	if budget.IsCancellation(serr) {
-		return Interval{}, serr
-	}
-	lo, complete, err := scanLower(bs.Scan, op, maxEnum)
-	if err != nil {
-		return Interval{}, err
-	}
-	if complete {
-		return Exact(lo), nil
-	}
-	hi, ok := BoxCountUpper(bs)
-	if !ok {
-		return Interval{}, fmt.Errorf("no certified upper bound (unbounded box): %w", serr)
-	}
-	return Interval{Lo: lo, Hi: hi}, nil
-}
-
-// CountSetInterval counts the distinct integer points of s, degrading to a
-// certified interval on budget or fragment failure. The degraded upper
-// bound sums the per-basic-set box volumes of the coalesced union —
-// overlap between basic sets only over-counts upward, so the sum stays a
-// sound upper bound. The lower bound enumerates distinct points of the
-// union (deduplicated) up to the cap; if enumeration completes the result
-// is exact even though the symbolic count failed.
-func CountSetInterval(s presburger.Set, op *budget.Op, maxEnum int64) (Interval, error) {
+// CountSetInterval is the certified form of CountSet: the exact count as a
+// width-0 interval whenever CountSet succeeds, and a certified interval
+// when it fails on the budget or outside the fragment. The degraded lower
+// bound counts the ScanPrefix points (exact when the prefix completes); the
+// upper bound is the smaller box-volume sum (boxUpper) of the coalesced
+// union and of the basic sets as given. Cancellation fails it, and so does
+// a degraded set without a finite box.
+func CountSetInterval(s presburger.Set, op *budget.Op) (Interval, error) {
 	n, serr := CountSet(s, op)
 	if serr == nil {
 		return Exact(n), nil
@@ -232,21 +190,38 @@ func CountSetInterval(s presburger.Set, op *budget.Op, maxEnum int64) (Interval,
 	if budget.IsCancellation(serr) {
 		return Interval{}, serr
 	}
-	lo, complete, err := scanLower(s.Scan, op, maxEnum)
+	var lo int64
+	complete, err := ScanPrefix(s, op, func([]int64) { lo++ })
 	if err != nil {
 		return Interval{}, err
 	}
 	if complete {
 		return Exact(lo), nil
 	}
-	coalesced := s.Coalesce()
-	var hi int64
-	for _, bs := range coalesced.Basics() {
-		bhi, ok := BoxCountUpper(bs)
-		if !ok {
-			return Interval{}, fmt.Errorf("no certified upper bound (unbounded box): %w", serr)
-		}
-		hi = satAdd(hi, bhi)
+	// The coalesced union over-counts less, but coalescing may drop a
+	// constant bound that the other constraints imply only through a div,
+	// leaving no finite box; the basic sets as given bound the count too.
+	hi, ok := boxUpper(s.Coalesce())
+	if given, givenOK := boxUpper(s); givenOK && (!ok || given < hi) {
+		hi, ok = given, true
+	}
+	if !ok {
+		return Interval{}, fmt.Errorf("no certified upper bound (unbounded box): %w", serr)
 	}
 	return Interval{Lo: lo, Hi: hi}, nil
+}
+
+// boxUpper sums the box volumes of the basic sets of s, a certified upper
+// bound on its distinct points (overlap only over-counts); ok is false when
+// a basic set has no finite box.
+func boxUpper(s presburger.Set) (int64, bool) {
+	var hi int64
+	for _, bs := range s.Basics() {
+		n, ok := BoxCountUpper(bs)
+		if !ok {
+			return 0, false
+		}
+		hi = satAdd(hi, n)
+	}
+	return hi, true
 }

@@ -71,16 +71,21 @@ func TestBoxBoundsViaProjection(t *testing.T) {
 }
 
 // TestCountIntervalSandwich is the package-level bounds sandwich: on random
-// boxed sets with coupling constraints, a forced tiny budget must yield
+// boxed sets with coupling constraints, large enough that the enumeration
+// prefix stops at its 4096-point cap, a forced tiny budget must yield
 // Lo <= exact <= Hi, and an ample budget must yield width 0.
 func TestCountIntervalSandwich(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	meterTiny := budget.New(context.Background(), 1)
+	// Per dimension count, the side-length range of the random boxes: every
+	// set, coupled or not, has more than maxEnum points.
+	sides := [][2]int{1: {4097, 6000}, 2: {91, 120}, 3: {30, 40}}
 	for trial := 0; trial < 60; trial++ {
 		ndim := rng.Intn(3) + 1
 		bounds := make([]int64, ndim)
 		for i := range bounds {
-			bounds[i] = int64(rng.Intn(8) + 2)
+			lo, hi := sides[ndim][0], sides[ndim][1]
+			bounds[i] = int64(lo + rng.Intn(hi-lo+1))
 		}
 		bs := boxSet("S", bounds...)
 		// Couple dimensions so the box relaxation is not trivially exact.
@@ -91,18 +96,23 @@ func TestCountIntervalSandwich(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		s := presburger.SetFromBasic(bs)
 
-		// Tiny budget, tiny enumeration cap: must still sandwich the truth.
-		iv, err := CountBasicSetInterval(bs, meterTiny.Op("test"), 3)
+		// Tiny budget: must still sandwich the truth, and a degraded
+		// lower bound is the full enumeration prefix.
+		iv, err := CountSetInterval(s, meterTiny.Op("test"))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if !iv.Contains(exact) {
 			t.Fatalf("trial %d: interval %v does not contain exact %d", trial, iv, exact)
 		}
+		if !iv.IsExact() && iv.Lo != maxEnum {
+			t.Fatalf("trial %d: degraded interval %v must start at the %d-point prefix", trial, iv, maxEnum)
+		}
 
 		// Ample budget: exact, width 0.
-		iv, err = CountBasicSetInterval(bs, nil, 0)
+		iv, err = CountSetInterval(s, nil)
 		if err != nil {
 			t.Fatalf("trial %d ample: %v", trial, err)
 		}
@@ -113,11 +123,12 @@ func TestCountIntervalSandwich(t *testing.T) {
 }
 
 func TestCountSetIntervalUnion(t *testing.T) {
-	// Two overlapping boxes: [0,6)x[0,6) and [3,9)x[3,9), union = 63 points.
-	a := boxSet("S", 6, 6)
-	b := boxSet("S", 9, 9)
-	b = b.AddConstraint(ineq(b.NCols(), -3, 1, 0))
-	b = b.AddConstraint(ineq(b.NCols(), -3, 0, 1))
+	// Two overlapping boxes: [0,60)x[0,60) and [30,90)x[30,90), union =
+	// 6300 points, more than the enumeration prefix covers.
+	a := boxSet("S", 60, 60)
+	b := boxSet("S", 90, 90)
+	b = b.AddConstraint(ineq(b.NCols(), -30, 1, 0))
+	b = b.AddConstraint(ineq(b.NCols(), -30, 0, 1))
 	s := presburger.SetFromBasic(a).Union(presburger.SetFromBasic(b))
 	exact, err := s.CountByScan()
 	if err != nil {
@@ -125,18 +136,18 @@ func TestCountSetIntervalUnion(t *testing.T) {
 	}
 
 	m := budget.New(context.Background(), 1)
-	iv, err := CountSetInterval(s, m.Op("test"), 5)
+	iv, err := CountSetInterval(s, m.Op("test"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !iv.Contains(exact) {
 		t.Fatalf("interval %v does not contain exact %d", iv, exact)
 	}
-	if iv.Lo < 5 {
+	if iv.Lo < maxEnum {
 		t.Fatalf("enumeration prefix must certify at least the cap: %v", iv)
 	}
 
-	iv, err = CountSetInterval(s, nil, 0)
+	iv, err = CountSetInterval(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +162,7 @@ func TestCountIntervalCompleteScanIsExact(t *testing.T) {
 	bs := boxSet("S", 3, 3).AddConstraint(ineq(boxSet("S", 3, 3).NCols(), 0, 1, -1))
 	exact, _ := bs.CountByScan()
 	m := budget.New(context.Background(), 1)
-	iv, err := CountBasicSetInterval(bs, m.Op("test"), DefaultMaxEnum)
+	iv, err := CountSetInterval(presburger.SetFromBasic(bs), m.Op("test"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +181,7 @@ func TestCountIntervalCancellation(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		_ = op.Charge(256)
 	}
-	_, err := CountBasicSetInterval(bs, op, 1<<20)
+	_, err := CountSetInterval(presburger.SetFromBasic(bs), op)
 	if err == nil || !budget.IsCancellation(err) {
 		t.Fatalf("want cancellation error, got %v", err)
 	}

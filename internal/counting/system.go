@@ -261,7 +261,7 @@ func (s *system) divDependsOnDim(dim int) []bool {
 // polynomial whose atom table now holds the needed atoms; callers that want
 // to combine the result with an existing polynomial simply Add them (atom
 // tables merge by structural identity).
-func (s *system) vecToQPoly(v presburger.Vec) qpoly.QPoly {
+func (s *system) vecToQPoly(v presburger.Vec) (qpoly.QPoly, error) {
 	p := qpoly.ConstInt(s.ndim, v.At(0))
 	for i := 0; i < s.ndim; i++ {
 		if c := v.At(s.dimCol(i)); c != 0 {
@@ -270,27 +270,34 @@ func (s *system) vecToQPoly(v presburger.Vec) qpoly.QPoly {
 	}
 	for i := range s.divs {
 		if c := v.At(s.divCol(i)); c != 0 {
-			carrier, idx := s.ensureDivAtom(qpoly.Zero(s.ndim), i)
+			carrier, idx, err := s.ensureDivAtom(qpoly.Zero(s.ndim), i)
+			if err != nil {
+				return qpoly.QPoly{}, err
+			}
 			p = p.Add(carrier.AtomPoly(idx).Scale(ints.RatInt(c)))
 		}
 	}
-	return p
+	return p, nil
 }
 
 // ensureDivAtom extends poly with a floor atom mirroring div i (recursively
 // creating atoms for the divs it references) and returns the updated
-// polynomial and the atom index.
-func (s *system) ensureDivAtom(poly qpoly.QPoly, i int) (qpoly.QPoly, int) {
+// polynomial and the atom index. A div whose numerator references a later
+// div has no atom order and leaves the supported fragment.
+func (s *system) ensureDivAtom(poly qpoly.QPoly, i int) (qpoly.QPoly, int, error) {
 	num := s.divs[i].Num
+	for j := i; j < len(s.divs); j++ {
+		if num.At(s.divCol(j)) != 0 {
+			return qpoly.QPoly{}, 0, fmt.Errorf("%w: div references later div", ErrUnsupported)
+		}
+	}
 	refIdx := map[int]int{}
 	for j := 0; j < i; j++ {
 		if num.At(s.divCol(j)) != 0 {
-			poly, refIdx[j] = s.ensureDivAtom(poly, j)
-		}
-	}
-	for j := i; j < len(s.divs); j++ {
-		if num.At(s.divCol(j)) != 0 {
-			panic("counting: div references later div")
+			var err error
+			if poly, refIdx[j], err = s.ensureDivAtom(poly, j); err != nil {
+				return qpoly.QPoly{}, 0, err
+			}
 		}
 	}
 	full := make([]int64, 1+s.ndim+len(poly.Atoms))
@@ -301,7 +308,8 @@ func (s *system) ensureDivAtom(poly qpoly.QPoly, i int) (qpoly.QPoly, int) {
 	for j, idx := range refIdx {
 		full[1+s.ndim+idx] += num.At(s.divCol(j))
 	}
-	return poly.WithAtom(full, s.divs[i].Den)
+	poly, idx := poly.WithAtom(full, s.divs[i].Den)
+	return poly, idx, nil
 }
 
 // String renders the system for debugging.
