@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -94,7 +95,15 @@ func main() {
 	}
 	opts.Mode = m
 	opts.Budget = *budgetFlag
-	opts.Deadline = *deadline
+
+	// The deadline covers the whole analysis: both the model construction
+	// and the miss counting observe the one context.
+	ctx := context.Background()
+	if *deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *deadline)
+		defer cancel()
+	}
 
 	var res *core.Result
 	var caption string
@@ -118,7 +127,7 @@ func main() {
 			runCheck(prog)
 			opts.SkipVerify = true // already verified, skip the silent pre-flight
 		}
-		pm, err := core.ComputeParametricModel(prog, cfg.LineSize, opts)
+		pm, err := core.ComputeParametricModelContext(ctx, prog, cfg.LineSize, opts)
 		if err != nil {
 			log.Fatalf("parametric analysis failed: %v", err)
 		}
@@ -142,7 +151,7 @@ func main() {
 			runCheck(prog)
 			opts.SkipVerify = true // already verified, skip the silent pre-flight
 		}
-		res, err = core.Analyze(prog, cfg, opts)
+		res, err = core.AnalyzeContext(ctx, prog, cfg, opts)
 		if err != nil {
 			log.Fatalf("analysis failed: %v", err)
 		}

@@ -95,8 +95,7 @@ func main() {
 	opts.Analysis.Mode = m
 	opts.Analysis.Budget = *budgetFlag
 
-	// The deadline covers the whole sweep, not each analysis: wrap the
-	// context here instead of setting Analysis.Deadline.
+	// The deadline covers the whole sweep, not each analysis.
 	ctx := context.Background()
 	if *deadline > 0 {
 		var cancel context.CancelFunc

@@ -8,7 +8,7 @@
 // basic-map unions of the five-deep tiled nests small, so the symbolic,
 // problem-size-independent analysis finishes in seconds. Pass
 // -strategy profile to build the tiled models from an exact trace profile
-// instead (haystack.ComputeDistancesByProfiling) — equally exact, with cost
+// instead (Options.Mode = haystack.ModeSim) — equally exact, with cost
 // proportional to the trace length; useful as a cross-check or for programs
 // outside the symbolic fragment. Either way, each variant's distance model
 // is built once and could be reused across any number of cache hierarchies
@@ -72,13 +72,11 @@ func main() {
 	bestTile, bestMisses := int64(0), int64(-1)
 	for _, t := range []int64{4, 8, 16, 32} {
 		prog := tiledGemm(n, t)
-		var dm *haystack.DistanceModel
-		var err error
+		opts := haystack.DefaultOptions()
 		if *strategy == "profile" && t < n {
-			dm, err = haystack.ComputeDistancesByProfiling(prog, cfg.LineSize)
-		} else {
-			dm, err = haystack.ComputeDistances(prog, cfg.LineSize, haystack.DefaultOptions())
+			opts.Mode = haystack.ModeSim
 		}
+		dm, err := haystack.ComputeDistances(prog, cfg.LineSize, opts)
 		if err != nil {
 			log.Fatalf("tile %d: %v", t, err)
 		}

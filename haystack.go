@@ -169,10 +169,11 @@ func Analyze(p *Program, cfg Config, opts Options) (*Result, error) {
 	return core.Analyze(p, cfg, opts)
 }
 
-// AnalyzeContext is Analyze observing ctx (and Options.Deadline): workers
-// stop claiming work promptly after cancellation and the context error is
-// returned. Combined with Options.Mode and Options.Budget it is the
-// entry point of the graceful degradation ladder.
+// AnalyzeContext is Analyze observing ctx: workers stop claiming work
+// promptly after cancellation and the context error is returned, so a
+// deadline is a context.WithTimeout around the call. Combined with
+// Options.Mode and Options.Budget it is the entry point of the graceful
+// degradation ladder.
 func AnalyzeContext(ctx context.Context, p *Program, cfg Config, opts Options) (*Result, error) {
 	return core.AnalyzeContext(ctx, p, cfg, opts)
 }
@@ -188,26 +189,19 @@ type DistanceModel = core.DistanceModel
 // ComputeDistances runs the cache-independent phase of the analysis for the
 // given cache line size. Use the returned model's CountMisses to evaluate
 // cache hierarchies (their LineSize must match); each call returns a Result
-// identical to Analyze with the same options.
+// identical to Analyze with the same options. With Options.Mode set to
+// ModeSim the model comes from an exact stack distance profile of the trace
+// instead of the symbolic pipeline: equally exact and equally reusable
+// across hierarchies, at a cost proportional to the trace length — the
+// choice for programs the symbolic pipeline handles slowly, such as the
+// deep loop nests tiling produces.
 func ComputeDistances(p *Program, lineSize int64, opts Options) (*DistanceModel, error) {
 	return core.ComputeDistances(p, lineSize, opts)
 }
 
-// ComputeDistancesContext is ComputeDistances observing ctx (and
-// Options.Deadline).
+// ComputeDistancesContext is ComputeDistances observing ctx.
 func ComputeDistancesContext(ctx context.Context, p *Program, lineSize int64, opts Options) (*DistanceModel, error) {
 	return core.ComputeDistancesContext(ctx, p, lineSize, opts)
-}
-
-// ComputeDistancesByProfiling builds a DistanceModel from an exact stack
-// distance profile of the program trace instead of the symbolic pipeline.
-// The results are equally exact and equally reusable across hierarchies,
-// but the construction cost is proportional to the trace length rather
-// than problem-size independent. Use it for programs the symbolic pipeline
-// handles slowly — most notably the deep loop nests produced by tiling;
-// results carry UsedTraceFallback to keep the provenance visible.
-func ComputeDistancesByProfiling(p *Program, lineSize int64) (*DistanceModel, error) {
-	return core.ComputeDistancesByProfiling(p, lineSize)
 }
 
 // SimulateReference computes exact miss counts by replaying the program

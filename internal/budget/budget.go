@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 )
 
 // ErrExceeded is the sentinel matched by errors.Is for every *Exceeded
@@ -115,15 +114,6 @@ func (m *Meter) Op(stage string) *Op {
 	return &Op{meter: m, stage: stage, limit: m.limit}
 }
 
-// OpLimited starts a new budgeted operation with an explicit limit,
-// overriding the meter default (0 = unlimited).
-func (m *Meter) OpLimited(stage string, limit int64) *Op {
-	if m == nil {
-		return LimitOp(stage, limit)
-	}
-	return &Op{meter: m, stage: stage, limit: limit}
-}
-
 // LimitOp returns a standalone operation with a deterministic limit and no
 // meter (no cancellation, no shared total). Used where a cap is needed but
 // no analysis meter is in scope, e.g. the parametric per-piece budget.
@@ -184,18 +174,4 @@ func (op *Op) Used() int64 {
 		return 0
 	}
 	return op.used
-}
-
-// TimeAllows decides whether a step estimated to need `need` wall time fits
-// before a deadline, keeping `slack` in reserve for cleanup. It returns the
-// remaining time after the step and whether the step fits. With no deadline
-// every step fits. It is a pure function of its inputs so tests can cover
-// the branches without real clocks (absorbed from the conformance suite's
-// budgetAllows helper).
-func TimeAllows(need time.Duration, deadline time.Time, hasDeadline bool, now time.Time, slack time.Duration) (time.Duration, bool) {
-	if !hasDeadline {
-		return 0, true
-	}
-	remaining := deadline.Sub(now) - slack
-	return remaining - need, remaining >= need
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 )
 
 func TestNilSafety(t *testing.T) {
@@ -112,16 +111,11 @@ func TestOpLimited(t *testing.T) {
 	}
 }
 
-func TestTimeAllows(t *testing.T) {
-	now := time.Unix(1000, 0)
-	if _, ok := TimeAllows(time.Hour, time.Time{}, false, now, time.Second); !ok {
-		t.Fatal("no deadline must always fit")
+// OpLimited starts a new budgeted operation with an explicit limit,
+// overriding the meter default (0 = unlimited).
+func (m *Meter) OpLimited(stage string, limit int64) *Op {
+	if m == nil {
+		return LimitOp(stage, limit)
 	}
-	deadline := now.Add(10 * time.Second)
-	if left, ok := TimeAllows(5*time.Second, deadline, true, now, 2*time.Second); !ok || left != 3*time.Second {
-		t.Fatalf("fit: left=%v ok=%v", left, ok)
-	}
-	if _, ok := TimeAllows(9*time.Second, deadline, true, now, 2*time.Second); ok {
-		t.Fatal("step past the slack reserve must not fit")
-	}
+	return &Op{meter: m, stage: stage, limit: limit}
 }

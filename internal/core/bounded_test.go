@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"haystack/internal/budget"
 	"haystack/internal/polybench"
+	"haystack/internal/scop"
 )
 
 // TestBoundedSandwichAllKernels forces the bounded tier on every registered
@@ -122,11 +124,10 @@ func TestBoundedAmpleBudgetIsExact(t *testing.T) {
 	}
 }
 
-// TestDurbinSmallCachesExact covers the durbin capacity pieces whose
-// symbolic count leaves the fragment at small caches ("div references later
-// div"). The counting ladder enumerates them, so ModeExact and ModeBounded
-// with an unlimited budget both answer symbolically, without the trace,
-// exactly, and equal to the simulator.
+// TestDurbinSmallCachesExact covers the durbin capacity pieces at small
+// caches, whose residue splits rewrite a div that a later div references.
+// ModeExact and ModeBounded with an unlimited budget both answer
+// symbolically, without the trace, exactly, and equal to the simulator.
 func TestDurbinSmallCachesExact(t *testing.T) {
 	k, ok := polybench.ByName("durbin")
 	if !ok {
@@ -206,6 +207,51 @@ func TestBoundedAdiNoTraceFallback(t *testing.T) {
 	}
 }
 
+// TestBoundedAdiSetAssocDegradesEveryStatement runs adi, whose whole
+// distance phase fails, under ModeBounded on a set-associative hierarchy. The
+// failed phase degrades every statement, and the set-associative levels see
+// an empty touched map, so each level answers with the statements' instance
+// counts as certified capacity bounds instead of failing or replaying the
+// trace.
+func TestBoundedAdiSetAssocDegradesEveryStatement(t *testing.T) {
+	requireBudget(t, 3*miniEstimate("adi"))
+	k, ok := polybench.ByName("adi")
+	if !ok {
+		t.Fatal("adi kernel not registered")
+	}
+	cfg := Config{LineSize: 64, CacheSizes: []int64{32 * 1024, 1024 * 1024}, Ways: []int{8, 16}}
+	prog := k.Build(polybench.Mini)
+	opts := DefaultOptions()
+	opts.Mode = ModeBounded
+	res, err := Analyze(prog, cfg, opts)
+	if err != nil {
+		t.Fatalf("bounded Analyze: %v", err)
+	}
+	if res.Tier != TierBounded || res.UsedTraceFallback {
+		t.Fatalf("tier %s, trace fallback %v (%s); want bounded without the trace", res.Tier, res.UsedTraceFallback, res.FallbackReason)
+	}
+	ref, err := SimulateSetAssocReference(prog, cfg)
+	if err != nil {
+		t.Fatalf("SimulateSetAssocReference: %v", err)
+	}
+	info, err := scop.BuildPoly(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, instances, err := totalAccesses(info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, lvl := range res.Levels {
+		if !lvl.TotalMissBounds.Contains(ref.TotalMisses[l]) {
+			t.Errorf("L%d total bounds %v do not contain the simulated %d", l+1, lvl.TotalMissBounds, ref.TotalMisses[l])
+		}
+		if !reflect.DeepEqual(lvl.PerStatementCapacity, instances) {
+			t.Errorf("L%d per-statement capacity %v, want the instance counts %v", l+1, lvl.PerStatementCapacity, instances)
+		}
+	}
+}
+
 // TestBoundedHugeGemmNoOverflow pins the int64 overflow fixes of the
 // counting layer: at a 2^20 problem size the distance polynomials carry
 // coefficients around n^2, and the cross products of the symbolic counter
@@ -272,7 +318,7 @@ func waitGoroutines(base, slack int, timeout time.Duration) int {
 }
 
 // TestCancellationMidAnalysis cancels an expensive analysis shortly after it
-// starts — once via an explicit context cancel, once via Options.Deadline —
+// starts — once via an explicit context cancel, once via a context deadline —
 // and requires a typed cancellation error well within two seconds and no
 // leaked worker goroutines. This is the third rung of the robustness ladder:
 // full cancellation, with panics in workers recovered as typed errors (see
@@ -315,9 +361,9 @@ func TestCancellationMidAnalysis(t *testing.T) {
 		defer cancel()
 		run(t, ctx, DefaultOptions())
 	})
-	t.Run("options-deadline", func(t *testing.T) {
-		opts := DefaultOptions()
-		opts.Deadline = 150 * time.Millisecond
-		run(t, context.Background(), opts)
+	t.Run("context-deadline", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+		defer cancel()
+		run(t, ctx, DefaultOptions())
 	})
 }

@@ -43,3 +43,18 @@ func TestBudgetAllowsWithDeadline(t *testing.T) {
 		t.Fatal("requests past the deadline must be rejected")
 	}
 }
+
+// TestTimeAllows covers the deadline arithmetic under budgetAllows.
+func TestTimeAllows(t *testing.T) {
+	now := time.Unix(1000, 0)
+	if _, ok := timeAllows(time.Hour, time.Time{}, false, now, time.Second); !ok {
+		t.Fatal("no deadline must always fit")
+	}
+	deadline := now.Add(10 * time.Second)
+	if left, ok := timeAllows(5*time.Second, deadline, true, now, 2*time.Second); !ok || left != 3*time.Second {
+		t.Fatalf("fit: left=%v ok=%v", left, ok)
+	}
+	if _, ok := timeAllows(9*time.Second, deadline, true, now, 2*time.Second); ok {
+		t.Fatal("step past the slack reserve must not fit")
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"haystack/internal/budget"
 	"haystack/internal/cachesim"
 	"haystack/internal/polybench"
 	"haystack/internal/scop"
@@ -49,11 +48,10 @@ const budgetSlack = 30 * time.Second
 // clock may start, given the binary's deadline as reported by t.Deadline().
 // A test binary without a deadline (-timeout 0, or a caller that disabled
 // it) grants every request — no budget means nothing to degrade against.
-// The deadline arithmetic itself lives in budget.TimeAllows (shared with the
-// analysis pipeline); this adapter reports the pre-step remaining budget for
-// the skip message.
+// The deadline arithmetic itself lives in timeAllows; this adapter reports
+// the pre-step remaining budget for the skip message.
 func budgetAllows(need time.Duration, deadline time.Time, hasDeadline bool, now time.Time) (time.Duration, bool) {
-	left, ok := budget.TimeAllows(need, deadline, hasDeadline, now, budgetSlack)
+	left, ok := timeAllows(need, deadline, hasDeadline, now, budgetSlack)
 	if !hasDeadline {
 		return 0, ok
 	}
@@ -219,4 +217,17 @@ func TestSimulatorConformance(t *testing.T) {
 			})
 		}
 	}
+}
+
+// timeAllows decides whether a step estimated to need `need` wall time fits
+// before a deadline, keeping `slack` in reserve for cleanup. It returns the
+// remaining time after the step and whether the step fits. With no deadline
+// every step fits. It is a pure function of its inputs so tests can cover
+// the branches without real clocks.
+func timeAllows(need time.Duration, deadline time.Time, hasDeadline bool, now time.Time, slack time.Duration) (time.Duration, bool) {
+	if !hasDeadline {
+		return 0, true
+	}
+	remaining := deadline.Sub(now) - slack
+	return remaining - need, remaining >= need
 }

@@ -221,12 +221,6 @@ type Options struct {
 	// trace fallback, and in ModeBounded it degrades the operation to
 	// certified interval bounds.
 	Budget int64
-	// Deadline bounds the wall-clock time of an Analyze/ComputeDistances/
-	// CountMisses call: the call's context is cancelled after the duration
-	// and the analysis returns context.DeadlineExceeded. Zero means no
-	// deadline. Unlike Budget, a deadline is not deterministic — use it as
-	// a safety net, not as the degradation trigger.
-	Deadline time.Duration
 	// Exec, when non-nil, supplies the work-stealing executor the analysis
 	// schedules its chamber-level units on, overriding Parallelism. Callers
 	// running several analyses concurrently (design-space sweeps) pass a
@@ -473,20 +467,12 @@ func Analyze(prog *scop.Program, cfg Config, opts Options) (*Result, error) {
 }
 
 // AnalyzeContext is Analyze observing ctx: the analysis stops claiming work
-// promptly after cancellation and returns the context error. Options.
-// Deadline, when set, additionally bounds the wall-clock time of the whole
-// call (both phases share the deadline).
+// promptly after cancellation and returns the context error. A deadline is a
+// context.WithTimeout around the call.
 func AnalyzeContext(ctx context.Context, prog *scop.Program, cfg Config, opts Options) (*Result, error) {
 	start := time.Now()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
-		defer cancel()
-		// The per-phase calls below must not stack a second timeout.
-		opts.Deadline = 0
 	}
 	dm, err := ComputeDistancesContext(ctx, prog, cfg.LineSize, opts)
 	if err != nil {

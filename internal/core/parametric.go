@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -42,15 +41,15 @@ const maxClassifyDepth = 64
 const parametricCountBudget = 3000
 
 // missPolys holds the parametric capacity miss counts for one cache capacity
-// (in lines): per-statement piecewise quasi-polynomial sums over the
-// parameter space, plus the affine pieces whose parametric count failed at
-// this capacity and therefore join the residual pieces at evaluation time
+// (in lines): per statement, the summand pieces of every affine piece's
+// parametric count, kept as one qpoly.Bag (sum semantics) rather than a
+// disjoint PwQPoly: the per-piece cardinalities overlap heavily in the
+// parameter space, so summands make accumulation O(1) instead of quadratic.
+// extra holds the affine pieces whose parametric count failed at this
+// capacity and therefore join the residual pieces at evaluation time
 // (grouped by statement, like every distance the counting engine takes).
-// The counts are qpoly.PwSum rather than disjoint PwQPoly: the per-piece
-// cardinalities overlap heavily in the parameter space, and keeping them as
-// summands makes accumulation O(1) instead of quadratic.
 type missPolys struct {
-	perStmt map[string]qpoly.PwSum
+	perStmt map[string]*qpoly.Bag
 	extra   []StatementDistance
 }
 
@@ -120,9 +119,9 @@ func ComputeParametricModel(prog *scop.Program, lineSize int64, opts Options) (*
 	return ComputeParametricModelContext(context.Background(), prog, lineSize, opts)
 }
 
-// ComputeParametricModelContext is ComputeParametricModel observing ctx (and
-// Options.Deadline): the model construction aborts with the context error
-// promptly after cancellation.
+// ComputeParametricModelContext is ComputeParametricModel observing ctx: the
+// model construction aborts with the context error promptly after
+// cancellation.
 func ComputeParametricModelContext(ctx context.Context, prog *scop.Program, lineSize int64, opts Options) (*ParametricModel, error) {
 	start := time.Now()
 	if lineSize <= 0 {
@@ -130,12 +129,6 @@ func ComputeParametricModelContext(ctx context.Context, prog *scop.Program, line
 	}
 	if opts.Mode == ModeSim {
 		return nil, fmt.Errorf("core: ModeSim needs a concrete problem size: the parametric model has no trace to profile")
-	}
-	if opts.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
-		defer cancel()
-		opts.Deadline = 0
 	}
 	meter := budget.New(ctx, 0)
 	if !prog.IsParametric() {
@@ -291,32 +284,9 @@ func (pm *ParametricModel) ResidualPieces() int { return numPieces(pm.residual) 
 // distance quasi-polynomials.
 func (pm *ParametricModel) DistancePieces() int { return pm.baseStats.DistancePieces }
 
-// Distances returns the per-statement parametric stack distance
-// quasi-polynomials. The slice is shared; callers must not modify it.
-func (pm *ParametricModel) Distances() []StatementDistance { return pm.distances }
-
 // ComputeTime returns the wall-clock time ComputeParametricModel spent
 // building the model (the cost amortized across all evaluations).
 func (pm *ParametricModel) ComputeTime() time.Duration { return pm.computeTime }
-
-// CapacityMissPoly returns the parametric capacity miss count for one cache
-// capacity in bytes, as a sum of piecewise quasi-polynomials over the
-// parameter space, together with a flag reporting whether the polynomial is
-// complete: when the model has residual pieces the polynomial covers only
-// the parametric pieces and Eval adds the residual counts per size.
-func (pm *ParametricModel) CapacityMissPoly(capacityBytes int64) (qpoly.PwSum, bool) {
-	mp := pm.missPolysFor(capacityBytes / pm.LineSize)
-	total := qpoly.ZeroSum(pm.paramSpace)
-	names := make([]string, 0, len(mp.perStmt))
-	for name := range mp.perStmt {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		total = total.AddSum(mp.perStmt[name])
-	}
-	return total, pm.ResidualPieces() == 0 && len(mp.extra) == 0
-}
 
 // missPolysFor returns (computing and memoizing on first use) the parametric
 // capacity miss counts for one capacity in lines.
@@ -326,8 +296,9 @@ func (pm *ParametricModel) missPolysFor(capacityLines int64) *missPolys {
 	if mp, ok := pm.missCache[capacityLines]; ok {
 		return mp
 	}
-	mp := &missPolys{perStmt: map[string]qpoly.PwSum{}}
+	mp := &missPolys{perStmt: map[string]*qpoly.Bag{}}
 	for _, sd := range pm.affine {
+		var summands []qpoly.Piece
 		extra := StatementDistance{Statement: sd.Statement, Distance: qpoly.PwQPoly{Space: sd.Distance.Space}}
 		for _, p := range sd.Distance.Pieces {
 			ms, err := affineMissSet(p.Domain, p.Poly, capacityLines)
@@ -349,15 +320,10 @@ func (pm *ParametricModel) missPolysFor(capacityLines int64) *missPolys {
 				addPiece(&extra, p.Domain, p.Poly)
 				continue
 			}
-			cur, ok := mp.perStmt[sd.Statement]
-			if !ok {
-				cur = qpoly.ZeroSum(pm.paramSpace)
-			}
-			// The accumulator is uniquely owned until it is published in the
-			// cache, so append in place instead of paying AddSum's defensive
-			// copy per piece.
-			cur.Terms = append(cur.Terms, card.Terms...)
-			mp.perStmt[sd.Statement] = cur
+			summands = append(summands, card...)
+		}
+		if len(summands) > 0 {
+			mp.perStmt[sd.Statement] = qpoly.NewBag(summands)
 		}
 		if extra.Distance.NumPieces() > 0 {
 			mp.extra = append(mp.extra, extra)
@@ -453,8 +419,8 @@ func (pm *ParametricModel) Eval(cfg Config, bindings map[string]int64) (*Result,
 	for l, capacity := range lines {
 		mp := pm.missPolysFor(capacity)
 		// Parametric pieces: one exact polynomial evaluation per statement.
-		for stmt, poly := range mp.perStmt {
-			n := poly.EvalInt(point)
+		for stmt, bag := range mp.perStmt {
+			n := bag.EvalSum(point).Int()
 			counts.perStmt[l][stmt] = satAddCount(counts.perStmt[l][stmt], n)
 			counts.bounds[l] = counts.bounds[l].Add(counting.Exact(n))
 		}

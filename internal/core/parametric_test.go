@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -378,5 +379,57 @@ func TestParametricModelValidation(t *testing.T) {
 	// ErrNonParametric is a typed, wrappable error.
 	if !errors.Is(nonParametric("stage", errors.New("boom")), ErrNonParametric) {
 		t.Error("nonParametric does not wrap ErrNonParametric")
+	}
+}
+
+// TestParametricEvalConcurrentBindings evaluates one shared parametric gemm
+// model from several goroutines at once, each at a different binding and
+// each binding twice, on capacities the first evaluations memoize
+// concurrently. Every result must equal the Analyze of the instantiated
+// program. Run under -race it covers the model's memo cache and the
+// per-evaluation counting executors.
+func TestParametricEvalConcurrentBindings(t *testing.T) {
+	pk, ok := polybench.ParametricByName("gemm")
+	if !ok {
+		t.Fatal("no parametric gemm")
+	}
+	cfg := Config{LineSize: 64, CacheSizes: []int64{512, 2048}}
+	pm := sharedParametricModel(t, pk, cfg.LineSize)
+	bindings := []map[string]int64{
+		pk.Bindings(polybench.Mini),
+		{"NI": 7, "NJ": 9, "NK": 5},
+		{"NI": 16, "NJ": 3, "NK": 11},
+		{"NI": 12, "NJ": 20, "NK": 8},
+	}
+	want := make([]*Result, len(bindings))
+	for i, b := range bindings {
+		inst, err := pk.Build().Instantiate(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = Analyze(inst, cfg, DefaultOptions()); err != nil {
+			t.Fatalf("Analyze %v: %v", b, err)
+		}
+		if want[i].Levels[0].CapacityMisses == 0 {
+			t.Fatalf("%v has no L1 capacity misses; the differential would not count any", b)
+		}
+	}
+	got := make([]*Result, 2*len(bindings))
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g], errs[g] = pm.Eval(cfg, bindings[g%len(bindings)])
+		}(g)
+	}
+	wg.Wait()
+	for g, res := range got {
+		b := bindings[g%len(bindings)]
+		if errs[g] != nil {
+			t.Fatalf("Eval %v: %v", b, errs[g])
+		}
+		requireSameResult(t, fmt.Sprint(b), res, want[g%len(bindings)])
 	}
 }

@@ -62,15 +62,15 @@ type DistanceModel struct {
 	// compulsoryBounds is the certified interval around CompulsoryMisses
 	// (width 0 when exact). boundedStmts maps statements whose distance
 	// polynomial could not be derived to the degradation reason; their
-	// capacity misses are bounded by [0, instances]. boundedReason is set
-	// when the whole distance phase degraded (no distances at all).
+	// capacity misses are bounded by [0, instances]. When the whole distance
+	// phase degraded, every statement is in it.
 	stmtInstances    map[string]int64
 	compulsoryBounds counting.Interval
 	boundedStmts     map[string]string
-	boundedReason    string
 
-	// Set-associative state, retained by a successful symbolic distance
-	// phase: the polyhedral description and the raw touched-line union map.
+	// Set-associative state, retained by the symbolic distance phase: the
+	// polyhedral description and the raw touched-line union map (empty when
+	// the whole phase degraded under ModeBounded).
 	// CountMisses re-counts the touched map restricted to each cache set
 	// when the query's geometry has more than one set — the set partition
 	// depends on the hierarchy, so it cannot be precomputed here. A nil
@@ -88,7 +88,10 @@ type DistanceModel struct {
 //
 // opts.Mode picks the rung of the degradation ladder. ModeSim builds the
 // model from an exact stack distance profile of the trace without trying the
-// symbolic pipeline (ComputeDistancesByProfiling). Under ModeAuto, a program
+// symbolic pipeline: results are exact and shared across hierarchies like
+// symbolic ones, but the construction cost is proportional to the trace
+// length. It suits programs that are expensive to analyze symbolically,
+// such as the deep loop nests tiling produces. Under ModeAuto, a program
 // the symbolic pipeline cannot handle falls back to the same profile;
 // results stay exact (CountMisses marks them with UsedTraceFallback) and are
 // still shared across hierarchies. ModeExact returns the error instead.
@@ -96,11 +99,11 @@ func ComputeDistances(prog *scop.Program, lineSize int64, opts Options) (*Distan
 	return ComputeDistancesContext(context.Background(), prog, lineSize, opts)
 }
 
-// ComputeDistancesContext is ComputeDistances observing ctx (and
-// opts.Deadline, when set): workers stop claiming items promptly after
-// cancellation and the context error is returned. Under ModeBounded,
-// operations that exceed opts.Budget or leave the supported fragment
-// degrade to certified bounds instead of failing the phase.
+// ComputeDistancesContext is ComputeDistances observing ctx: workers stop
+// claiming items promptly after cancellation and the context error is
+// returned. Under ModeBounded, operations that exceed opts.Budget or leave
+// the supported fragment degrade to certified bounds instead of failing the
+// phase.
 func ComputeDistancesContext(ctx context.Context, prog *scop.Program, lineSize int64, opts Options) (*DistanceModel, error) {
 	start := time.Now()
 	if lineSize <= 0 {
@@ -110,15 +113,10 @@ func ComputeDistancesContext(ctx context.Context, prog *scop.Program, lineSize i
 		return nil, fmt.Errorf("core: program %s is parametric; use ComputeParametricModel (or Instantiate it first)", prog.Name)
 	}
 	if opts.Mode == ModeSim {
-		return ComputeDistancesByProfiling(prog, lineSize)
+		return computeDistancesByProfiling(prog, lineSize)
 	}
 	if err := preflight(prog, opts); err != nil {
 		return nil, err
-	}
-	if opts.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
-		defer cancel()
 	}
 	meter := budget.New(ctx, opts.Budget)
 	dm := &DistanceModel{Kernel: prog.Name, LineSize: lineSize, opts: opts, prog: prog}
@@ -142,15 +140,6 @@ func ComputeDistancesContext(ctx context.Context, prog *scop.Program, lineSize i
 		switch {
 		case budget.IsCancellation(symErr):
 			return nil, symErr
-		case opts.Mode == ModeBounded:
-			// Bounded tier, global degradation: no distance polynomials at
-			// all, but the instance counts stay exact and the compulsory
-			// misses are still attempted — every level's misses are then
-			// certifiably between the compulsory lower bound and the total
-			// access count.
-			if err := dm.degradeGlobal(info, meter, symErr); err != nil {
-				return nil, err
-			}
 		case opts.Mode == ModeAuto:
 			if err := dm.ensureProfile(); err != nil {
 				return nil, err
@@ -175,17 +164,6 @@ func ComputeDistancesContext(ctx context.Context, prog *scop.Program, lineSize i
 	return dm, nil
 }
 
-// degradeGlobal switches the model to the bounded tier after a global
-// distance-phase failure: the compulsory misses are counted independently
-// of the failed stage (exactly if possible, as a certified interval
-// otherwise; [0, TotalAccesses] is always sound), and every capacity query
-// will answer with intervals anchored on the exact instance counts.
-func (dm *DistanceModel) degradeGlobal(info *scop.PolyInfo, meter *budget.Meter, symErr error) error {
-	dm.boundedReason = symErr.Error()
-	dm.distances = nil
-	return dm.countCompulsory(info, meter)
-}
-
 // countCompulsory fills the model's compulsory misses. Outside ModeBounded
 // the count is exact and a failure fails the phase. Under ModeBounded it is
 // exact if the budget allows, a certified interval otherwise, and
@@ -207,17 +185,11 @@ func (dm *DistanceModel) countCompulsory(info *scop.PolyInfo, meter *budget.Mete
 	return nil
 }
 
-// ComputeDistancesByProfiling builds a DistanceModel from an exact stack
-// distance profile of the trace without attempting the symbolic pipeline.
-// The resulting model answers CountMisses queries for any hierarchy with
-// the given line size, exactly like a symbolic model (the profile, too, is
-// capacity independent), and its results are exact — but the construction
-// cost is proportional to the trace length rather than problem-size
-// independent. It is the strategy of choice for programs that are
-// expensive to analyze symbolically, such as the deep loop nests tiling
-// produces (explore.TiledProfile); results carry UsedTraceFallback so the
-// provenance stays visible.
-func ComputeDistancesByProfiling(prog *scop.Program, lineSize int64) (*DistanceModel, error) {
+// computeDistancesByProfiling is the ModeSim rung of ComputeDistances: it
+// builds the model from an exact stack distance profile of the trace,
+// without attempting the symbolic pipeline. Results carry UsedTraceFallback
+// so the provenance stays visible.
+func computeDistancesByProfiling(prog *scop.Program, lineSize int64) (*DistanceModel, error) {
 	start := time.Now()
 	if lineSize <= 0 {
 		return nil, fmt.Errorf("core: line size must be positive")
@@ -273,12 +245,22 @@ func stackDistancePhase(ctx context.Context, info *scop.PolyInfo, lineSize int64
 
 // computeSymbolic fills the model from the symbolic pipeline: stack
 // distances (section 3.1) and compulsory misses (section 3.4), together
-// with the statistics of the distance phase.
+// with the statistics of the distance phase. Under ModeBounded a failed
+// stack distance stage degrades every statement: no distance polynomials at
+// all, but the instance counts stay exact and the compulsory misses are
+// still attempted, so every level's misses are certifiably between the
+// compulsory lower bound and the total access count.
 func (dm *DistanceModel) computeSymbolic(ctx context.Context, info *scop.PolyInfo, meter *budget.Meter, ex parwork.Exec) error {
 	bounded := dm.opts.Mode == ModeBounded
 	distances, degraded, touched, err := stackDistancePhase(ctx, info, dm.LineSize, ex, meter, bounded, &dm.baseStats)
 	if err != nil {
-		return err
+		if !bounded || budget.IsCancellation(err) {
+			return err
+		}
+		degraded = make(map[string]string, len(dm.stmtInstances))
+		for stmt := range dm.stmtInstances {
+			degraded[stmt] = err.Error()
+		}
 	}
 	dm.saInfo = info
 	dm.saTouched = touched
@@ -293,16 +275,6 @@ func (dm *DistanceModel) computeSymbolic(ctx context.Context, info *scop.PolyInf
 	return nil
 }
 
-// Degraded reports the bounded-tier degradations of the distance phase:
-// the per-statement reasons (statements whose capacity misses are interval
-// bounded) or, for a global degradation, the single phase-wide reason.
-func (dm *DistanceModel) Degraded() map[string]string {
-	if dm.boundedReason != "" {
-		return map[string]string{"*": dm.boundedReason}
-	}
-	return dm.boundedStmts
-}
-
 // UsedTraceFallback reports whether the symbolic distance phase failed and
 // the model answers queries from an exact trace profile instead.
 func (dm *DistanceModel) UsedTraceFallback() bool { return dm.fallbackReason != "" }
@@ -315,10 +287,6 @@ func (dm *DistanceModel) ComputeTime() time.Duration { return dm.computeTime }
 // quasi-polynomials (zero for fallback models).
 func (dm *DistanceModel) DistancePieces() int { return dm.baseStats.DistancePieces }
 
-// Distances returns the per-statement stack distance quasi-polynomials (nil
-// for fallback models). The slice is shared; callers must not modify it.
-func (dm *DistanceModel) Distances() []StatementDistance { return dm.distances }
-
 // CountMisses runs the capacity-dependent phase: it classifies the stack
 // distances of the model against every capacity of the hierarchy and
 // returns a Result identical to Analyze(prog, cfg, opts) — the distance
@@ -329,12 +297,12 @@ func (dm *DistanceModel) CountMisses(cfg Config) (*Result, error) {
 	return dm.CountMissesExec(context.Background(), cfg, nil)
 }
 
-// CountMissesExec is CountMisses observing ctx (and opts.Deadline) and
-// scheduling the counting engine on the given executor instead of spinning
-// up workers of its own: counting workers stop claiming pieces promptly
-// after cancellation and the context error is returned. Callers that
-// already run on a pool (internal/explore sweeps) pass their Worker so
-// capacity pieces become stealable units of the shared pool. A nil ex
+// CountMissesExec is CountMisses observing ctx and scheduling the counting
+// engine on the given executor instead of spinning up workers of its own:
+// counting workers stop claiming pieces promptly after cancellation and the
+// context error is returned. Callers that already run on a pool
+// (internal/explore sweeps) pass their Worker so capacity pieces become
+// stealable units of the shared pool. A nil ex
 // selects a transient executor sized by the model's Options.Parallelism.
 // The executor is used only for the duration of the call and never
 // retained; results are bit-identical for every executor shape.
@@ -345,11 +313,6 @@ func (dm *DistanceModel) CountMissesExec(ctx context.Context, cfg Config, ex par
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if dm.opts.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, dm.opts.Deadline)
-		defer cancel()
 	}
 	meter := budget.New(ctx, dm.opts.Budget)
 	res := &Result{Kernel: dm.Kernel, TotalAccesses: dm.TotalAccesses, Stats: dm.baseStats.clone()}
@@ -366,15 +329,6 @@ func (dm *DistanceModel) CountMissesExec(ctx context.Context, cfg Config, ex par
 	res.CompulsoryMisses = dm.CompulsoryMisses
 	res.CompulsoryBounds = dm.compulsoryBounds
 	res.PerStatementCompulsory = cloneCounts(dm.perStmtCompulsory)
-	if dm.boundedReason != "" {
-		// Global bounded tier: no distance polynomials exist. Every level's
-		// capacity misses lie between zero and the non-compulsory accesses,
-		// certifiably — capacity misses are repeat accesses by definition.
-		dm.fillFromInstanceBounds(res, cfg)
-		res.Stats.BudgetUsed = meter.Total()
-		res.Stats.TotalTime = dm.computeTime + time.Since(start)
-		return res, nil
-	}
 	if countErr := dm.countSymbolic(ctx, cfg, ex, res, meter); countErr != nil {
 		if budget.IsCancellation(countErr) || dm.opts.Mode != ModeAuto {
 			return nil, countErr
@@ -392,19 +346,6 @@ func (dm *DistanceModel) CountMissesExec(ctx context.Context, cfg Config, ex par
 	res.Stats.BudgetUsed += meter.Total()
 	res.Stats.TotalTime = dm.computeTime + time.Since(start)
 	return res, nil
-}
-
-// fillFromInstanceBounds answers a hierarchy query for a globally degraded
-// bounded-tier model: per level, the capacity misses lie in
-// [0, accesses - compulsory_lo] and the total misses in
-// [compulsory_lo, accesses]. The point fields carry the conservative upper
-// bounds.
-func (dm *DistanceModel) fillFromInstanceBounds(res *Result, cfg Config) {
-	capBounds := make([]counting.Interval, len(cfg.CacheSizes))
-	for i := range capBounds {
-		capBounds[i] = counting.Interval{Lo: 0, Hi: dm.TotalAccesses - dm.compulsoryBounds.Lo}
-	}
-	res.setLevels(cfg.CacheSizes, capBounds, nil, []string{dm.boundedReason})
 }
 
 // countSymbolic counts the capacity misses of every level. Fully

@@ -16,22 +16,20 @@ import (
 // operation is charged one cost unit per intermediate elimination system; a
 // nil op is unlimited.
 func countBasicSet(bs presburger.BasicSet, op *budget.Op) (int64, error) {
-	sum, err := CardBasicSetSummands(bs, 0, presburger.NewSpace(bs.Space().Name), op)
+	pieces, err := CardBasicSetSummands(bs, 0, presburger.NewSpace(bs.Space().Name), op)
 	if err != nil {
 		return 0, err
 	}
 	var total int64
-	for _, term := range sum.Terms {
-		for _, piece := range term.Pieces {
-			if !piece.Domain.Contains(nil) {
-				continue
-			}
-			v := piece.Poly.Eval(nil)
-			if !v.IsInt() {
-				return 0, fmt.Errorf("%w: non-integer count %v", ErrUnsupported, v)
-			}
-			total += v.Int()
+	for _, piece := range pieces {
+		if !piece.Domain.Contains(nil) {
+			continue
 		}
+		v := piece.Poly.Eval(nil)
+		if !v.IsInt() {
+			return 0, fmt.Errorf("%w: non-integer count %v", ErrUnsupported, v)
+		}
+		total += v.Int()
 	}
 	return total, nil
 }
@@ -201,9 +199,7 @@ func MapCardSummands(m presburger.Map, op *budget.Op) ([]qpoly.Piece, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, term := range sum.Terms {
-			pieces = append(pieces, term.Pieces...)
-		}
+		pieces = append(pieces, sum...)
 	}
 	return pieces, nil
 }

@@ -35,20 +35,21 @@ func CardBasicSet(bs presburger.BasicSet, nParam int, paramSpace presburger.Spac
 	// quasi-polynomial so that every parameter point is covered by exactly
 	// one piece.
 	result := qpoly.ZeroPw(paramSpace)
-	for _, s := range summands.Terms {
-		result = result.Add(s)
+	for _, p := range summands {
+		result = result.Add(qpoly.SinglePiece(p.Domain, p.Poly))
 	}
 	return result, nil
 }
 
 // CardBasicSetSummands is the sum form of CardBasicSet: it returns the
-// per-system cardinalities as a qpoly.PwSum (overlapping domains, sum
-// semantics) without the quadratic disjointness fold of CardBasicSet. For
-// counts that are only evaluated — never compared piecewise — this is
-// dramatically cheaper when the summation fans out into many systems. The
-// budget operation is charged one cost unit per intermediate system; a nil
-// op is unlimited.
-func CardBasicSetSummands(bs presburger.BasicSet, nParam int, paramSpace presburger.Space, op *budget.Op) (qpoly.PwSum, error) {
+// per-system cardinalities as summand pieces over paramSpace (overlapping
+// domains, sum semantics: the count at a parameter point is the sum of
+// every piece whose domain contains it, which qpoly.Bag evaluates) without
+// the quadratic disjointness fold of CardBasicSet. For counts that are only
+// evaluated — never compared piecewise — this is dramatically cheaper when
+// the summation fans out into many systems. The budget operation is charged
+// one cost unit per intermediate system; a nil op is unlimited.
+func CardBasicSetSummands(bs presburger.BasicSet, nParam int, paramSpace presburger.Space, op *budget.Op) ([]qpoly.Piece, error) {
 	if paramSpace.Dim() != nParam {
 		panic("counting: parameter space arity mismatch")
 	}
@@ -59,7 +60,7 @@ func CardBasicSetSummands(bs presburger.BasicSet, nParam int, paramSpace presbur
 	// the subtraction-derived pieces of the cache model.
 	trimmed, ok := bs.RemoveRedundancies()
 	if !ok {
-		return qpoly.ZeroSum(paramSpace), nil
+		return nil, nil
 	}
 	presburger.DebugAssertBasicSet(trimmed, "redundancy elimination")
 	sys := newSystem(trimmed, nParam)
@@ -94,7 +95,7 @@ func CardBasicSetSummands(bs presburger.BasicSet, nParam int, paramSpace presbur
 		for _, s := range systems {
 			out, err := s.sumOutDim(dim)
 			if err != nil {
-				return qpoly.PwSum{}, err
+				return nil, err
 			}
 			for _, o := range out {
 				if !o.definitelyEmpty() {
@@ -105,23 +106,21 @@ func CardBasicSetSummands(bs presburger.BasicSet, nParam int, paramSpace presbur
 			// is charged while a round accumulates, not after it: a single
 			// round can otherwise burn minutes before the check runs.
 			if err := op.Charge(int64(len(out))); err != nil {
-				return qpoly.PwSum{}, err
+				return nil, err
 			}
 		}
 		systems = next
 	}
-	result := qpoly.ZeroSum(paramSpace)
+	var result []qpoly.Piece
 	for _, s := range systems {
 		piece, err := s.toPiece(paramSpace)
 		if err != nil {
-			return qpoly.PwSum{}, err
+			return nil, err
 		}
 		if piece.Poly.IsZero() {
 			continue // empty or zero-count piece
 		}
-		// The sum is uniquely owned here; append in place instead of paying
-		// Add's defensive copy once per system.
-		result.Terms = append(result.Terms, qpoly.SinglePiece(piece.Domain, piece.Poly))
+		result = append(result, piece)
 	}
 	return result, nil
 }
@@ -229,6 +228,9 @@ func (s *system) sumOutDim(dim int) ([]*system, error) {
 		if err != nil {
 			return nil, err
 		}
+		for _, r := range res {
+			r.debugAssert("summation")
+		}
 		out = append(out, res...)
 	}
 	return out, nil
@@ -334,8 +336,9 @@ func (s *system) residueFeasible(dim int, period, r int64) bool {
 }
 
 // substituteProgression substitutes dim := P*dim + r throughout the system
-// (constraints, div numerators, polynomial) and simplifies divs that directly
-// referenced dim into an affine part plus a new dim-free div.
+// (constraints, div numerators, polynomial) and splits every div that
+// references dim into an affine term in dim plus the same div, now free of
+// dim.
 func (s *system) substituteProgression(dim int, period, r int64) (*system, error) {
 	out := s.clone()
 	col := out.dimCol(dim)
@@ -374,9 +377,13 @@ func (s *system) substituteProgression(dim int, period, r int64) (*system, error
 			return nil, err
 		}
 	}
-	// Now rewrite divs that reference dim directly: floor((a*P*t + rest)/den)
-	// with den | a*P  ->  (a*P/den)*t + floor(rest/den).
-	for i := 0; i < len(out.divs); i++ {
+	// Now rewrite divs that reference dim directly, in place and in column
+	// order: floor((a*P*t + rest)/den) with den | a*P becomes
+	// (a*P/den)*t + floor(rest/den). Div i keeps its column as floor(rest/den)
+	// and every row referencing it k times gains k*(a*P/den) on the t column.
+	// A later div that gains a t coefficient this way is rewritten in turn;
+	// the divs stay well-ordered because no reference moves to a new column.
+	for i := range out.divs {
 		num := out.divs[i].Num
 		a := num.At(col)
 		if a == 0 {
@@ -386,55 +393,32 @@ func (s *system) substituteProgression(dim int, period, r int64) (*system, error
 		if a%den != 0 {
 			return nil, fmt.Errorf("%w: residual coefficient %d not divisible by %d after progression substitution", ErrUnsupported, a, den)
 		}
-		rest := num.Clone()
-		rest[col] = 0
-		newCol := out.addDiv(rest, den)
-		// Replace references to div i by (a/den)*t + newDiv, in place; a
-		// row too short to hold newCol is widened once.
-		oldCol := out.divCol(i)
+		num[col] = 0
+		divCol := out.divCol(i)
 		factor := a / den
-		overflow := false
-		replace := func(v presburger.Vec) presburger.Vec {
-			k := v.At(oldCol)
+		addT := func(v presburger.Vec) error {
+			k := v.At(divCol)
 			if k == 0 {
-				return v
+				return nil
 			}
 			kf, ok1 := ints.TryMul(k, factor)
-			nc, ok2 := ints.TryAdd(v[col], kf)
+			nc, ok2 := ints.TryAdd(v.At(col), kf)
 			if !ok1 || !ok2 {
-				overflow = true
-				return v
-			}
-			if len(v) <= newCol {
-				v = v.Resized(out.ncols())
+				return fmt.Errorf("%w: int64 overflow rewriting div references under progression substitution", ErrUnsupported)
 			}
 			v[col] = nc
-			v[newCol] += k
-			v[oldCol] = 0
-			return v
+			return nil
 		}
 		for j := range out.cons {
-			out.cons[j].C = replace(out.cons[j].C)
-		}
-		for j := range out.divs {
-			if j == i {
-				continue
-			}
-			out.divs[j].Num = replace(out.divs[j].Num)
-			// A div between i and a freshly appended replacement now
-			// references a later div. The presburger layer and the atom
-			// builder need well-ordered divs, so the system leaves the
-			// fragment here instead of being counted.
-			if out.divCol(j) < newCol && out.divs[j].Num.At(newCol) != 0 {
-				return nil, fmt.Errorf("%w: div references later div", ErrUnsupported)
+			if err := addT(out.cons[j].C); err != nil {
+				return nil, err
 			}
 		}
-		if overflow {
-			return nil, fmt.Errorf("%w: int64 overflow rewriting div references under progression substitution", ErrUnsupported)
+		for j := i + 1; j < len(out.divs); j++ {
+			if err := addT(out.divs[j].Num); err != nil {
+				return nil, err
+			}
 		}
-		// Neutralize the old div so it no longer depends on dim (it is now
-		// unreferenced).
-		out.divs[i] = presburger.Div{Num: presburger.NewVec(out.ncols()), Den: 1}
 	}
 	// Polynomial. Two passes: first rewrite the explicit occurrences of dim
 	// (which still denote the original variable) as P*t + r, then rewrite the
@@ -475,6 +459,7 @@ func (s *system) substituteProgression(dim int, period, r int64) (*system, error
 		}
 	}
 	out.poly = poly
+	out.debugAssert("progression substitution")
 	return out, nil
 }
 

@@ -35,9 +35,6 @@ func (iv Interval) Add(o Interval) Interval {
 	return Interval{Lo: satAdd(iv.Lo, o.Lo), Hi: satAdd(iv.Hi, o.Hi)}
 }
 
-// AddConst shifts both bounds by n.
-func (iv Interval) AddConst(n int64) Interval { return iv.Add(Exact(n)) }
-
 // ClampHi lowers Hi to hi if the current Hi exceeds it (used to intersect
 // with an independently known upper bound; sound because the true count
 // satisfies both).

@@ -14,9 +14,9 @@ import (
 //	{ k : e0 = floor(k/8), e1 = floor((k - 1 - 8e0)/8), e2 = floor((k - 1)/8),
 //	      e0 - e1 + e2 >= 7, k <= 39 }
 //
-// It has 8 points (k = 32..39). Splitting k into residue classes leaves a
-// div that references a div ordered after it, which the symbolic counter
-// reports as outside its fragment.
+// It has 8 points (k = 32..39). Splitting k into residue classes rewrites
+// e0 and then e1, whose numerator references e0: the rewrite has to keep
+// every div in its column, or a div ends up referencing a later one.
 func durbinPiece() presburger.BasicSet {
 	sp := presburger.NewSpace("S1", "k")
 	divs := []presburger.Div{
@@ -37,13 +37,31 @@ func TestDurbinPieceCountsByEnumeration(t *testing.T) {
 	if err != nil || want != 8 {
 		t.Fatalf("scan = %d, %v; want 8 points", want, err)
 	}
-	if _, err := countBasicSet(bs, nil); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("symbolic count must report ErrUnsupported, got %v", err)
+	if got, err := countBasicSet(bs, nil); err != nil || got != want {
+		t.Fatalf("symbolic count = %d, %v; want %d", got, err, want)
 	}
 	got, err := CountSet(presburger.SetFromBasic(bs), nil)
 	if err != nil || got != want {
 		t.Fatalf("CountSet = %d, %v; want %d", got, err, want)
 	}
+}
+
+// nestedFloorSet is { i : 0 <= i <= 20, floor(floor(i/2)/3) >= 1 }, 15
+// points. Splitting i by the inner floor leaves the outer floor with a
+// coefficient its denominator does not divide, which the symbolic counter
+// reports as outside its fragment.
+func nestedFloorSet() presburger.BasicSet {
+	sp := presburger.NewSpace("S", "i")
+	divs := []presburger.Div{
+		{Num: presburger.Vec{0, 1, 0, 0}, Den: 2},
+		{Num: presburger.Vec{0, 0, 1, 0}, Den: 3},
+	}
+	cons := []presburger.Constraint{
+		{C: presburger.Vec{0, 1, 0, 0}},
+		{C: presburger.Vec{20, -1, 0, 0}},
+		{C: presburger.Vec{-1, 0, 0, 1}},
+	}
+	return presburger.NewBasicSet(sp, divs, cons)
 }
 
 // TestCountSetLadder walks the rungs of the counting ladder: a symbolic
@@ -64,7 +82,7 @@ func TestCountSetLadder(t *testing.T) {
 		minUsed, maxUsed int64
 	}{
 		{name: "symbolic", set: triangle, limit: 1 << 20, want: Exact(210), maxUsed: 10},
-		{name: "unsupported enumerates", set: durbinPiece(), limit: 1 << 20, want: Exact(8), minUsed: 8, maxUsed: 100},
+		{name: "unsupported enumerates", set: nestedFloorSet(), limit: 1 << 20, want: Exact(15), minUsed: 15, maxUsed: 100},
 		{name: "budget trip", set: boxSet("S", 20, 20, 20), limit: 1, wantErr: ErrBudget, maxUsed: 10},
 		{name: "interval prefix and box", set: boxSet("S", 20, 20, 20), limit: 1, interval: true,
 			want: Interval{Lo: maxEnum, Hi: 8000}, maxUsed: 10},
@@ -155,9 +173,22 @@ func (r *fuzzReader) basicSet(sp presburger.Space) presburger.BasicSet {
 	return presburger.NewBasicSet(sp, divs, cons)
 }
 
+// durbinPieceSeed encodes durbinPiece in the fuzz format, over the two
+// dimensions (k, a) of the statement with a = 0.
+var durbinPieceSeed = []byte{
+	0,    // two dimensions
+	3, 2, // three divs, three constraints
+	8 - 2, 0, 1, 0, // e0 = floor(k/8)
+	8 - 2, 0xff, 1, 0, 0xf8, // e1 = floor((-1 + k - 8e0)/8)
+	8 - 2, 0xff, 1, 0, 0, 0, // e2 = floor((-1 + k)/8)
+	1, 39, 0xff, 0, 0, 0, 0, // 39 - k >= 0
+	0, 0, 0, 1, 0, 0, 0, // a = 0
+	1, 0xf9, 0, 0, 1, 0xff, 1, // -7 + e0 - e1 + e2 >= 0
+	8, 47, 8, 47, // box: -8 <= k, a <= 47
+}
+
 // durbinSeed encodes the durbin piece before minimization in the fuzz
-// format: durbinPiece over the two dimensions (k, a) of the statement, with
-// a = 0 and k - 1 - 8e0 >= 0.
+// format: durbinPieceSeed with the extra constraint k - 1 - 8e0 >= 0.
 var durbinSeed = []byte{
 	0,    // two dimensions
 	3, 3, // three divs, four constraints
@@ -178,6 +209,7 @@ func FuzzCountSet(f *testing.F) {
 	f.Add(durbinSeed)
 	f.Add([]byte{1, 1, 2, 2, 3, 1, 0, 0, 1, 0, 0xfe, 1, 2, 1, 0, 0, 0, 1, 5, 9, 3, 12, 0, 17})
 	f.Add(append(append([]byte{}, durbinSeed...), 0, 2, 0, 1, 0, 3, 40))
+	f.Add(durbinPieceSeed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := fuzzReader(data)
 		dims := []string{"i0", "i1", "i2"}[:2+r.next()%2]

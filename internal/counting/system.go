@@ -126,26 +126,17 @@ func (s *system) toBasicSet() presburger.BasicSet {
 	return presburger.NewBasicSet(s.space, s.divs, s.cons)
 }
 
+// debugAssert panics, under the haystackdebug build tag, when the system
+// violates the presburger IR invariants: most importantly a div whose
+// numerator references a later div, which has no floor-atom order.
+func (s *system) debugAssert(context string) {
+	if presburger.DebugInvariantsEnabled() {
+		presburger.DebugAssertBasicSet(s.toBasicSet(), "counting "+context)
+	}
+}
+
 // definitelyEmpty reports whether the constraint system is detectably empty.
 func (s *system) definitelyEmpty() bool { return s.toBasicSet().DefinitelyEmpty() }
-
-// usesDim reports whether any constraint or div references the dimension,
-// directly or through a div.
-func (s *system) usesDim(dim int) bool {
-	col := s.dimCol(dim)
-	dep := s.divDependsOnDim(dim)
-	for _, c := range s.cons {
-		if c.C.At(col) != 0 {
-			return true
-		}
-		for i := range s.divs {
-			if dep[i] && c.C.At(s.divCol(i)) != 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
 
 // fanOutEstimate scores how many sub-systems summing out dim is expected to
 // produce: the residue period of the floors that depend on it times the

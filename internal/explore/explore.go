@@ -68,7 +68,7 @@ const (
 	// so this problem-size-independent strategy is the default.
 	TiledSymbolic TiledAnalysis = iota
 	// TiledProfile builds the models of tiled variants from an exact stack
-	// distance profile of the trace (core.ComputeDistancesByProfiling).
+	// distance profile of the trace (core.ModeSim).
 	// Results are still exact and still shared across all hierarchies of
 	// the grid, but the model construction costs one trace replay per tiled
 	// variant instead of being problem-size independent. Results of tiled
@@ -262,17 +262,14 @@ func SweepContext(ctx context.Context, grid Grid, opts Options) (*Result, error)
 	err := ex.RunGroup(ctx, len(jobs), func(w *parwork.Worker, idx int) error {
 		job := jobs[idx]
 		v := variants[job.variant]
-		var dm *core.DistanceModel
-		var err error
+		// The analysis runs on this worker: Options.Exec is call scoped, so
+		// the per-job copy hands the worker to exactly one call.
+		jobOpts := analysis
+		jobOpts.Exec = w
 		if v.tiled && opts.Tiled == TiledProfile {
-			dm, err = core.ComputeDistancesByProfiling(v.program, job.lineSize)
-		} else {
-			// The analysis runs on this worker: Options.Exec is call scoped,
-			// so the per-job copy hands the worker to exactly one call.
-			jobOpts := analysis
-			jobOpts.Exec = w
-			dm, err = core.ComputeDistancesContext(ctx, v.program, job.lineSize, jobOpts)
+			jobOpts.Mode = core.ModeSim
 		}
+		dm, err := core.ComputeDistancesContext(ctx, v.program, job.lineSize, jobOpts)
 		if err != nil {
 			return fmt.Errorf("explore: distances of %s (tile %d, line %d): %w",
 				grid.Kernels[v.kernel].Name, v.tile, job.lineSize, err)

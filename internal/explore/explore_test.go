@@ -332,7 +332,7 @@ func TestSweepTiledProfile(t *testing.T) {
 				}
 				prog = tiledProg
 				// Bit-identical to a naive per-configuration profile model.
-				dm, err := core.ComputeDistancesByProfiling(prog, e.Hierarchy.LineSize)
+				dm, err := core.ComputeDistances(prog, e.Hierarchy.LineSize, core.Options{Mode: core.ModeSim})
 				if err != nil {
 					t.Fatal(err)
 				}

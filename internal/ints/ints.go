@@ -19,15 +19,6 @@ func AddChecked(a, b int64) int64 {
 	return s
 }
 
-// SubChecked returns a-b and panics on overflow.
-func SubChecked(a, b int64) int64 {
-	d := a - b
-	if (b < 0 && a > 0 && d < 0) || (b > 0 && a < 0 && d > 0) {
-		panic(fmt.Sprintf("ints: overflow in %d - %d", a, b))
-	}
-	return d
-}
-
 // MulChecked returns a*b and panics on overflow.
 func MulChecked(a, b int64) int64 {
 	p, ok := TryMul(a, b)
@@ -135,32 +126,4 @@ func CeilDiv(a, b int64) int64 {
 		q++
 	}
 	return q
-}
-
-// Mod returns the mathematical modulus a mod b, always in [0, |b|).
-func Mod(a, b int64) int64 {
-	if b == 0 {
-		panic("ints: Mod by zero")
-	}
-	m := a % b
-	if m < 0 {
-		m += Abs(b)
-	}
-	return m
-}
-
-// Min returns the smaller of a and b.
-func Min(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max returns the larger of a and b.
-func Max(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

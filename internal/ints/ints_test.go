@@ -1,6 +1,7 @@
 package ints
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -175,4 +176,41 @@ func TestTryHelpers(t *testing.T) {
 	if v, ok := TryMul(1<<20, 1<<20); !ok || v != MulChecked(1<<20, 1<<20) {
 		t.Error("TryMul disagrees with MulChecked")
 	}
+}
+
+// Mod returns the mathematical modulus a mod b, always in [0, |b|).
+func Mod(a, b int64) int64 {
+	if b == 0 {
+		panic("ints: Mod by zero")
+	}
+	m := a % b
+	if m < 0 {
+		m += Abs(b)
+	}
+	return m
+}
+
+// Min returns the smaller of a and b.
+func Min(a, b int64) int64 {
+	if a < b {
+		return a
+	}
+	return b
+}
+
+// Max returns the larger of a and b.
+func Max(a, b int64) int64 {
+	if a > b {
+		return a
+	}
+	return b
+}
+
+// SubChecked returns a-b and panics on overflow.
+func SubChecked(a, b int64) int64 {
+	d := a - b
+	if (b < 0 && a > 0 && d < 0) || (b > 0 && a < 0 && d > 0) {
+		panic(fmt.Sprintf("ints: overflow in %d - %d", a, b))
+	}
+	return d
 }

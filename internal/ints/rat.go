@@ -111,15 +111,6 @@ func (r Rat) Cmp(s Rat) int {
 	return Sign(d.Num())
 }
 
-// Floor returns the largest integer <= r.
-func (r Rat) Floor() int64 { n, d := r.norm(); return FloorDiv(n, d) }
-
-// Ceil returns the smallest integer >= r.
-func (r Rat) Ceil() int64 { n, d := r.norm(); return CeilDiv(n, d) }
-
-// Float returns a float64 approximation of r (for reporting only).
-func (r Rat) Float() float64 { n, d := r.norm(); return float64(n) / float64(d) }
-
 // String renders r as "n" or "n/d".
 func (r Rat) String() string {
 	n, d := r.norm()

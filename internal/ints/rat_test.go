@@ -95,3 +95,9 @@ func TestRatDivByZeroPanics(t *testing.T) {
 	assertPanics(t, func() { NewRat(1, 0) })
 	assertPanics(t, func() { NewRat(1, 2).Int() })
 }
+
+// Floor returns the largest integer <= r.
+func (r Rat) Floor() int64 { n, d := r.norm(); return FloorDiv(n, d) }
+
+// Ceil returns the smallest integer >= r.
+func (r Rat) Ceil() int64 { n, d := r.norm(); return CeilDiv(n, d) }

@@ -37,41 +37,17 @@ var ErrUnsupported = errors.New("lexmin: outside supported fragment")
 // skipping them changes nothing semantically while removing the all-pairs
 // subtraction cascade that made triangular kernels intractable.
 func MapLexmin(m presburger.Map) (presburger.Map, error) {
-	return mapLexmin(context.Background(), m, parwork.InlineExec(), true)
+	return mapLexmin(context.Background(), m, parwork.InlineExec())
 }
 
-func mapLexmin(ctx context.Context, m presburger.Map, ex parwork.Exec, partition bool) (presburger.Map, error) {
-	bms := m.Basics()
-	perBasic := make([][]presburger.BasicMap, len(bms))
-	err := ex.RunGroup(ctx, len(bms), func(_ *parwork.Worker, idx int) error {
-		pieces, err := basicLexmin(ctx, bms[idx])
-		if err != nil {
-			return err
-		}
-		perBasic[idx] = pieces
-		return nil
-	})
+func mapLexmin(ctx context.Context, m presburger.Map, ex parwork.Exec) (presburger.Map, error) {
+	candidates, err := lexminCandidates(ctx, m, ex)
 	if err != nil {
 		return presburger.Map{}, err
 	}
-	var candidates []presburger.Map
-	for _, pieces := range perBasic {
-		if len(pieces) == 0 {
-			continue
-		}
-		candidate := presburger.MapFromBasics(pieces...).CoalesceQuick()
-		if len(candidate.Basics()) == 0 {
-			continue
-		}
-		candidates = append(candidates, candidate)
-	}
-	groups := [][]presburger.Map{candidates}
-	if partition {
-		groups = partitionByDomain(candidates)
-	}
 	result := presburger.EmptyMap(m.InSpace(), m.OutSpace())
 	first := true
-	for _, group := range groups {
+	for _, group := range partitionByDomain(candidates) {
 		folded, err := foldMin(ctx, group)
 		if err != nil {
 			return presburger.Map{}, err
@@ -88,6 +64,37 @@ func mapLexmin(ctx context.Context, m presburger.Map, ex parwork.Exec, partition
 	}
 	presburger.DebugAssertMap(result, "lexmin")
 	return result, nil
+}
+
+// lexminCandidates computes the lexicographic minimum of every basic map of
+// m on the executor: one candidate relation per basic map with a nonempty
+// minimum, in basic-map order.
+func lexminCandidates(ctx context.Context, m presburger.Map, ex parwork.Exec) ([]presburger.Map, error) {
+	bms := m.Basics()
+	perBasic := make([][]presburger.BasicMap, len(bms))
+	err := ex.RunGroup(ctx, len(bms), func(_ *parwork.Worker, idx int) error {
+		pieces, err := basicLexmin(ctx, bms[idx])
+		if err != nil {
+			return err
+		}
+		perBasic[idx] = pieces
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var candidates []presburger.Map
+	for _, pieces := range perBasic {
+		if len(pieces) == 0 {
+			continue
+		}
+		candidate := presburger.MapFromBasics(pieces...).CoalesceQuick()
+		if len(candidate.Basics()) == 0 {
+			continue
+		}
+		candidates = append(candidates, candidate)
+	}
+	return candidates, nil
 }
 
 // foldMin combines the candidates of one chamber in their original order
@@ -169,7 +176,7 @@ func partitionByDomain(candidates []presburger.Map) [][]presburger.Map {
 // bit-identical for every executor shape.
 func MapLexmaxExec(ctx context.Context, m presburger.Map, ex parwork.Exec) (presburger.Map, error) {
 	neg := negateOutputs(m)
-	mn, err := mapLexmin(ctx, neg, ex, true)
+	mn, err := mapLexmin(ctx, neg, ex)
 	if err != nil {
 		return presburger.Map{}, err
 	}

@@ -29,7 +29,16 @@ func eq(ncols int, c0 int64, coeffs ...int64) presburger.Constraint {
 // candidate folds into one accumulated relation. Kept as the reference
 // implementation for differential tests.
 func mapLexminFlat(m presburger.Map) (presburger.Map, error) {
-	return mapLexmin(context.Background(), m, parwork.InlineExec(), false)
+	ctx := context.Background()
+	candidates, err := lexminCandidates(ctx, m, parwork.InlineExec())
+	if err != nil {
+		return presburger.Map{}, err
+	}
+	result, err := foldMin(ctx, candidates)
+	if err != nil || len(result.Basics()) == 0 {
+		return presburger.EmptyMap(m.InSpace(), m.OutSpace()), err
+	}
+	return result, nil
 }
 
 // bruteLexmin computes the lexicographic minimum per input point by scanning
@@ -460,7 +469,7 @@ func TestLexminWorkerCountDoesNotChangeResult(t *testing.T) {
 	}
 	for _, workers := range []int{2, 8} {
 		ex, release := parwork.NewExec(workers)
-		par, err := mapLexmin(context.Background(), m, ex, true)
+		par, err := mapLexmin(context.Background(), m, ex)
 		release()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

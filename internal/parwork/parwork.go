@@ -408,7 +408,12 @@ func (w *Worker) RunGroupTimed(ctx context.Context, n int, fn GroupFunc) ([]time
 			p.mu.Lock()
 			continue
 		}
-		p.cond.Wait()
+		// The failed claim may itself have completed g: observing a
+		// cancellation skips g's unclaimed items and broadcasts before this
+		// goroutine parks, so that wakeup is already spent.
+		if !g.done {
+			p.cond.Wait()
+		}
 	}
 	p.mu.Unlock()
 	return g.times, g.err()

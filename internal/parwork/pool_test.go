@@ -372,3 +372,38 @@ func TestGroupErrorLowestIndexWins(t *testing.T) {
 		t.Fatalf("lowest-indexed error: got %v, want b", err)
 	}
 }
+
+// TestCancelObservedByOwnClaimWakesSpawner is the deterministic schedule of
+// the lost wakeup TestStressRandomizedSplits used to hit. A spawning worker
+// waits for its nested group by claiming items itself; when its own claim
+// is the one that observes the cancellation, skipping the unclaimed items
+// completes the group and broadcasts before the worker parks. The worker
+// must re-check its group instead of waiting for a broadcast that already
+// happened. One worker makes the schedule deterministic: item 0 of the
+// nested group cancels, so the next claim skips item 1 and finishes the
+// group with nothing in flight.
+func TestCancelObservedByOwnClaimWakesSpawner(t *testing.T) {
+	p := NewPool(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- p.RunGroup(ctx, 1, func(w *Worker, _ int) error {
+			return w.RunGroup(ctx, 2, func(_ *Worker, item int) error {
+				if item == 0 {
+					cancel()
+				}
+				return nil
+			})
+		})
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("want context.Canceled, got %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("spawning worker parked after its own claim completed the cancelled group")
+	}
+	p.Close()
+}

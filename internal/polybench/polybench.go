@@ -95,16 +95,6 @@ func ByName(name string) (Kernel, bool) {
 	return Kernel{}, false
 }
 
-// Names returns the kernel names in alphabetical order.
-func Names() []string {
-	ks := Kernels()
-	out := make([]string, len(ks))
-	for i, k := range ks {
-		out[i] = k.Name
-	}
-	return out
-}
-
 // dims is a small helper for per-size problem dimensions.
 type dims map[Size][]int64
 

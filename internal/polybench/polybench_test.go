@@ -138,3 +138,13 @@ func TestModelMatchesSimulationOnSelectedKernels(t *testing.T) {
 		}
 	}
 }
+
+// Names returns the kernel names in alphabetical order.
+func Names() []string {
+	ks := Kernels()
+	out := make([]string, len(ks))
+	for i, k := range ks {
+		out[i] = k.Name
+	}
+	return out
+}

@@ -92,7 +92,7 @@ func getBounds(n int) *boundsScratch {
 func putBounds(s *boundsScratch) { boundsPool.Put(s) }
 
 // colsPool recycles the column-vector buffers of point evaluation
-// (evalColumnsInto) — the innermost loop of enumeration fallbacks.
+// (evalColumnsIntoTry) — the innermost loop of enumeration fallbacks.
 var colsPool = sync.Pool{New: func() any { return new([]int64) }}
 
 // getCols returns an uninitialized column buffer of length n.

@@ -171,38 +171,6 @@ func (b *basic) addDiv(num Vec, den int64) int {
 	return b.divCol(len(b.divs) - 1)
 }
 
-// divValue evaluates div i given values for every column before it.
-// vals must have length >= divCol(i).
-func (b *basic) divValue(i int, vals []int64) int64 {
-	d := b.divs[i]
-	var s int64
-	for j := 0; j < b.divCol(i) && j < len(d.Num); j++ {
-		s += d.Num[j] * vals[j]
-	}
-	return ints.FloorDiv(s, d.Den)
-}
-
-// evalColumns computes the full column vector [1, point..., divs...] for a
-// point with the given dimension values.
-func (b *basic) evalColumns(point []int64) []int64 {
-	vals := make([]int64, b.ncols())
-	b.evalColumnsInto(point, vals)
-	return vals
-}
-
-// evalColumnsInto is evalColumns writing into a caller-owned buffer of
-// length ncols, for loops that evaluate many points.
-func (b *basic) evalColumnsInto(point, vals []int64) {
-	if len(point) != b.ndim {
-		panic("presburger: point arity mismatch")
-	}
-	vals[0] = 1
-	copy(vals[1:], point)
-	for i := range b.divs {
-		vals[b.divCol(i)] = b.divValue(i, vals)
-	}
-}
-
 // contains reports whether the point satisfies all constraints of b.
 // Evaluation is overflow-checked: when any product or sum would wrap int64
 // (huge parameter values meeting huge coefficients), validation falls back
@@ -248,8 +216,9 @@ func dotTry(c Vec, vals []int64) (int64, bool) {
 	return s, true
 }
 
-// evalColumnsIntoTry is evalColumnsInto with overflow checking on the div
-// numerator sums. ok=false means some div value cannot be represented with
+// evalColumnsIntoTry computes the full column vector [1, point..., divs...]
+// of a point into a caller-owned buffer of length ncols, with overflow
+// checking on the div numerator sums. ok=false means some div value cannot be represented with
 // 64-bit intermediates and the caller must re-evaluate exactly.
 func (b *basic) evalColumnsIntoTry(point, vals []int64) bool {
 	if len(point) != b.ndim {

@@ -244,65 +244,6 @@ func (b *basic) isObviouslyEmpty() bool {
 	return !cl.rationalFeasible()
 }
 
-// dimBounds computes conservative integer bounds for dimension dim given
-// fixed values for dimensions 0..dim-1. Later dimensions and all divs are
-// eliminated rationally first. The second return value reports whether both
-// bounds exist (the dimension is bounded).
-func (b *basic) dimBounds(dim int, prefix []int64) (lo, hi int64, bounded bool) {
-	cons := b.materializedConstraints()
-	// Eliminate div columns and later dimension columns.
-	for col := b.ncols() - 1; col > b.dimCol(dim); col-- {
-		cons = rationalEliminate(cons, col)
-	}
-	col := b.dimCol(dim)
-	haveLo, haveHi := false, false
-	for _, c := range cons {
-		a := c.C[col]
-		if a == 0 {
-			continue
-		}
-		if a == math.MinInt64 {
-			// -a below would wrap; treat the dimension as unbounded rather
-			// than derive a wrapped bound.
-			return 0, 0, false
-		}
-		// Evaluate the rest of the constraint on the prefix.
-		rest, restOK := evalRest(c.C, b, dim, prefix)
-		if !restOK {
-			return 0, 0, false
-		}
-		// a*x + rest >= 0 (or == 0).
-		if c.Eq {
-			if rest%a != 0 {
-				return 0, -1, true // no integer solution
-			}
-			v := -rest / a
-			if !haveLo || v > lo {
-				lo = v
-			}
-			if !haveHi || v < hi {
-				hi = v
-			}
-			haveLo, haveHi = true, true
-			continue
-		}
-		if a > 0 {
-			v := ints.CeilDiv(-rest, a)
-			if !haveLo || v > lo {
-				lo = v
-				haveLo = true
-			}
-		} else {
-			v := ints.FloorDiv(rest, -a)
-			if !haveHi || v < hi {
-				hi = v
-				haveHi = true
-			}
-		}
-	}
-	return lo, hi, haveLo && haveHi
-}
-
 // evalRest evaluates the constant and prefix terms of a bound constraint
 // (c[0] + sum of c[dimCol(j)]*prefix[j] for j < dim) with overflow checking.
 // ok=false means the evaluation wrapped int64; callers must then treat the

@@ -17,69 +17,8 @@ const (
 	gistMaxCols = 48
 )
 
-// Gist returns a basic set g with g ∩ ctx == bs ∩ ctx, obtained by dropping
-// constraints of bs implied by ctx together with the constraints of bs kept
-// so far. Both operands must share a space. Typical use: simplify a set
-// before an operation that will re-impose the context anyway.
-func (bs BasicSet) Gist(ctx BasicSet) BasicSet {
-	if !bs.space.Equal(ctx.space) {
-		panic("presburger: gist space mismatch")
-	}
-	out := bs.clone()
-	gistBasic(&out.b, &ctx.b)
-	out.b.debugAssert("gist", false)
-	return out
-}
-
-// Gist returns a basic map g with g ∩ ctx == bm ∩ ctx (see BasicSet.Gist).
-func (bm BasicMap) Gist(ctx BasicMap) BasicMap {
-	if !bm.in.Equal(ctx.in) || !bm.out.Equal(ctx.out) {
-		panic("presburger: gist space mismatch")
-	}
-	out := bm.clone()
-	gistBasic(&out.b, &ctx.b)
-	out.b.debugAssert("gist", false)
-	return out
-}
-
-// gistBasic drops constraints of b implied by ctx ∧ (constraints of b kept
-// so far), in place. The two basics must have the same dimension count; the
-// context is embedded into b's column space (divs dedup against b's).
-func gistBasic(b, ctx *basic) {
-	if len(b.cons) == 0 {
-		return
-	}
-	// Build the combined system: b's layout extended with ctx's divs, and
-	// the implication base of ctx constraints plus every div's defining
-	// bounds.
-	work := b.clone()
-	nOwn := len(work.cons)
-	work.embed(ctx, identityDimMap(ctx.ndim))
-	if len(work.cons) > gistMaxCons || work.ncols() > gistMaxCols {
-		return
-	}
-	base := make([]Constraint, 0, len(work.cons)-nOwn+2*len(work.divs))
-	for _, c := range work.cons[nOwn:] {
-		base = append(base, Constraint{C: fit(c.C, work.ncols()), Eq: c.Eq})
-	}
-	base = append(base, work.divBoundConstraints()...)
-	ncols := work.ncols()
-	cands := make([]Constraint, nOwn)
-	for i, c := range b.cons {
-		cands[i] = Constraint{C: fit(work.cons[i].C, ncols), Eq: c.Eq}
-	}
-	keep := gistFilter(base, ncols, cands)
-	kept := b.cons[:0]
-	for i, c := range b.cons {
-		if keep[i] {
-			kept = append(kept, c)
-		}
-	}
-	b.cons = kept
-}
-
-// gistFilter is the incremental core shared by gistBasic and subtraction:
-// it reports, per candidate constraint, whether it must be kept because the
+// gistFilter is the incremental core of gist, used by subtraction: it
+// reports, per candidate constraint, whether it must be kept because the
 // base system does not imply it (budgeted rational implication with integer
 // tightening). Kept candidates join the base as they are accepted, so a
 // later candidate implied only by an earlier kept one is still dropped.

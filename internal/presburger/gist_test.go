@@ -144,3 +144,53 @@ func ExampleBasicSet_Gist() {
 	fmt.Println(bs.Gist(ctx))
 	// Output: { S(i) : 5 + -i >= 0 }
 }
+
+// Gist returns a basic set g with g ∩ ctx == bs ∩ ctx, obtained by dropping
+// constraints of bs implied by ctx together with the constraints of bs kept
+// so far. Both operands must share a space. Typical use: simplify a set
+// before an operation that will re-impose the context anyway.
+func (bs BasicSet) Gist(ctx BasicSet) BasicSet {
+	if !bs.space.Equal(ctx.space) {
+		panic("presburger: gist space mismatch")
+	}
+	out := bs.clone()
+	gistBasic(&out.b, &ctx.b)
+	out.b.debugAssert("gist", false)
+	return out
+}
+
+// gistBasic drops constraints of b implied by ctx ∧ (constraints of b kept
+// so far), in place. The two basics must have the same dimension count; the
+// context is embedded into b's column space (divs dedup against b's).
+func gistBasic(b, ctx *basic) {
+	if len(b.cons) == 0 {
+		return
+	}
+	// Build the combined system: b's layout extended with ctx's divs, and
+	// the implication base of ctx constraints plus every div's defining
+	// bounds.
+	work := b.clone()
+	nOwn := len(work.cons)
+	work.embed(ctx, identityDimMap(ctx.ndim))
+	if len(work.cons) > gistMaxCons || work.ncols() > gistMaxCols {
+		return
+	}
+	base := make([]Constraint, 0, len(work.cons)-nOwn+2*len(work.divs))
+	for _, c := range work.cons[nOwn:] {
+		base = append(base, Constraint{C: fit(c.C, work.ncols()), Eq: c.Eq})
+	}
+	base = append(base, work.divBoundConstraints()...)
+	ncols := work.ncols()
+	cands := make([]Constraint, nOwn)
+	for i, c := range b.cons {
+		cands[i] = Constraint{C: fit(work.cons[i].C, ncols), Eq: c.Eq}
+	}
+	keep := gistFilter(base, ncols, cands)
+	kept := b.cons[:0]
+	for i, c := range b.cons {
+		if keep[i] {
+			kept = append(kept, c)
+		}
+	}
+	b.cons = kept
+}

@@ -54,7 +54,7 @@ func (b *basic) checkInvariants() error {
 		// and strictly earlier divs only. A self reference makes the div
 		// definition circular (the PR 3 projection bug class); a forward
 		// reference breaks every evaluator that computes div values left to
-		// right (divValue, evalColumns, the scanner).
+		// right (evalColumnsIntoTry, the scanner).
 		selfCol := b.divCol(i)
 		for j := selfCol; j < len(d.Num) && j < ncols; j++ {
 			if d.Num[j] != 0 {
@@ -257,16 +257,6 @@ func DebugAssertBasicMap(bm BasicMap, context string) {
 	}
 	if err := bm.CheckInvariants(); err != nil {
 		panic(fmt.Sprintf("presburger: invariant violation after %s: %v\n%s", context, err, bm))
-	}
-}
-
-// DebugAssertSet is DebugAssertBasicSet for unions of basic sets.
-func DebugAssertSet(s Set, context string) {
-	if !debugInvariants {
-		return
-	}
-	if err := s.CheckInvariants(); err != nil {
-		panic(fmt.Sprintf("presburger: invariant violation after %s: %v\n%s", context, err, s))
 	}
 }
 

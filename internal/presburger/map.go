@@ -200,15 +200,6 @@ func (bm BasicMap) FixInputDim(dim int, value int64) BasicMap {
 	return bm.AddConstraint(c)
 }
 
-// FixOutputDim returns the basic map with output dimension dim fixed to
-// value.
-func (bm BasicMap) FixOutputDim(dim int, value int64) BasicMap {
-	c := Constraint{C: NewVec(bm.b.ncols()), Eq: true}
-	c.C[0] = -value
-	c.C[1+bm.NIn()+dim] = 1
-	return bm.AddConstraint(c)
-}
-
 // PinnedInputDims returns, per input dimension, whether an equality
 // constraint pins it to a single constant, together with that constant
 // (see BasicSet.PinnedDims). Two basic maps pinning the same input
@@ -289,10 +280,6 @@ func (m Map) OutSpace() Space { return m.out }
 
 // Basics returns the basic maps whose union is m.
 func (m Map) Basics() []BasicMap { return append([]BasicMap(nil), m.basics...) }
-
-// IsEmptyUnion reports whether the map has no basic maps at all (it may also
-// be empty if every basic map is empty; see DefinitelyEmpty).
-func (m Map) IsEmptyUnion() bool { return len(m.basics) == 0 }
 
 // DefinitelyEmpty reports whether every basic map is detectably empty.
 func (m Map) DefinitelyEmpty() bool {

@@ -280,7 +280,7 @@ func (bs BasicSet) String() string {
 }
 
 // Set is a union of basic sets in the same space. The zero value is not
-// valid; use EmptySet or UniverseSet.
+// valid; use EmptySet or SetFromBasic.
 type Set struct {
 	space  Space
 	basics []BasicSet
@@ -288,11 +288,6 @@ type Set struct {
 
 // EmptySet returns the empty set of the space.
 func EmptySet(sp Space) Set { return Set{space: sp} }
-
-// UniverseSet returns the unconstrained set of the space.
-func UniverseSet(sp Space) Set {
-	return Set{space: sp, basics: []BasicSet{UniverseBasicSet(sp)}}
-}
 
 // SetFromBasic returns the set containing exactly the given basic set.
 func SetFromBasic(bs BasicSet) Set {
@@ -341,20 +336,6 @@ func (s Set) Intersect(o Set) Set {
 		}
 	}
 	return out.coalesce(false)
-}
-
-// AddConstraintAll adds a constraint to every basic set of s. The constraint
-// vector is interpreted over [const, dims...]; div columns must not be
-// referenced.
-func (s Set) AddConstraintAll(c Constraint) Set {
-	out := Set{space: s.space}
-	for _, b := range s.basics {
-		nb := b.AddConstraint(c)
-		if !nb.DefinitelyEmpty() {
-			out.basics = append(out.basics, nb)
-		}
-	}
-	return out
 }
 
 // DefinitelyEmpty reports whether every basic set is detectably empty.

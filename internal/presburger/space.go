@@ -74,15 +74,6 @@ func (s Space) String() string {
 	return fmt.Sprintf("%s(%s)", s.Name, strings.Join(s.Dims, ","))
 }
 
-// AnonymousSpace returns an unnamed space with n dimensions named d0..dn-1.
-func AnonymousSpace(n int) Space {
-	dims := make([]string, n)
-	for i := range dims {
-		dims[i] = fmt.Sprintf("d%d", i)
-	}
-	return Space{Name: "", Dims: dims}
-}
-
 // Vec is an affine row vector over the column layout of a basic set or map:
 // column 0 is the constant term, columns 1..ndim are the tuple dimensions,
 // and the remaining columns are the local div variables. A row may be
@@ -130,28 +121,4 @@ func (v Vec) Neg() Vec {
 		w[i] = -w[i]
 	}
 	return w
-}
-
-// AddScaled returns v + f*w. The vectors must have the same length.
-func (v Vec) AddScaled(w Vec, f int64) Vec {
-	if len(v) != len(w) {
-		panic("presburger: vector length mismatch")
-	}
-	r := v.Clone()
-	for i := range r {
-		r[i] += f * w[i]
-	}
-	return r
-}
-
-// Dot evaluates v at the column values in vals (same length).
-func (v Vec) Dot(vals []int64) int64 {
-	if len(v) != len(vals) {
-		panic("presburger: vector length mismatch in Dot")
-	}
-	var s int64
-	for i, c := range v {
-		s += c * vals[i]
-	}
-	return s
 }

@@ -8,11 +8,12 @@ import (
 // Bag evaluates the pointwise sum of a collection of summand pieces at many
 // points — the inner loop of set-associative miss classification, where the
 // pieces are the raw cardinality summands (counting.MapCardSummands) whose
-// sum is the within-set stack distance. Sum semantics: every piece whose
-// domain contains the point contributes; domains may overlap. Construction
-// precomputes a constant bounding box per piece (BasicSet.ConstBounds), so
-// the hot path rejects most pieces with a few integer comparisons instead
-// of a full div-evaluating membership test.
+// sum is the within-set stack distance, and the parametric model's capacity
+// miss counts (counting.CardBasicSetSummands). Sum semantics: every piece
+// whose domain contains the point contributes; domains may overlap.
+// Construction precomputes a constant bounding box per piece
+// (BasicSet.ConstBounds), so the hot path rejects most pieces with a few
+// integer comparisons instead of a full div-evaluating membership test.
 type Bag struct {
 	pieces []bagPiece
 }

@@ -26,17 +26,6 @@ func (p QPoly) AtomPoly(idx int) QPoly {
 	return out
 }
 
-// VarPoly returns the polynomial consisting of variable v, sharing p's atom
-// table so that atom indices remain stable under later operations.
-func (p QPoly) VarPoly(v int) QPoly {
-	out := Zero(p.NVar)
-	out.Atoms = append([]Atom(nil), p.Clone().Atoms...)
-	pw := make([]int, out.ncols())
-	pw[v] = 1
-	out.Terms = []Term{{Coef: ints.RatInt(1), Pow: pw}}
-	return out
-}
-
 // CoefficientsOfVar writes p as sum_k coeff_k * v^k where no coeff_k
 // references v directly. It requires that no atom of p depends on v (split
 // such atoms first); ok is false otherwise. The returned slice is indexed by

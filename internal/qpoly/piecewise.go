@@ -48,14 +48,6 @@ func (pw PwQPoly) Eval(point []int64) ints.Rat {
 // result.
 func (pw PwQPoly) EvalInt(point []int64) int64 { return pw.Eval(point).Int() }
 
-// AddPiece appends a piece (the caller is responsible for disjointness from
-// the existing pieces).
-func (pw PwQPoly) AddPiece(domain presburger.BasicSet, p QPoly) PwQPoly {
-	out := pw
-	out.Pieces = append(append([]Piece(nil), pw.Pieces...), Piece{Domain: domain, Poly: p})
-	return out
-}
-
 // Add returns the pointwise sum of two piecewise quasi-polynomials over the
 // same space. Piece domains are intersected and the non-overlapping parts of
 // either operand are kept as is, so the result remains a disjoint piecewise
@@ -272,74 +264,6 @@ func (pw PwQPoly) CoalescePieces() PwQPoly {
 		}
 	}
 	return out
-}
-
-// PwSum is a sum of piecewise quasi-polynomials: the value at a point is the
-// sum of the member values. Unlike PwQPoly.Add, which keeps pieces pairwise
-// disjoint by intersecting and subtracting domains (quadratic subtraction
-// work that explodes when many pieces overlap), a sum needs no domain
-// algebra at all — summands are just collected, and evaluation stays linear
-// in the total piece count. It is the representation of choice for large
-// accumulated counts, e.g. the parametric capacity miss counts of the cache
-// model. Add and AddSum have value semantics (they copy the term list);
-// hot accumulation loops that uniquely own the sum may append to Terms
-// directly.
-type PwSum struct {
-	Space presburger.Space
-	Terms []PwQPoly
-}
-
-// ZeroSum returns the empty sum on the space.
-func ZeroSum(sp presburger.Space) PwSum { return PwSum{Space: sp} }
-
-// Add appends a summand.
-func (s PwSum) Add(p PwQPoly) PwSum {
-	if !s.Space.Equal(p.Space) {
-		panic(fmt.Sprintf("qpoly: summing piecewise polynomials over %v and %v", s.Space, p.Space))
-	}
-	out := s
-	out.Terms = append(append([]PwQPoly(nil), s.Terms...), p)
-	return out
-}
-
-// AddSum appends all summands of another sum.
-func (s PwSum) AddSum(o PwSum) PwSum {
-	out := s
-	out.Terms = append(append([]PwQPoly(nil), s.Terms...), o.Terms...)
-	return out
-}
-
-// Eval evaluates the sum at a point.
-func (s PwSum) Eval(point []int64) ints.Rat {
-	total := ints.Rat{}
-	for _, t := range s.Terms {
-		total = total.Add(t.Eval(point))
-	}
-	return total
-}
-
-// EvalInt evaluates the sum and requires an integer result.
-func (s PwSum) EvalInt(point []int64) int64 { return s.Eval(point).Int() }
-
-// NumPieces returns the total piece count across all summands.
-func (s PwSum) NumPieces() int {
-	n := 0
-	for _, t := range s.Terms {
-		n += t.NumPieces()
-	}
-	return n
-}
-
-// String renders the sum as its summands joined by " + ".
-func (s PwSum) String() string {
-	if len(s.Terms) == 0 {
-		return fmt.Sprintf("{ %s -> 0 }", s.Space)
-	}
-	parts := make([]string, len(s.Terms))
-	for i, t := range s.Terms {
-		parts[i] = t.String()
-	}
-	return strings.Join(parts, " + ")
 }
 
 // Scale multiplies every piece by a constant.

@@ -39,7 +39,7 @@ func TestFloorAtomEval(t *testing.T) {
 	// p = x - 8*floor(x/8)  (i.e. x mod 8)
 	p := Var(1, 0).AddFloorTerm(ints.RatInt(-8), 0, []int64{1}, 8)
 	for x := int64(-10); x <= 20; x++ {
-		want := ints.Mod(x, 8)
+		want := x - 8*ints.FloorDiv(x, 8)
 		if got := p.EvalInt([]int64{x}); got != want {
 			t.Fatalf("x=%d: got %d want %d", x, got, want)
 		}
@@ -190,7 +190,7 @@ func TestSumOverRangeWithFloorBounds(t *testing.T) {
 		t.Fatal("sum failed")
 	}
 	for x := int64(0); x < 40; x++ {
-		want := ints.Mod(x, 8) + 1
+		want := x - 8*ints.FloorDiv(x, 8) + 1
 		if got := s.EvalInt([]int64{x, 0}); got != want {
 			t.Fatalf("x=%d: got %d want %d", x, got, want)
 		}
@@ -242,4 +242,74 @@ func TestIsConstant(t *testing.T) {
 	if !ok || !z.IsZero() {
 		t.Fatal("zero not recognized")
 	}
+}
+
+// FloorOf returns the quasi-polynomial floor(p / den) when p has integer
+// coefficients and is affine over variables and atoms; ok is false otherwise.
+func FloorOf(p QPoly, den int64) (QPoly, bool) {
+	if den <= 0 {
+		return QPoly{}, false
+	}
+	if p.Degree() > 1 {
+		return QPoly{}, false
+	}
+	out := Zero(p.NVar)
+	out.Atoms = append([]Atom(nil), p.Clone().Atoms...)
+	num := make([]int64, 1+out.ncols())
+	for _, t := range p.Terms {
+		if !t.Coef.IsInt() {
+			return QPoly{}, false
+		}
+		col := -1
+		for j, e := range t.Pow {
+			if e > 0 {
+				col = j
+			}
+		}
+		if col < 0 {
+			num[0] += t.Coef.Int()
+		} else {
+			num[1+col] += t.Coef.Int()
+		}
+	}
+	idx := out.atomIndex(Atom{Num: num, Den: den})
+	pw := make([]int, out.ncols())
+	pw[out.NVar+idx] = 1
+	out.Terms = append(out.Terms, Term{Coef: ints.RatInt(1), Pow: pw})
+	return out.normalize(), true
+}
+
+// AddFloorTerm returns p + coef*floor(affArg/den) where affArg is an affine
+// expression over the variables given as [const, coeffs...].
+func (p QPoly) AddFloorTerm(coef ints.Rat, c0 int64, coeffs []int64, den int64) QPoly {
+	out := p.Clone()
+	num := make([]int64, 1+out.ncols())
+	num[0] = c0
+	for i, c := range coeffs {
+		num[1+i] = c
+	}
+	idx := out.atomIndex(Atom{Num: num, Den: den})
+	pw := make([]int, out.ncols())
+	pw[out.NVar+idx] = 1
+	out.Terms = append(out.Terms, Term{Coef: coef, Pow: pw})
+	return out.normalize()
+}
+
+// DegreeInVar returns the degree of p in variable v, counting atoms whose
+// argument references v as contributing their power as well.
+func (p QPoly) DegreeInVar(v int) int {
+	dep := p.atomDependsOnVar(v)
+	deg := 0
+	for _, t := range p.Terms {
+		d := t.Pow[v]
+		for j := p.NVar; j < len(t.Pow); j++ {
+			if dep[j-p.NVar] {
+				d += t.Pow[j]
+			}
+		}
+		if d > deg {
+			deg = d
+		}
+	}
+	return deg
 }

@@ -132,10 +132,6 @@ func (pr Profile) CapacityMissesFor(lines int64) int64 {
 	return pr.MissesForCapacity(lines) - pr.Compulsory
 }
 
-// DistinctLines returns the number of distinct lines in the trace (equal to
-// the number of compulsory misses).
-func (pr Profile) DistinctLines() int64 { return pr.Compulsory }
-
 // ProfileProgram replays the trace of a compiled program at the given cache
 // line size and returns its stack distance profile.
 func ProfileProgram(cp *scop.CompiledProgram, lineSize int64) Profile {

@@ -152,3 +152,7 @@ func TestProfileProgram(t *testing.T) {
 		t.Fatalf("misses at capacity 16 = %d, want 96", pr.MissesForCapacity(16))
 	}
 }
+
+// DistinctLines returns the number of distinct lines in the trace (equal to
+// the number of compulsory misses).
+func (pr Profile) DistinctLines() int64 { return pr.Compulsory }

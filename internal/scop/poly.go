@@ -254,15 +254,6 @@ func buildStatement(ps *PolyStatement, schedDim int, params []string, context []
 	return nil
 }
 
-// IterationDomain returns the union of the statement iteration domains.
-func (info *PolyInfo) IterationDomain() presburger.UnionSet {
-	u := presburger.NewUnionSet()
-	for _, s := range info.Statements {
-		u = u.Add(s.Domain)
-	}
-	return u
-}
-
 // Schedule returns the union schedule map of the program.
 func (info *PolyInfo) Schedule() presburger.UnionMap {
 	u := presburger.NewUnionMap()
@@ -270,12 +261,6 @@ func (info *PolyInfo) Schedule() presburger.UnionMap {
 		u = u.Add(s.Schedule)
 	}
 	return u
-}
-
-// AccessMap returns the union access map at array element granularity:
-// statement instances (with their access dimension) to array elements.
-func (info *PolyInfo) AccessMap() presburger.UnionMap {
-	return info.accessMap(0)
 }
 
 // LineAccessMap returns the union access map at cache line granularity for

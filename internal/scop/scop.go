@@ -367,17 +367,6 @@ func (s *StatementInstance) LoopVars() []string {
 	return out
 }
 
-// MaxDepth returns the maximum statement nesting depth of the program.
-func (p *Program) MaxDepth() int {
-	d := 0
-	for _, s := range p.Statements() {
-		if s.Depth() > d {
-			d = s.Depth()
-		}
-	}
-	return d
-}
-
 // Validate checks structural invariants of the program: unique statement
 // names, subscript arities matching array ranks, and accesses referencing
 // declared arrays.

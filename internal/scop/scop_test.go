@@ -2,6 +2,9 @@ package scop
 
 import (
 	"testing"
+
+	"haystack/internal/ints"
+	"haystack/internal/presburger"
 )
 
 // paperExample builds the example program of Figure 2 of the paper:
@@ -275,4 +278,40 @@ func TestTriangularLoopTrace(t *testing.T) {
 	if n != 15 {
 		t.Fatalf("triangular domain = %d, want 15", n)
 	}
+}
+
+// MaxDepth returns the maximum statement nesting depth of the program.
+func (p *Program) MaxDepth() int {
+	d := 0
+	for _, s := range p.Statements() {
+		if s.Depth() > d {
+			d = s.Depth()
+		}
+	}
+	return d
+}
+
+// AccessMap returns the union access map at array element granularity:
+// statement instances (with their access dimension) to array elements.
+func (info *PolyInfo) AccessMap() presburger.UnionMap {
+	return info.accessMap(0)
+}
+
+// TotalBytes returns the footprint of the layout.
+func (l *Layout) TotalBytes(p *Program) int64 {
+	var end int64
+	for _, a := range p.Arrays {
+		strides := l.strides[a.Name]
+		size := strides[0] * a.Dims[0]
+		if len(a.Dims) == 1 {
+			size = a.Dims[0] * a.Elem
+			if l.Kind == LayoutPadded {
+				size = ints.CeilDiv(size, l.LineSize) * l.LineSize
+			}
+		}
+		if l.bases[a.Name]+size > end {
+			end = l.bases[a.Name] + size
+		}
+	}
+	return end
 }

@@ -73,9 +73,6 @@ func (info *PolyInfo) SetPartition(lineSize, numSets int64) (*SetPartition, erro
 	return sp, nil
 }
 
-// NumSets returns the number of cache sets of the partition.
-func (sp *SetPartition) NumSets() int64 { return sp.numSets }
-
 // ArrayResidue returns the subset of the given line-granularity array space
 // (outer dimensions plus the trailing "line" dimension, as produced by
 // LineAccessMap) whose lines map to cache set s. The numSets residues

@@ -66,25 +66,6 @@ func (l *Layout) Base(a *Array) int64 { return l.bases[a.Name] }
 // Strides returns the byte stride of every dimension of an array.
 func (l *Layout) Strides(a *Array) []int64 { return l.strides[a.Name] }
 
-// TotalBytes returns the footprint of the layout.
-func (l *Layout) TotalBytes(p *Program) int64 {
-	var end int64
-	for _, a := range p.Arrays {
-		strides := l.strides[a.Name]
-		size := strides[0] * a.Dims[0]
-		if len(a.Dims) == 1 {
-			size = a.Dims[0] * a.Elem
-			if l.Kind == LayoutPadded {
-				size = ints.CeilDiv(size, l.LineSize) * l.LineSize
-			}
-		}
-		if l.bases[a.Name]+size > end {
-			end = l.bases[a.Name] + size
-		}
-	}
-	return end
-}
-
 // MemRef is one dynamic memory access of the program trace.
 type MemRef struct {
 	Addr  int64
