@@ -8,8 +8,11 @@
 // The implementation pins output dimensions one at a time to their binding
 // lower bound, splitting the domain on which bound dominates, and then
 // combines the per-basic-map minima by comparing candidate solutions and
-// subtracting domains. Relations outside the supported quasi-affine fragment
-// report ErrUnsupported so callers can fall back to enumeration.
+// subtracting domains. Both stages run on a parwork executor: one item per
+// basic map for the minima, one item per chamber (a group of candidates
+// whose domains may overlap) for the combination. Relations outside the
+// supported quasi-affine fragment report ErrUnsupported so callers can fall
+// back to enumeration.
 package lexmin
 
 import (
@@ -32,10 +35,11 @@ var ErrUnsupported = errors.New("lexmin: outside supported fragment")
 // dependent (ties go to the earlier relation). The combination is domain
 // partitioned: candidates whose domains provably never overlap (different
 // statements of a schedule space pin different constant dimensions) are
-// folded in independent chambers and the chamber results are concatenated.
-// Cross-chamber combineMin calls would degenerate to plain unions, so
-// skipping them changes nothing semantically while removing the all-pairs
-// subtraction cascade that made triangular kernels intractable.
+// folded in independent chambers and the chamber results are concatenated
+// in chamber order. Cross-chamber combineMin calls would degenerate to plain
+// unions, so skipping them changes nothing semantically while removing the
+// all-pairs subtraction cascade that made triangular kernels intractable.
+// Each chamber folds its candidates sequentially in their original order.
 func MapLexmin(m presburger.Map) (presburger.Map, error) {
 	return mapLexmin(context.Background(), m, parwork.InlineExec())
 }
@@ -45,23 +49,27 @@ func mapLexmin(ctx context.Context, m presburger.Map, ex parwork.Exec) (presburg
 	if err != nil {
 		return presburger.Map{}, err
 	}
-	result := presburger.EmptyMap(m.InSpace(), m.OutSpace())
-	first := true
-	for _, group := range partitionByDomain(candidates) {
-		folded, err := foldMin(ctx, group)
-		if err != nil {
-			return presburger.Map{}, err
-		}
-		if len(folded.Basics()) == 0 {
-			continue
-		}
-		if first {
-			result = folded
-			first = false
-			continue
-		}
-		result = result.Union(folded)
+	// One work item per chamber; RunGroup claims items in index order and
+	// reports the lowest-index failure, so a failing fold reports the error
+	// a sequential fold over the chambers would.
+	chambers := partitionByDomain(candidates)
+	folded := make([]presburger.Map, len(chambers))
+	err = ex.RunGroup(ctx, len(chambers), func(_ *parwork.Worker, idx int) error {
+		f, err := foldMin(ctx, chambers[idx])
+		folded[idx] = f
+		return err
+	})
+	if err != nil {
+		return presburger.Map{}, err
 	}
+	var basics []presburger.BasicMap
+	for _, f := range folded {
+		basics = append(basics, f.Basics()...)
+	}
+	if len(basics) == 0 {
+		return presburger.EmptyMap(m.InSpace(), m.OutSpace()), nil
+	}
+	result := presburger.MapFromBasics(basics...)
 	presburger.DebugAssertMap(result, "lexmin")
 	return result, nil
 }
@@ -167,13 +175,14 @@ func partitionByDomain(candidates []presburger.Map) [][]presburger.Map {
 
 // MapLexmaxExec returns the relation mapping every input point of m to the
 // lexicographically largest related output point, with the per-basic-map
-// maxima scheduled on the given executor. When ex is a Worker inside a
-// running pool, the basic maps become splittable work units that idle
-// workers steal. The computation checks ctx between basic maps, between fold
-// steps, and between the output dimensions of each per-basic-map extremum,
-// and returns the context error promptly. The combining fold stays
-// sequential in the original order (see MapLexmin), so the result is
-// bit-identical for every executor shape.
+// maxima and the per-chamber folds scheduled on the given executor. When ex
+// is a Worker inside a running pool, the basic maps and the chambers become
+// splittable work units that idle workers steal. The computation checks ctx
+// between basic maps, between chambers, between fold steps, and between the
+// output dimensions of each per-basic-map extremum, and returns the context
+// error promptly. Each chamber folds sequentially in the original candidate
+// order and the chambers are joined in chamber order (see MapLexmin), so the
+// result is bit-identical for every executor shape.
 func MapLexmaxExec(ctx context.Context, m presburger.Map, ex parwork.Exec) (presburger.Map, error) {
 	neg := negateOutputs(m)
 	mn, err := mapLexmin(ctx, neg, ex)

@@ -2,9 +2,11 @@ package lexmin
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"haystack/internal/parwork"
 	"haystack/internal/presburger"
@@ -491,4 +493,85 @@ func TestLexminWorkerCountDoesNotChangeResult(t *testing.T) {
 	if mx.String() != seqMax.String() {
 		t.Fatalf("lexmax differs between worker counts:\nparallel:   %s\nsequential: %s", mx.String(), seqMax.String())
 	}
+
+	t.Run("chambers", func(t *testing.T) {
+		// The chambers fold on the executor, one item each; the joined
+		// result must not depend on which worker folded which chamber.
+		m := chamberMap()
+		cands, err := lexminCandidates(context.Background(), negateOutputs(m), parwork.InlineExec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		chambers := partitionByDomain(cands)
+		if len(chambers) < 3 {
+			t.Fatalf("fixture folds in %d chambers, want at least 3", len(chambers))
+		}
+		for i, ch := range chambers {
+			if len(ch) < 2 {
+				t.Fatalf("chamber %d holds %d candidates, want at least 2", i, len(ch))
+			}
+		}
+		checkLexmin(t, m, 2)
+		want, err := MapLexmaxExec(context.Background(), m, parwork.InlineExec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 4, 8} {
+			pool := parwork.NewPool(workers)
+			got, err := MapLexmaxExec(context.Background(), m, pool)
+			pool.Close()
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("workers=%d: lexmax differs\npool:   %s\ninline: %s", workers, got, want)
+			}
+		}
+	})
+
+	t.Run("cancelled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		for _, workers := range []int{1, 2, 8} {
+			ex, release := parwork.NewExec(workers)
+			done := make(chan error, 1)
+			go func() {
+				_, err := MapLexmaxExec(ctx, chamberMap(), ex)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				release()
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("workers=%d: MapLexmaxExec on a cancelled context did not return", workers)
+			}
+		}
+	})
+}
+
+// chamberMap is a relation S(c, j) -> T(c2, j2) whose candidates fall into
+// three chambers (c pinned to 0, 1 and 2). Each chamber holds two
+// single-valued candidates, j2 = 7 + c - j on 0 <= j <= 7 and j2 = j + c on
+// 2 <= j <= 9, which overlap on 2 <= j <= 7 and cross at j = 3 or 4, so
+// every chamber's lexmin and lexmax fold does real combineMin work.
+func chamberMap() presburger.Map {
+	s := presburger.NewSpace("S", "c", "j")
+	o := presburger.NewSpace("T", "c2", "j2")
+	var bms []presburger.BasicMap
+	for c := int64(0); c < 3; c++ {
+		for _, p := range []struct{ lo, hi, a, b int64 }{{0, 7, -1, 7 + c}, {2, 9, 1, c}} {
+			bm := presburger.UniverseBasicMap(s, o)
+			w := bm.NCols()
+			bm = bm.AddConstraint(eq(w, -c, 1, 0, 0, 0))
+			bm = bm.AddConstraint(eq(w, 0, 1, 0, -1, 0))
+			bm = bm.AddConstraint(ineq(w, -p.lo, 0, 1, 0, 0))
+			bm = bm.AddConstraint(ineq(w, p.hi, 0, -1, 0, 0))
+			bm = bm.AddConstraint(eq(w, p.b, 0, p.a, 0, -1))
+			bms = append(bms, bm)
+		}
+	}
+	return presburger.MapFromBasics(bms...)
 }

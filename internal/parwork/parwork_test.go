@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // runN runs fn over n items on a fresh executor of the given parallelism,
@@ -139,6 +140,14 @@ func TestPanicRecoveredAsTypedError(t *testing.T) {
 			ran.Add(1)
 			if item == 7 {
 				panic("kaboom")
+			}
+			if item > 7 {
+				// Items after the panicking one take a moment, so the
+				// siblings cannot drain the whole group while the panic is
+				// still being recovered and recorded; without the pause the
+				// check below failed in several percent of runs on a loaded
+				// 2-CPU machine.
+				time.Sleep(time.Millisecond)
 			}
 			return nil
 		})

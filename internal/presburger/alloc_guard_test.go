@@ -3,12 +3,12 @@ package presburger
 import "testing"
 
 // TestSimplifyDedupAllocBudget pins the allocation count of the clone +
-// simplify hot path that BenchmarkSimplifyDedup measures. The slab clone and
-// the pooled simplify scratch brought it to ~24 allocs/op; the budget of 30
-// leaves headroom for toolchain noise while failing loudly on a regression
-// to per-vector allocation (hundreds per op). Skipped under the race
-// detector and the haystackdebug invariant build, whose instrumentation
-// allocates on its own.
+// simplify hot path that BenchmarkSimplifyDedup measures. The slab clone,
+// the pooled simplify scratch and in-place constraint normalization brought
+// it to ~11 allocs/op; the budget of 16 leaves headroom for toolchain noise
+// while failing loudly on a regression to per-vector allocation (hundreds
+// per op). Skipped under the race detector and the haystackdebug invariant
+// build, whose instrumentation allocates on its own.
 func TestSimplifyDedupAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -23,8 +23,33 @@ func TestSimplifyDedupAllocBudget(t *testing.T) {
 			panic("benchmark basic should stay feasible")
 		}
 	})
-	if allocs > 30 {
-		t.Errorf("clone+simplify = %.1f allocs/op, budget is 30", allocs)
+	if allocs > 16 {
+		t.Errorf("clone+simplify = %.1f allocs/op, budget is 16", allocs)
+	}
+}
+
+// TestDefinitelyEmptyAllocBudget pins the allocation count of
+// DefinitelyEmpty on a div-bearing basic (BenchmarkDefinitelyEmpty). The
+// copy, the elimination rows and the round headers come from pooled
+// scratch, so what allocates in steady state is simplify's dedup maps and
+// closures: 13 allocs/op, against 42 when every row and header was a heap
+// allocation. The budget of 18 leaves headroom for toolchain noise.
+// Skipped like the budgets above.
+func TestDefinitelyEmptyAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	if debugInvariants {
+		t.Skip("invariant assertions allocate; budget holds for normal builds only")
+	}
+	bs := BasicSet{space: NewSpace("S", "i", "j", "k"), b: *emptinessBasic()}
+	allocs := testing.AllocsPerRun(200, func() {
+		if bs.DefinitelyEmpty() {
+			panic("emptinessBasic should stay feasible")
+		}
+	})
+	if allocs > 18 {
+		t.Errorf("DefinitelyEmpty = %.1f allocs/op, budget is 18", allocs)
 	}
 }
 

@@ -17,16 +17,21 @@ import (
 //     as zero;
 //   - a write copies a row at most once, and only a row whose coefficient
 //     at the rewritten column is non-zero;
-//   - dropColumn compacts every row in place within its own slab window.
+//   - dropColumn compacts every row in place within its own slab window;
+//   - normalizeConstraint divides a row by its gcd in place.
 //
 // Third, the transient scratch of the innermost loops (simplify's
-// per-column bound tracking, point evaluation during enumeration) is
-// recycled through free lists.
+// per-column bound tracking, point evaluation during enumeration) and of
+// the yes/no predicates (the emptiness check behind DefinitelyEmpty,
+// rationalFeasible, the coalescer's budgeted Fourier–Motzkin implication
+// test: their throwaway copy, every elimination row and the round headers,
+// see predScratch) is recycled through free lists.
 //
 // Ownership rule for scratch: a buffer obtained from a free list never
 // escapes the call that got it — anything that must outlive the call is
-// cloned into fresh memory first. Callers of the public API never see
-// arena-backed memory.
+// cloned into fresh memory first, and a buffer grown past its size limit
+// is dropped instead of returned to the list. Callers of the public API
+// never see arena-backed memory.
 
 // Process-wide free-list effectiveness counters, atomically maintained so
 // concurrent workers can share the free lists. A hit is a buffer served
@@ -109,3 +114,112 @@ func getCols(n int) *[]int64 {
 }
 
 func putCols(p *[]int64) { colsPool.Put(p) }
+
+// predScratch is the working memory of one yes/no predicate
+// (isObviouslyEmpty, rationalFeasible, budgetedInfeasible): the throwaway
+// clone's rows and every Fourier–Motzkin row are carved from one slab, the
+// elimination rounds alternate between two header buffers, and the clone's
+// headers have buffers of their own. The predicate puts the scratch back
+// before it returns, so nothing carved from it outlives the call. A nil
+// *predScratch allocates every row and header on the heap, for callers
+// that keep what the elimination derives (the scanner).
+type predScratch struct {
+	slab []int64 // rows are carved from slab[used:]
+	used int
+	hdr  [2][]Constraint
+	next int // index of the header buffer the next round fills
+	divs []Div
+	cons []Constraint
+}
+
+// Size limits of what a pooled predScratch keeps: a slab or header buffer
+// grown past them by an outsized system is dropped on put, so one
+// pathological elimination does not pin its memory in the pool.
+const (
+	maxScratchWords = 1 << 16
+	maxScratchRows  = 1 << 12
+)
+
+var predPool = sync.Pool{New: func() any { return new(predScratch) }}
+
+// getPredScratch returns an empty scratch. Reusing a pooled slab counts as
+// an arena hit; every slab allocation counts as a miss (see vec).
+func getPredScratch() *predScratch {
+	s := predPool.Get().(*predScratch)
+	if len(s.slab) > 0 {
+		arenaHits.Add(1)
+	}
+	return s
+}
+
+func putPredScratch(s *predScratch) {
+	if len(s.slab) > maxScratchWords {
+		s.slab = nil
+	}
+	s.used = 0
+	for i, h := range s.hdr {
+		if cap(h) > maxScratchRows {
+			s.hdr[i] = nil
+		}
+	}
+	if cap(s.cons) > maxScratchRows {
+		s.cons = nil
+	}
+	predPool.Put(s)
+}
+
+// vec returns a zeroed row of width n whose capacity is clamped to n, so an
+// append reallocates instead of growing into the next row.
+func (s *predScratch) vec(n int) Vec {
+	if s == nil {
+		return NewVec(n)
+	}
+	if s.used+n > len(s.slab) {
+		// Rows already handed out keep the old slab alive; the new one is
+		// at least twice as large, so a call grows it O(log) times.
+		arenaMisses.Add(1)
+		s.slab = make([]int64, max(2*len(s.slab), n, 1024))
+		s.used = 0
+	}
+	v := s.slab[s.used : s.used+n : s.used+n]
+	s.used += n
+	clear(v)
+	return v
+}
+
+// header returns an empty constraint header with capacity n, alternating
+// between the two buffers: a round reads the header the previous round
+// filled and fills the other one.
+func (s *predScratch) header(n int) []Constraint {
+	if s == nil {
+		return make([]Constraint, 0, n)
+	}
+	i := s.next
+	s.next ^= 1
+	if cap(s.hdr[i]) < n {
+		s.hdr[i] = make([]Constraint, 0, max(n, 64))
+	}
+	return s.hdr[i][:0]
+}
+
+// cloneHeaders returns the div and constraint headers of a copy with nd
+// divs and nc constraints. With a nil s they are fresh, and nil when
+// empty.
+func (s *predScratch) cloneHeaders(nd, nc int) (divs []Div, cons []Constraint) {
+	if s == nil {
+		if nd > 0 {
+			divs = make([]Div, nd)
+		}
+		if nc > 0 {
+			cons = make([]Constraint, nc)
+		}
+		return divs, cons
+	}
+	if cap(s.divs) < nd {
+		s.divs = make([]Div, nd)
+	}
+	if cap(s.cons) < nc {
+		s.cons = make([]Constraint, nc)
+	}
+	return s.divs[:nd], s.cons[:nc]
+}

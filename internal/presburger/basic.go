@@ -62,7 +62,7 @@ func (b *basic) divCol(i int) int { return 1 + b.ndim + i }
 func (b *basic) dimCol(i int) int { return 1 + i }
 
 // clone deep-copies b (see newBasicFrom), padding every row to ncols.
-func (b *basic) clone() basic { return newBasicFrom(b.ndim, b.divs, b.cons) }
+func (b *basic) clone() basic { return newBasicFrom(nil, b.ndim, b.divs, b.cons) }
 
 // newBasicFrom builds a basic over ndim dimensions that owns copies of the
 // given rows, each padded (or truncated) to the basic's width. All rows are
@@ -72,27 +72,25 @@ func (b *basic) clone() basic { return newBasicFrom(b.ndim, b.divs, b.cons) }
 // dropColumn's compaction) stay within the row's own window. This keeps
 // clone at O(1) allocations instead of one per constraint and div — by far
 // the dominant allocation site of the simplify/coalesce/gist pipeline.
-func newBasicFrom(ndim int, divs []Div, cons []Constraint) basic {
+//
+// With a non-nil s the slab and the headers are taken from the scratch
+// instead, for a copy that must not outlive the predicate holding s.
+func newBasicFrom(s *predScratch, ndim int, divs []Div, cons []Constraint) basic {
 	b := basic{ndim: ndim}
 	n := 1 + ndim + len(divs)
-	slab := make([]int64, n*(len(divs)+len(cons)))
+	slab := s.vec(n * (len(divs) + len(cons)))
 	row := func(v Vec) Vec {
 		dst := slab[:n:n]
 		slab = slab[n:]
 		copy(dst, v)
 		return dst
 	}
-	if len(divs) > 0 {
-		b.divs = make([]Div, len(divs))
-		for i, d := range divs {
-			b.divs[i] = Div{Num: row(d.Num), Den: d.Den}
-		}
+	b.divs, b.cons = s.cloneHeaders(len(divs), len(cons))
+	for i, d := range divs {
+		b.divs[i] = Div{Num: row(d.Num), Den: d.Den}
 	}
-	if len(cons) > 0 {
-		b.cons = make([]Constraint, len(cons))
-		for i, c := range cons {
-			b.cons[i] = Constraint{C: row(c.C), Eq: c.Eq}
-		}
+	for i, c := range cons {
+		b.cons[i] = Constraint{C: row(c.C), Eq: c.Eq}
 	}
 	return b
 }
@@ -282,34 +280,27 @@ func (b *basic) containsBig(point []int64) bool {
 }
 
 // normalizeConstraint divides a constraint by the gcd of its non-constant
-// coefficients and tightens the constant term of inequalities.
-func normalizeConstraint(c Constraint) Constraint {
+// coefficients and tightens the constant term of inequalities. It rewrites
+// the row in place, so the caller must own it: a row of a basic being
+// simplified or projected, or a row the caller has just built.
+func normalizeConstraint(c Constraint) {
 	var g int64
 	for _, x := range c.C[1:] {
 		g = ints.GCD(g, x)
 	}
-	if g == 0 {
-		return c
+	// An equality whose gcd does not divide the constant has no integer
+	// solution; it stays unscaled so simplify detects the emptiness.
+	if g <= 1 || c.Eq && c.C[0]%g != 0 {
+		return
 	}
-	if g > 1 {
-		out := c.Clone()
-		for i := 1; i < len(out.C); i++ {
-			out.C[i] /= g
-		}
-		if c.Eq {
-			// g must divide the constant for solutions to exist; if it does
-			// not, leave the constraint unscaled (it will make the basic
-			// set empty, which simplify detects elsewhere).
-			if c.C[0]%g != 0 {
-				return c
-			}
-			out.C[0] = c.C[0] / g
-		} else {
-			out.C[0] = ints.FloorDiv(c.C[0], g)
-		}
-		return out
+	for i := 1; i < len(c.C); i++ {
+		c.C[i] /= g
 	}
-	return c
+	if c.Eq {
+		c.C[0] /= g
+	} else {
+		c.C[0] = ints.FloorDiv(c.C[0], g)
+	}
 }
 
 // normalizeDivs simplifies div definitions: common factors between the
@@ -418,7 +409,7 @@ func (b *basic) simplify() bool {
 	}
 	out := b.cons[:0]
 	for _, c := range b.cons {
-		c = normalizeConstraint(c)
+		normalizeConstraint(c)
 		nonconst := false
 		for _, x := range c.C[1:] {
 			if x != 0 {

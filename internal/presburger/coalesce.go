@@ -343,7 +343,7 @@ func semanticallyContains(sup, sub *coalEntry, maxMissing int) bool {
 	if len(missingIdx) == 0 {
 		return true // syntactic subset (caller usually caught this)
 	}
-	base := sub.b.materializedConstraints()
+	base := sub.b.materializedConstraints(nil)
 	ncols := sub.b.ncols()
 	for _, idx := range missingIdx {
 		if !impliedByRational(base, sup.b.cons[idx], ncols) {
@@ -385,27 +385,9 @@ func impliedIneq(cons []Constraint, e Vec, sign int64, ncols int) bool {
 // gives up and reports false (feasible), which is always safe for the
 // callers (they simply skip a merge or keep a constraint).
 func budgetedInfeasible(cons []Constraint, ncols int) bool {
-	if hasDivisibilityContradiction(cons) {
-		return true
-	}
-	for col := ncols - 1; col >= 1; col-- {
-		cons = rationalEliminate(cons, col)
-		if hasDivisibilityContradiction(cons) {
-			return true
-		}
-		if len(cons) > implicationBudget {
-			return false
-		}
-	}
-	for _, c := range cons {
-		if c.Eq && c.C[0] != 0 {
-			return true
-		}
-		if !c.Eq && c.C[0] < 0 {
-			return true
-		}
-	}
-	return false
+	sc := getPredScratch()
+	defer putPredScratch(sc)
+	return fmInfeasible(sc, cons, ncols, implicationBudget)
 }
 
 // entryExtras returns the indices of constraints of a that are not present
@@ -677,7 +659,7 @@ func (b *basic) removeRedundantCons() {
 				rest = append(rest, Constraint{C: fit(o.C, b.ncols()), Eq: o.Eq})
 			}
 		}
-		rest = append(rest, b.divBoundConstraints()...)
+		rest = b.appendDivBounds(rest, nil)
 		if impliedByRational(rest, c, b.ncols()) {
 			b.cons = append(b.cons[:i], b.cons[i+1:]...)
 			coalesceRedundantHits.Add(1)

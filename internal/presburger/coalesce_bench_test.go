@@ -59,3 +59,38 @@ func BenchmarkDropColumnSubstitute(b *testing.B) {
 		}
 	}
 }
+
+// emptinessBasic is a non-empty basic over (i, j, k) with the cache-line
+// div floor(j/8): k lies after j on j's line and i is bounded by both, the
+// shape of a previous-access piece. No constraint is redundant enough for
+// simplify to decide it, so DefinitelyEmpty runs the full Fourier–Motzkin
+// elimination.
+func emptinessBasic() *basic {
+	b := &basic{ndim: 3}
+	b.divs = []Div{{Num: Vec{0, 0, 1, 0, 0}, Den: 8}}
+	b.cons = []Constraint{
+		{C: Vec{0, 1, 0, 0, 0}},    // i >= 0
+		{C: Vec{31, -1, 0, 0, 0}},  // i <= 31
+		{C: Vec{0, 0, 1, 0, 0}},    // j >= 0
+		{C: Vec{31, 0, -1, 0, 0}},  // j <= 31
+		{C: Vec{-1, 0, -1, 1, 0}},  // k >= j + 1
+		{C: Vec{0, 0, 0, 1, -8}},   // k >= 8e
+		{C: Vec{7, 0, 0, -1, 8}},   // k <= 8e + 7
+		{C: Vec{40, -1, -1, 0, 0}}, // i + j <= 40
+		{C: Vec{0, -1, 0, 2, 0}},   // i <= 2k
+	}
+	return b
+}
+
+// BenchmarkDefinitelyEmpty measures the emptiness check every set operation
+// prunes with: a copy, simplify and rational Fourier–Motzkin over all
+// columns, all in pooled scratch.
+func BenchmarkDefinitelyEmpty(b *testing.B) {
+	bs := BasicSet{space: NewSpace("S", "i", "j", "k"), b: *emptinessBasic()}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if bs.DefinitelyEmpty() {
+			b.Fatal("benchmark basic should stay feasible")
+		}
+	}
+}

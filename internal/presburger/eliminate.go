@@ -32,7 +32,7 @@ func (b *basic) eliminateDimCol(col int) error {
 	// element size in cache line constraints) do not obscure unit
 	// coefficients.
 	for i := range b.cons {
-		b.cons[i] = normalizeConstraint(b.cons[i])
+		normalizeConstraint(b.cons[i])
 	}
 	if !b.usesColumn(col) {
 		b.dropColumn(col)

@@ -18,27 +18,34 @@ const maxFMConstraints = 512
 // that divs can be treated as ordinary rational variables. Every row is
 // ncols wide. Constraint rows of that width are shared with b, not copied:
 // the consumers (rational elimination, the scanner, gist filtering) only
-// read them and build new rows for what they derive.
-func (b *basic) materializedConstraints() []Constraint {
-	out := make([]Constraint, 0, len(b.cons)+2*len(b.divs))
+// read them and build new rows for what they derive. The header and the
+// new rows come from sc (the heap when sc is nil).
+func (b *basic) materializedConstraints(sc *predScratch) []Constraint {
+	n := b.ncols()
+	out := sc.header(len(b.cons) + 2*len(b.divs))
 	for _, c := range b.cons {
-		out = append(out, Constraint{C: fit(c.C, b.ncols()), Eq: c.Eq})
+		row := c.C
+		if len(row) != n {
+			row = sc.vec(n)
+			copy(row, c.C)
+		}
+		out = append(out, Constraint{C: row, Eq: c.Eq})
 	}
-	return append(out, b.divBoundConstraints()...)
+	return b.appendDivBounds(out, sc)
 }
 
-// divBoundConstraints returns the defining bounds of every div
-// (den*d <= num <= den*d + den - 1) as fresh ncols-wide constraints.
-func (b *basic) divBoundConstraints() []Constraint {
+// appendDivBounds appends the defining bounds of every div
+// (den*d <= num <= den*d + den - 1) to out as fresh ncols-wide rows taken
+// from sc (the heap when sc is nil).
+func (b *basic) appendDivBounds(out []Constraint, sc *predScratch) []Constraint {
 	n := b.ncols()
-	out := make([]Constraint, 0, 2*len(b.divs))
 	for i, d := range b.divs {
 		col := b.divCol(i)
 		num := clip(d.Num, n)
-		lower := NewVec(n) // num - den*d >= 0
+		lower := sc.vec(n) // num - den*d >= 0
 		copy(lower, num)
 		lower[col] -= d.Den
-		upper := NewVec(n) // den*d + den - 1 - num >= 0
+		upper := sc.vec(n) // den*d + den - 1 - num >= 0
 		for j, x := range num {
 			upper[j] = -x
 		}
@@ -52,13 +59,16 @@ func (b *basic) divBoundConstraints() []Constraint {
 // rationalEliminate removes the given column from the constraint system by
 // rational Gaussian/Fourier–Motzkin elimination. The result is implied by
 // the input (it is the rational shadow), so it is sound for pruning and for
-// bound computation but not necessarily exact over the integers.
-func rationalEliminate(cons []Constraint, col int) []Constraint {
+// bound computation but not necessarily exact over the integers. The input
+// rows are only read: rows without the column pass through shared, and
+// every combination is a fresh row from sc (the heap when sc is nil),
+// normalized in place.
+func rationalEliminate(sc *predScratch, cons []Constraint, col int) []Constraint {
 	// Prefer an equality pivot.
 	for i, c := range cons {
 		if c.Eq && c.C[col] != 0 && c.C[col] != math.MinInt64 {
 			pivot := c
-			out := make([]Constraint, 0, len(cons)-1)
+			out := sc.header(len(cons) - 1)
 			for j, o := range cons {
 				if j == i {
 					continue
@@ -80,8 +90,8 @@ func rationalEliminate(cons []Constraint, col int) []Constraint {
 					// Negating a would wrap; drop the combination (weakening).
 					continue
 				}
-				nc, ok := combineChecked(scale, o.C, f, pivot.C)
-				if !ok {
+				nc := sc.vec(len(o.C))
+				if !combineInto(nc, scale, o.C, f, pivot.C) {
 					// The combination wraps int64. Dropping it weakens the
 					// projection, which every caller tolerates (like the
 					// maxFMConstraints cap); keeping a wrapped constraint
@@ -89,7 +99,9 @@ func rationalEliminate(cons []Constraint, col int) []Constraint {
 					continue
 				}
 				nc[col] = 0
-				out = append(out, normalizeConstraint(Constraint{C: nc, Eq: o.Eq}))
+				row := Constraint{C: nc, Eq: o.Eq}
+				normalizeConstraint(row)
+				out = append(out, row)
 			}
 			return out
 		}
@@ -107,7 +119,7 @@ func rationalEliminate(cons []Constraint, col int) []Constraint {
 			nu++
 		}
 	}
-	rest := make([]Constraint, 0, nz+nl*nu)
+	rest := sc.header(nz + nl*nu)
 	for _, c := range cons {
 		if c.C[col] == 0 {
 			rest = append(rest, c)
@@ -126,14 +138,16 @@ func rationalEliminate(cons []Constraint, col int) []Constraint {
 				continue
 			}
 			bb := -up.C[col]
-			nc, ok := combineChecked(a, up.C, bb, lo.C)
-			if !ok {
+			nc := sc.vec(len(up.C))
+			if !combineInto(nc, a, up.C, bb, lo.C) {
 				// See the equality-pivot path: an overflowing combination is
 				// dropped rather than kept wrapped.
 				continue
 			}
 			nc[col] = 0
-			rest = append(rest, normalizeConstraint(Constraint{C: nc}))
+			row := Constraint{C: nc}
+			normalizeConstraint(row)
+			rest = append(rest, row)
 		}
 	}
 	if len(rest) > maxFMConstraints {
@@ -153,18 +167,17 @@ func mulNoWrap(a, b int64) (int64, bool) {
 	return ints.TryMul(a, b)
 }
 
-// combineChecked computes s*x + f*y with overflow checking, returning
-// ok=false (and no vector) if any component would wrap int64.
-func combineChecked(s int64, x Vec, f int64, y Vec) (Vec, bool) {
-	nc := NewVec(len(x))
-	for k := range nc {
+// combineInto writes s*x + f*y into dst (len(x) wide) with overflow
+// checking, reporting false if any component would wrap int64.
+func combineInto(dst Vec, s int64, x Vec, f int64, y Vec) bool {
+	for k := range dst {
 		v, ok := combineTry(s, x[k], f, y[k])
 		if !ok {
-			return nil, false
+			return false
 		}
-		nc[k] = v
+		dst[k] = v
 	}
-	return nc, true
+	return true
 }
 
 // combineTry computes s*x + f*y for one coefficient, reporting false when a
@@ -183,7 +196,18 @@ func combineTry(s, x, f, y int64) (int64, bool) {
 
 // rationalFeasible reports whether the basic set/map has a rational
 // solution. A false result guarantees integer emptiness; a true result makes
-// no integer claim beyond the divisibility rule below.
+// no integer claim beyond the divisibility rule of fmInfeasible.
+func (b *basic) rationalFeasible() bool {
+	sc := getPredScratch()
+	defer putPredScratch(sc)
+	return !fmInfeasible(sc, b.materializedConstraints(sc), b.ncols(), math.MaxInt)
+}
+
+// fmInfeasible eliminates every non-constant column of the ncols-wide
+// system cons by rational Fourier–Motzkin and reports whether it derived a
+// contradiction. It gives up, reporting false (feasible), as soon as a
+// round leaves more than budget constraints. The rows of cons are only
+// read; what the rounds derive lives in sc.
 //
 // Every column (dimension or div) holds an integer, so a derived equality
 // g·f + c == 0 whose non-constant coefficients share a factor g that does
@@ -192,26 +216,28 @@ func combineTry(s, x, f, y int64) (int64, bool) {
 // (x ≡ r₁ and x ≡ r₂ mod m through two different floor divs) that the
 // residue-splitting counting engine and subtraction chains produce by the
 // thousands; purely rational reasoning keeps those pieces alive forever.
-func (b *basic) rationalFeasible() bool {
-	cons := b.materializedConstraints()
+func fmInfeasible(sc *predScratch, cons []Constraint, ncols, budget int) bool {
 	if hasDivisibilityContradiction(cons) {
-		return false
+		return true
 	}
-	for col := b.ncols() - 1; col >= 1; col-- {
-		cons = rationalEliminate(cons, col)
+	for col := ncols - 1; col >= 1; col-- {
+		cons = rationalEliminate(sc, cons, col)
 		if hasDivisibilityContradiction(cons) {
+			return true
+		}
+		if len(cons) > budget {
 			return false
 		}
 	}
 	for _, c := range cons {
 		if c.Eq && c.C[0] != 0 {
-			return false
+			return true
 		}
 		if !c.Eq && c.C[0] < 0 {
-			return false
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // hasDivisibilityContradiction scans for an equality whose non-constant
@@ -235,13 +261,16 @@ func hasDivisibilityContradiction(cons []Constraint) bool {
 
 // isObviouslyEmpty combines the cheap simplification checks with rational
 // feasibility. It may return false for sets that are in fact empty over the
-// integers; callers use it for pruning only.
+// integers; callers use it for pruning only. The simplified copy and every
+// elimination row live in pooled scratch.
 func (b *basic) isObviouslyEmpty() bool {
-	cl := b.clone()
+	sc := getPredScratch()
+	defer putPredScratch(sc)
+	cl := newBasicFrom(sc, b.ndim, b.divs, b.cons)
 	if !cl.simplify() {
 		return true
 	}
-	return !cl.rationalFeasible()
+	return fmInfeasible(sc, cl.materializedConstraints(sc), cl.ncols(), math.MaxInt)
 }
 
 // evalRest evaluates the constant and prefix terms of a bound constraint

@@ -179,7 +179,7 @@ func gistBasic(b, ctx *basic) {
 	for _, c := range work.cons[nOwn:] {
 		base = append(base, Constraint{C: fit(c.C, work.ncols()), Eq: c.Eq})
 	}
-	base = append(base, work.divBoundConstraints()...)
+	base = work.appendDivBounds(base, nil)
 	ncols := work.ncols()
 	cands := make([]Constraint, nOwn)
 	for i, c := range b.cons {

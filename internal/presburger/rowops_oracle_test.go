@@ -21,6 +21,21 @@ func TestRowOpsMatchReferenceOnSimplifySeeds(t *testing.T) {
 	}
 }
 
+// TestPredicatesMatchReferenceOnSimplifySeeds runs the heap oracle of the
+// pooled-scratch emptiness and Fourier–Motzkin checks (predicates_test.go)
+// on every basic set of the FuzzSimplify seed corpus.
+func TestPredicatesMatchReferenceOnSimplifySeeds(t *testing.T) {
+	for i, data := range setSeeds(t) {
+		ndim, rest, ok := decodeDims(data)
+		if !ok {
+			continue
+		}
+		if err := presburger.DiffPredicates(decodeBasicSet(ndim, rest)); err != nil {
+			t.Errorf("seed %d: %v", i, err)
+		}
+	}
+}
+
 // TestSetOperationsLeaveInputRows checks the ownership rule from the
 // outside: operations that return a new basic set work on a clone and never
 // write to the rows of their input, even though the kernels under them

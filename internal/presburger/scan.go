@@ -29,12 +29,12 @@ type scanner struct {
 
 func newScanner(b *basic) *scanner {
 	s := &scanner{b: b}
-	cons := b.materializedConstraints()
+	cons := b.materializedConstraints(nil)
 	// Eliminate from the innermost column outwards, recording the systems.
 	s.levels = make([][]Constraint, b.ndim)
 	col := b.ncols() - 1
 	for ; col > b.dimCol(b.ndim-1) && b.ndim > 0; col-- {
-		cons = rationalEliminate(cons, col)
+		cons = rationalEliminate(nil, cons, col)
 	}
 	for d := b.ndim - 1; d >= 0; d-- {
 		var lvl []Constraint
@@ -44,7 +44,7 @@ func newScanner(b *basic) *scanner {
 			}
 		}
 		s.levels[d] = lvl
-		cons = rationalEliminate(cons, b.dimCol(d))
+		cons = rationalEliminate(nil, cons, b.dimCol(d))
 	}
 	return s
 }

@@ -23,7 +23,7 @@ func UniverseBasicSet(sp Space) BasicSet {
 // NewBasicSet builds a basic set from explicit divs and constraints. The
 // column layout of the vectors is [const, dims..., divs...].
 func NewBasicSet(sp Space, divs []Div, cons []Constraint) BasicSet {
-	return BasicSet{space: sp, b: newBasicFrom(sp.Dim(), divs, cons)}
+	return BasicSet{space: sp, b: newBasicFrom(nil, sp.Dim(), divs, cons)}
 }
 
 // Space returns the space of the basic set.

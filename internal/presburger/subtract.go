@@ -62,7 +62,7 @@ func subtractBasic(a, o *basic) []basic {
 		for i, c := range simplified.cons {
 			cands[i] = Constraint{C: remap(&prefix, c.C), Eq: c.Eq}
 		}
-		keep = gistFilter(prefix.materializedConstraints(), gistCols, cands)
+		keep = gistFilter(prefix.materializedConstraints(nil), gistCols, cands)
 	}
 	for ci, c := range simplified.cons {
 		if !keep[ci] {
