@@ -1,10 +1,12 @@
 package explore
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"haystack/internal/core"
+	"haystack/internal/polybench"
 	"haystack/internal/scop"
 	"haystack/internal/tiling"
 )
@@ -167,6 +169,62 @@ func TestSweepMatchesAnalyzeAtEveryParallelism(t *testing.T) {
 			ref := want[key{e.Kernel, e.TileSize, hi}]
 			sameResult(t, e.Kernel, e.Result, ref)
 			hi = (hi + 1) % len(grid.Hierarchies)
+		}
+	}
+}
+
+// workerCountKernels are the PolyBench kernels
+// TestSweepPolyBenchWorkerCountBitIdentical sweeps: ten that analyze at
+// MINI in well under a second each, covering one to four statements,
+// triangular domains and the trace fallback (adi). The sweep of all thirty
+// kernels takes about 70 s per worker count on one core, too long for the
+// test suite; the CI scaling step compares its grids at 1 and 4 workers.
+var workerCountKernels = []string{
+	"adi", "atax", "bicg", "durbin", "gemm", "gesummv", "jacobi-1d", "mvt", "trisolv", "trmm",
+}
+
+// TestSweepPolyBenchWorkerCountBitIdentical runs PolyBench kernels at MINI
+// (workerCountKernels) through one sweep with 1, 2 and 4 outer workers
+// (inner analysis parallelism fixed at one, so the outer pool is the only
+// variable) and asserts that every grid point is bit-identical to the
+// 1-worker run: miss counts, attributions, tier and the deterministic
+// statistics. CI also gates the wall time of the full sweep (4 workers at
+// most 0.4x 1 worker) on runners with four or more CPUs.
+func TestSweepPolyBenchWorkerCountBitIdentical(t *testing.T) {
+	grid := Grid{
+		Hierarchies: []core.Config{{LineSize: 64, CacheSizes: []int64{32 * 1024, 1024 * 1024}}},
+	}
+	for _, name := range workerCountKernels {
+		k, ok := polybench.ByName(name)
+		if !ok {
+			t.Fatalf("PolyBench kernel %q is not registered", name)
+		}
+		grid.Kernels = append(grid.Kernels, Kernel{Name: name, Program: k.Build(polybench.Mini)})
+	}
+	opts := DefaultOptions()
+	opts.Analysis.Parallelism = 1
+
+	var base *Result
+	for _, workers := range []int{1, 2, 4} {
+		opts.Parallelism = workers
+		res, err := Sweep(grid, opts)
+		if err != nil {
+			t.Fatalf("sweep with %d workers: %v", workers, err)
+		}
+		if len(res.Evaluations) != len(grid.Kernels) {
+			t.Fatalf("%d workers: %d evaluations, want %d", workers, len(res.Evaluations), len(grid.Kernels))
+		}
+		if base == nil {
+			base = res
+			continue
+		}
+		for i, e := range res.Evaluations {
+			want := base.Evaluations[i]
+			if e.Kernel != want.Kernel || e.Result.Tier != want.Result.Tier {
+				t.Fatalf("%d workers: evaluation %d is %s (tier %v), 1-worker run has %s (tier %v)",
+					workers, i, e.Kernel, e.Result.Tier, want.Kernel, want.Result.Tier)
+			}
+			sameResult(t, fmt.Sprintf("%s at %d workers", e.Kernel, workers), e.Result, want.Result)
 		}
 	}
 }

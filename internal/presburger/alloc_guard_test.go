@@ -3,12 +3,14 @@ package presburger
 import "testing"
 
 // TestSimplifyDedupAllocBudget pins the allocation count of the clone +
-// simplify hot path that BenchmarkSimplifyDedup measures. The slab clone,
-// the pooled simplify scratch and in-place constraint normalization brought
-// it to ~11 allocs/op; the budget of 16 leaves headroom for toolchain noise
-// while failing loudly on a regression to per-vector allocation (hundreds
-// per op). Skipped under the race detector and the haystackdebug invariant
-// build, whose instrumentation allocates on its own.
+// simplify hot path that BenchmarkSimplifyDedup measures. The slab clone
+// (one slab and two headers), in-place constraint normalization and the
+// pooled dedup index and bound tracking bring it to 2 allocs/op, against 11
+// with a map-backed dedup index; the budget of 4 leaves headroom for
+// toolchain noise while failing loudly on a regression to per-hash or
+// per-vector allocation. Skipped under the race detector and the
+// haystackdebug invariant build, whose instrumentation allocates on its
+// own.
 func TestSimplifyDedupAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -23,18 +25,18 @@ func TestSimplifyDedupAllocBudget(t *testing.T) {
 			panic("benchmark basic should stay feasible")
 		}
 	})
-	if allocs > 16 {
-		t.Errorf("clone+simplify = %.1f allocs/op, budget is 16", allocs)
+	if allocs > 4 {
+		t.Errorf("clone+simplify = %.1f allocs/op, budget is 4", allocs)
 	}
 }
 
 // TestDefinitelyEmptyAllocBudget pins the allocation count of
 // DefinitelyEmpty on a div-bearing basic (BenchmarkDefinitelyEmpty). The
-// copy, the elimination rows and the round headers come from pooled
-// scratch, so what allocates in steady state is simplify's dedup maps and
-// closures: 13 allocs/op, against 42 when every row and header was a heap
-// allocation. The budget of 18 leaves headroom for toolchain noise.
-// Skipped like the budgets above.
+// copy, the elimination rows, the round headers and simplify's dedup index
+// all come from pooled scratch, so nothing allocates in steady state: 0
+// allocs/op, against 13 with map-backed dedup and 42 when every row and
+// header was a heap allocation. The budget of 3 leaves headroom for
+// toolchain noise. Skipped like the budget above.
 func TestDefinitelyEmptyAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -48,8 +50,56 @@ func TestDefinitelyEmptyAllocBudget(t *testing.T) {
 			panic("emptinessBasic should stay feasible")
 		}
 	})
-	if allocs > 18 {
-		t.Errorf("DefinitelyEmpty = %.1f allocs/op, budget is 18", allocs)
+	if allocs > 3 {
+		t.Errorf("DefinitelyEmpty = %.1f allocs/op, budget is 3", allocs)
+	}
+}
+
+// TestApplyRangeAllocBudget pins the allocation count of one composition
+// (BenchmarkApplyRange). embed transfers the divs first and then widens the
+// existing rows and carves every transferred row from one slab: 18
+// allocs/op, against 38 with a row per constraint and a widening per added
+// div. The budget of 24 leaves headroom for toolchain noise. Skipped like
+// the budgets above.
+func TestApplyRangeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	if debugInvariants {
+		t.Skip("invariant assertions allocate; budget holds for normal builds only")
+	}
+	a, o := composeMaps()
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := a.ApplyRange(o); err != nil {
+			panic(err)
+		}
+	})
+	if allocs > 24 {
+		t.Errorf("ApplyRange = %.1f allocs/op, budget is 24", allocs)
+	}
+}
+
+// TestCoalesceEntriesAllocBudget pins the allocation count of the syntactic
+// coalescer on coalesceFamily (BenchmarkCoalesceEntries). An entry's
+// constraint index is one sorted slice of indices, and the differing
+// constraints of a pair go to stack buffers: 59 allocs/op, against 208 with
+// a map of per-hash index lists per entry. The budget of 72 leaves headroom
+// for toolchain noise. Skipped like the budgets above.
+func TestCoalesceEntriesAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	if debugInvariants {
+		t.Skip("invariant assertions allocate; budget holds for normal builds only")
+	}
+	fam := coalesceFamily()
+	allocs := testing.AllocsPerRun(200, func() {
+		if len(coalesceBasics(fam, false)) != 1 {
+			panic("coalesceFamily should coalesce to its bounding box")
+		}
+	})
+	if allocs > 72 {
+		t.Errorf("coalesceBasics = %.1f allocs/op, budget is 72", allocs)
 	}
 }
 

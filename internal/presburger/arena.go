@@ -18,14 +18,19 @@ import (
 //   - a write copies a row at most once, and only a row whose coefficient
 //     at the rewritten column is non-zero;
 //   - dropColumn compacts every row in place within its own slab window;
-//   - normalizeConstraint divides a row by its gcd in place.
+//   - normalizeConstraint divides a row by its gcd in place;
+//   - embed (behind Intersect and ApplyRange) transfers the divs first,
+//     then widens the existing rows and carves every transferred row from
+//     one slab, like clone.
 //
 // Third, the transient scratch of the innermost loops (simplify's
 // per-column bound tracking, point evaluation during enumeration) and of
 // the yes/no predicates (the emptiness check behind DefinitelyEmpty,
 // rationalFeasible, the coalescer's budgeted Fourier–Motzkin implication
 // test: their throwaway copy, every elimination row and the round headers,
-// see predScratch) is recycled through free lists.
+// see predScratch) is recycled through free lists. So is simplify's dedup
+// index (dedupScratch): hash-bucketed chains over positions in the kept
+// constraint list instead of a map of per-hash lists per call.
 //
 // Ownership rule for scratch: a buffer obtained from a free list never
 // escapes the call that got it — anything that must outlive the call is
@@ -114,6 +119,134 @@ func getCols(n int) *[]int64 {
 }
 
 func putCols(p *[]int64) { colsPool.Put(p) }
+
+// dedupIndex is simplify's constraint index: positions in a constraint
+// list keyed by the hash of the constraint's non-constant coefficients.
+// Entries are chained per hash bucket with tail insertion, so a walk over
+// one hash (first, then next) visits its positions in insertion order, the
+// order a map of per-hash lists keeps.
+type dedupIndex struct {
+	head, tail []int32  // per bucket: first and last entry, -1 when empty
+	hash       []uint64 // per entry
+	pos        []int32  // per entry: the indexed position
+	next       []int32  // per entry: the next entry of its bucket, -1 at the end
+	live       int      // entries currently linked
+}
+
+// reset empties the index and spreads it over nb buckets (a power of two).
+func (x *dedupIndex) reset(nb int) {
+	if cap(x.head) < nb {
+		x.head = make([]int32, nb)
+		x.tail = make([]int32, nb)
+	}
+	x.head, x.tail = x.head[:nb], x.tail[:nb]
+	for i := range x.head {
+		x.head[i] = -1
+	}
+	x.hash, x.pos, x.next = x.hash[:0], x.pos[:0], x.next[:0]
+	x.live = 0
+}
+
+// insert links position p under hash h at the end of its bucket.
+func (x *dedupIndex) insert(h uint64, p int) {
+	e := int32(len(x.hash))
+	x.hash = append(x.hash, h)
+	x.pos = append(x.pos, int32(p))
+	x.next = append(x.next, -1)
+	bk := h & uint64(len(x.head)-1)
+	if x.head[bk] < 0 {
+		x.head[bk] = e
+	} else {
+		x.next[x.tail[bk]] = e
+	}
+	x.tail[bk] = e
+	x.live++
+}
+
+// first returns the first linked entry under hash h, or -1.
+func (x *dedupIndex) first(h uint64) int32 {
+	if x.live == 0 {
+		return -1
+	}
+	return x.skip(x.head[h&uint64(len(x.head)-1)], h)
+}
+
+// following returns the linked entry after e under e's hash, or -1.
+func (x *dedupIndex) following(e int32) int32 { return x.skip(x.next[e], x.hash[e]) }
+
+// skip returns the first entry from e on along its bucket that bears h.
+func (x *dedupIndex) skip(e int32, h uint64) int32 {
+	for e >= 0 && x.hash[e] != h {
+		e = x.next[e]
+	}
+	return e
+}
+
+// unlink removes the linked entry e from its bucket, keeping the order of
+// the others.
+func (x *dedupIndex) unlink(e int32) {
+	bk := x.hash[e] & uint64(len(x.head)-1)
+	prev := int32(-1)
+	for cur := x.head[bk]; cur != e; cur = x.next[cur] {
+		prev = cur
+	}
+	if prev < 0 {
+		x.head[bk] = x.next[e]
+	} else {
+		x.next[prev] = x.next[e]
+	}
+	if x.tail[bk] == e {
+		x.tail[bk] = prev
+	}
+	x.live--
+}
+
+// dedupScratch is the working memory of one simplify: the indexes of the
+// kept equalities and inequalities, and the copy of the equalities the
+// final sweep indexes (its compaction overwrites the kept list in place).
+type dedupScratch struct {
+	eq, ineq dedupIndex
+	eqs      []Constraint
+}
+
+var dedupPool = sync.Pool{New: func() any { return new(dedupScratch) }}
+
+// getDedup returns empty dedup indexes for a system of n constraints.
+// Reusing pooled buckets counts as an arena hit, growing them as a miss.
+func getDedup(n int) *dedupScratch {
+	s := dedupPool.Get().(*dedupScratch)
+	nb := dedupBuckets(n)
+	if cap(s.eq.head) < nb {
+		arenaMisses.Add(1)
+	} else {
+		arenaHits.Add(1)
+	}
+	s.eq.reset(nb)
+	s.ineq.reset(nb)
+	return s
+}
+
+// dedupBuckets returns the bucket count for n constraints: the smallest
+// power of two of at least n, and at least 8.
+func dedupBuckets(n int) int {
+	nb := 8
+	for nb < n {
+		nb <<= 1
+	}
+	return nb
+}
+
+// putDedup returns s to the pool, or drops it when a buffer grew past
+// predScratch's size limits. The equality copy is cleared so the pool does
+// not keep rows alive.
+func putDedup(s *dedupScratch) {
+	if max(cap(s.eq.head), cap(s.eq.hash), cap(s.ineq.hash), cap(s.eqs)) > maxScratchRows {
+		return
+	}
+	clear(s.eqs)
+	s.eqs = s.eqs[:0]
+	dedupPool.Put(s)
+}
 
 // predScratch is the working memory of one yes/no predicate
 // (isObviouslyEmpty, rationalFeasible, budgetedInfeasible): the throwaway

@@ -3,6 +3,7 @@ package presburger
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 	"strings"
 
@@ -139,6 +140,18 @@ func (b *basic) addConstraint(c Constraint) {
 // truncated checked) and denominator, returning its column index. If an
 // identical div already exists its column is returned instead.
 func (b *basic) addDiv(num Vec, den int64) int {
+	n := b.ncols()
+	col := b.appendDiv(num, den)
+	if b.ncols() != n {
+		b.resize()
+	}
+	return col
+}
+
+// appendDiv is addDiv without widening the constraint rows to the new
+// column count, for callers that add several divs and widen once. num is
+// only read.
+func (b *basic) appendDiv(num Vec, den int64) int {
 	if den <= 0 {
 		panic("presburger: div with non-positive denominator")
 	}
@@ -165,7 +178,6 @@ func (b *basic) addDiv(num Vec, den int64) int {
 	row := NewVec(n + 1)
 	copy(row, clip(num, n))
 	b.divs = append(b.divs, Div{Num: row, Den: den})
-	b.resize()
 	return b.divCol(len(b.divs) - 1)
 }
 
@@ -392,21 +404,22 @@ func (b *basic) substituteDivColumn(col int, expr Vec) {
 // returns false if the basic set/map is detected to be empty.
 func (b *basic) simplify() bool {
 	b.normalizeDivs()
-	// eqByCoeff and ineqByCoeff index the constraints kept so far (by
-	// position in out) under the hash of their non-constant coefficients.
-	var eqByCoeff, ineqByCoeff map[uint64][]int
-	lookup := func(m map[uint64][]int, h uint64) []int {
-		if m == nil {
-			return nil
-		}
-		return m[h]
+	ix := getDedup(len(b.cons))
+	ok := b.dedupConstraints(ix)
+	putDedup(ix)
+	if !ok || b.hasConflictingBounds() {
+		return false
 	}
-	insert := func(m *map[uint64][]int, h uint64, idx int) {
-		if *m == nil {
-			*m = make(map[uint64][]int, len(b.cons))
-		}
-		(*m)[h] = append((*m)[h], idx)
-	}
+	b.debugAssert("simplify", true)
+	return true
+}
+
+// dedupConstraints is simplify's constraint pass. ix.eq and ix.ineq index
+// the equalities and inequalities kept so far (by position in out) under
+// the hash of their non-constant coefficients. It returns false when a
+// constraint contradicts the others.
+func (b *basic) dedupConstraints(ix *dedupScratch) bool {
+	eqs, ineqs := &ix.eq, &ix.ineq
 	out := b.cons[:0]
 	for _, c := range b.cons {
 		normalizeConstraint(c)
@@ -442,72 +455,61 @@ func (b *basic) simplify() bool {
 			}
 		}
 		h := coeffHash(c.C, false)
-		// The negated-coefficient hash is only needed to compare against
-		// stored equalities; computing it lazily keeps the common
-		// inequality-only path at one hash per constraint.
-		nh := uint64(0)
-		haveNH := false
-		negHash := func() uint64 {
-			if !haveNH {
-				nh = coeffHash(c.C, true)
-				haveNH = true
-			}
-			return nh
+		// The negated-coefficient hash looks up stored constraints of the
+		// opposite sign: equalities for every constraint, inequalities for
+		// an inequality. It is skipped while there are none to look up.
+		var nh uint64
+		if eqs.live > 0 || (!c.Eq && ineqs.live > 0) {
+			nh = coeffHash(c.C, true)
 		}
 		if c.Eq {
 			dup := false
-			for _, idx := range lookup(eqByCoeff, h) {
-				if coeffsMatch(out[idx].C, c.C, false) {
+			for e := eqs.first(h); e >= 0; e = eqs.following(e) {
+				if o := out[eqs.pos[e]].C; coeffsMatch(o, c.C, false) {
 					// Parallel equalities: identical or contradictory.
-					if out[idx].C[0] != c.C[0] {
+					if o[0] != c.C[0] {
 						return false
 					}
 					dup = true
 					break
 				}
 			}
-			if !dup && eqByCoeff != nil {
-				for _, idx := range lookup(eqByCoeff, negHash()) {
-					if coeffsMatch(out[idx].C, c.C, true) {
-						// f+k0 == 0 stored and -f+k == 0 incoming: equal
-						// exactly when k == -k0.
-						if out[idx].C[0] != -c.C[0] {
-							return false
-						}
-						dup = true
-						break
+			for e := eqs.first(nh); !dup && e >= 0; e = eqs.following(e) {
+				if o := out[eqs.pos[e]].C; coeffsMatch(o, c.C, true) {
+					// f+k0 == 0 stored and -f+k == 0 incoming: equal
+					// exactly when k == -k0.
+					if o[0] != -c.C[0] {
+						return false
 					}
+					dup = true
 				}
 			}
 			if dup {
 				continue
 			}
 			out = append(out, c)
-			insert(&eqByCoeff, h, len(out)-1)
+			eqs.insert(h, len(out)-1)
 			continue
 		}
 		// Inequality f + k >= 0: an equality on f (either sign) pins it.
 		pinned := false
-		for _, idx := range lookup(eqByCoeff, h) {
-			if coeffsMatch(out[idx].C, c.C, false) {
+		for e := eqs.first(h); e >= 0; e = eqs.following(e) {
+			if o := out[eqs.pos[e]].C; coeffsMatch(o, c.C, false) {
 				// f == -k0, so f + k >= 0 iff k >= k0.
-				if c.C[0] < out[idx].C[0] {
+				if c.C[0] < o[0] {
 					return false
 				}
 				pinned = true
 				break
 			}
 		}
-		if !pinned && eqByCoeff != nil {
-			for _, idx := range lookup(eqByCoeff, negHash()) {
-				if coeffsMatch(out[idx].C, c.C, true) {
-					// -f + k0 == 0, so f == k0 and f + k >= 0 iff k0 + k >= 0.
-					if c.C[0]+out[idx].C[0] < 0 {
-						return false
-					}
-					pinned = true
-					break
+		for e := eqs.first(nh); !pinned && e >= 0; e = eqs.following(e) {
+			if o := out[eqs.pos[e]].C; coeffsMatch(o, c.C, true) {
+				// -f + k0 == 0, so f == k0 and f + k >= 0 iff k0 + k >= 0.
+				if c.C[0]+o[0] < 0 {
+					return false
 				}
+				pinned = true
 			}
 		}
 		if pinned {
@@ -519,33 +521,30 @@ func (b *basic) simplify() bool {
 		// two-inequality encoding of a hyperplane, which the coalescer's
 		// adjacency rules rely on).
 		closed := false
-		if ineqByCoeff != nil {
-			for pos, idx := range lookup(ineqByCoeff, negHash()) {
-				if coeffsMatch(out[idx].C, c.C, true) {
-					if c.C[0]+out[idx].C[0] < 0 {
-						return false
-					}
-					if c.C[0]+out[idx].C[0] == 0 {
-						out[idx].Eq = true
-						lst := ineqByCoeff[nh]
-						ineqByCoeff[nh] = append(lst[:pos], lst[pos+1:]...)
-						insert(&eqByCoeff, nh, idx)
-						closed = true
-					}
-					break
-				}
+		for e := ineqs.first(nh); e >= 0; e = ineqs.following(e) {
+			idx := int(ineqs.pos[e])
+			if !coeffsMatch(out[idx].C, c.C, true) {
+				continue
 			}
+			if c.C[0]+out[idx].C[0] < 0 {
+				return false
+			}
+			if c.C[0]+out[idx].C[0] == 0 {
+				out[idx].Eq = true
+				ineqs.unlink(e)
+				eqs.insert(nh, idx)
+				closed = true
+			}
+			break
 		}
 		if closed {
 			continue
 		}
 		// Parallel inequalities: keep the tighter (smaller) constant.
 		dominated := false
-		for _, idx := range lookup(ineqByCoeff, h) {
-			if coeffsMatch(out[idx].C, c.C, false) {
-				if c.C[0] < out[idx].C[0] {
-					out[idx].C[0] = c.C[0]
-				}
+		for e := ineqs.first(h); e >= 0; e = ineqs.following(e) {
+			if o := out[ineqs.pos[e]].C; coeffsMatch(o, c.C, false) {
+				o[0] = min(o[0], c.C[0])
 				dominated = true
 				break
 			}
@@ -554,61 +553,70 @@ func (b *basic) simplify() bool {
 			continue
 		}
 		out = append(out, c)
-		insert(&ineqByCoeff, h, len(out)-1)
+		ineqs.insert(h, len(out)-1)
 	}
 	// The forward pass cannot drop an inequality stored before a parallel
 	// equality arrived (the pinned check only looks backwards). Sweep such
 	// inequalities out now so pinned-by-equality holds regardless of the
 	// order constraints were added in.
-	if eqByCoeff != nil && ineqByCoeff != nil {
-		eqIdx := make(map[uint64][]Constraint, len(eqByCoeff))
-		for _, c := range out {
-			if c.Eq {
-				h := coeffHash(c.C, false)
-				eqIdx[h] = append(eqIdx[h], c)
-			}
+	if eqs.live > 0 && ineqs.live > 0 {
+		var ok bool
+		if out, ok = sweepPinned(ix, out); !ok {
+			return false
 		}
-		kept := out[:0]
-		for _, c := range out {
-			if !c.Eq {
-				pinned := false
-				for _, e := range eqIdx[coeffHash(c.C, false)] {
-					if coeffsMatch(e.C, c.C, false) {
-						// f == -k0 and f + k >= 0: feasible iff k >= k0.
-						if c.C[0] < e.C[0] {
-							return false
+	}
+	b.cons = out
+	return true
+}
+
+// sweepPinned drops every inequality of cons pinned by a parallel equality
+// and returns what is kept, or false when an equality contradicts an
+// inequality. The compaction overwrites cons in place, so the equalities
+// are indexed on a copy.
+func sweepPinned(ix *dedupScratch, cons []Constraint) ([]Constraint, bool) {
+	eqs := &ix.eq
+	eqs.reset(len(eqs.head))
+	ix.eqs = ix.eqs[:0]
+	for _, c := range cons {
+		if c.Eq {
+			eqs.insert(coeffHash(c.C, false), len(ix.eqs))
+			ix.eqs = append(ix.eqs, c)
+		}
+	}
+	kept := cons[:0]
+	for _, c := range cons {
+		if !c.Eq {
+			pinned := false
+			for e := eqs.first(coeffHash(c.C, false)); e >= 0; e = eqs.following(e) {
+				if o := ix.eqs[eqs.pos[e]].C; coeffsMatch(o, c.C, false) {
+					// f == -k0 and f + k >= 0: feasible iff k >= k0.
+					if c.C[0] < o[0] {
+						return nil, false
+					}
+					pinned = true
+					break
+				}
+			}
+			if !pinned {
+				for e := eqs.first(coeffHash(c.C, true)); e >= 0; e = eqs.following(e) {
+					if o := ix.eqs[eqs.pos[e]].C; coeffsMatch(o, c.C, true) {
+						// -f + k0 == 0 and f + k >= 0: f == k0, so
+						// feasible iff k0 + k >= 0.
+						if c.C[0]+o[0] < 0 {
+							return nil, false
 						}
 						pinned = true
 						break
 					}
 				}
-				if !pinned {
-					for _, e := range eqIdx[coeffHash(c.C, true)] {
-						if coeffsMatch(e.C, c.C, true) {
-							// -f + k0 == 0 and f + k >= 0: f == k0, so
-							// feasible iff k0 + k >= 0.
-							if c.C[0]+e.C[0] < 0 {
-								return false
-							}
-							pinned = true
-							break
-						}
-					}
-				}
-				if pinned {
-					continue
-				}
 			}
-			kept = append(kept, c)
+			if pinned {
+				continue
+			}
 		}
-		out = kept
+		kept = append(kept, c)
 	}
-	b.cons = out
-	if b.hasConflictingBounds() {
-		return false
-	}
-	b.debugAssert("simplify", true)
-	return true
+	return kept, true
 }
 
 // coeffHash hashes the non-constant coefficients of a constraint vector
@@ -713,35 +721,49 @@ func (b *basic) hasConflictingBounds() bool {
 // embed copies the divs and constraints of src into b, mapping src dimension
 // i to b dimension dimMap[i]. Div definitions are deduplicated against
 // existing divs of b. This is the workhorse behind intersection and
-// composition.
+// composition. The divs go first, so the column count is final before any
+// constraint row is written: b's rows are widened once, and they and the
+// transferred rows are carved from one slab, capacity-clamped as in
+// newBasicFrom.
 func (b *basic) embed(src *basic, dimMap []int) {
 	if len(dimMap) != src.ndim {
 		panic("presburger: embed dimension map arity mismatch")
 	}
-	// colMap maps src columns to b columns; div columns are filled as divs
-	// are transferred.
-	colMap := make([]int, src.ncols())
-	colMap[0] = 0
-	for i := 0; i < src.ndim; i++ {
-		colMap[src.dimCol(i)] = b.dimCol(dimMap[i])
-	}
-	remap := func(v Vec) Vec {
-		out := NewVec(b.ncols())
-		for j, x := range v {
-			if x == 0 {
-				continue
+	w := b.ncols()
+	colMap := b.transferDivs(src, dimMap)
+	n := b.ncols()
+	rows := len(src.cons)
+	if n != w {
+		for _, c := range b.cons {
+			if len(c.C) != n {
+				rows++
 			}
-			out[colMap[j]] += x
 		}
-		return out
 	}
-	for i := range src.divs {
-		num := remap(clip(src.divs[i].Num, src.ncols()))
-		col := b.addDiv(num, src.divs[i].Den)
-		colMap[src.divCol(i)] = col
+	slab := make([]int64, n*rows)
+	carve := func() Vec {
+		v := slab[:n:n]
+		slab = slab[n:]
+		return v
 	}
+	if n != w {
+		for i := range b.cons {
+			if len(b.cons[i].C) != n {
+				v := carve()
+				copy(v, b.cons[i].C)
+				b.cons[i].C = v
+			}
+		}
+	}
+	b.cons = slices.Grow(b.cons, len(src.cons))
 	for _, c := range src.cons {
-		b.addConstraint(Constraint{C: remap(c.C), Eq: c.Eq})
+		v := carve()
+		for j, x := range c.C {
+			if x != 0 {
+				v[colMap[j]] += x
+			}
+		}
+		b.cons = append(b.cons, Constraint{C: v, Eq: c.Eq})
 	}
 }
 

@@ -1,7 +1,8 @@
 package presburger
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 )
 
@@ -146,38 +147,49 @@ type coalEntry struct {
 	// hashes[i] is the hash of constraint i (computed once per entry; every
 	// pairwise comparison reuses it).
 	hashes []uint64
-	// consHash maps a constraint hash to the constraint indices bearing it.
-	consHash map[uint64][]int
+	// byHash lists the constraint indices sorted by (hash, index): the
+	// constraints bearing one hash are a run of it, found by binary search.
+	byHash []int32
 	// sig is a hash of the whole basic (divs plus sorted constraint hashes).
 	sig uint64
 }
 
 func newCoalEntry(b *basic) *coalEntry {
-	e := &coalEntry{b: b, consHash: make(map[uint64][]int, len(b.cons))}
-	e.divSig = hashDivs(b)
+	e := &coalEntry{b: b, divSig: hashDivs(b)}
 	e.hashes = make([]uint64, len(b.cons))
-	sorted := make([]uint64, len(b.cons))
+	e.byHash = make([]int32, len(b.cons))
 	for i, c := range b.cons {
-		h := constraintHash(c)
-		e.hashes[i] = h
-		sorted[i] = h
-		e.consHash[h] = append(e.consHash[h], i)
+		e.hashes[i] = constraintHash(c)
+		e.byHash[i] = int32(i)
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.SortFunc(e.byHash, func(i, j int32) int {
+		if c := cmp.Compare(e.hashes[i], e.hashes[j]); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
+	})
 	sig := e.divSig ^ 0x9e3779b97f4a7c15
-	for _, h := range sorted {
-		sig = fnvMix(sig, h)
+	for _, i := range e.byHash {
+		sig = fnvMix(sig, e.hashes[i])
 	}
-	sig = fnvMix(sig, uint64(b.ndim))
-	e.sig = sig
+	e.sig = fnvMix(sig, uint64(b.ndim))
 	return e
 }
 
 // hasConstraintHashed reports whether the entry's basic contains a
 // constraint structurally equal to c, whose hash the caller already knows.
 func (e *coalEntry) hasConstraintHashed(h uint64, c Constraint) bool {
-	for _, idx := range e.consHash[h] {
-		if constraintsEqual(e.b.cons[idx], c) {
+	lo, hi := 0, len(e.byHash)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if e.hashes[e.byHash[m]] < h {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	for ; lo < len(e.byHash) && e.hashes[e.byHash[lo]] == h; lo++ {
+		if constraintsEqual(e.b.cons[e.byHash[lo]], c) {
 			return true
 		}
 	}
@@ -336,7 +348,8 @@ func semanticallyContains(sup, sub *coalEntry, maxMissing int) bool {
 	if !divsCompatible(sup.b, sub.b) {
 		return false
 	}
-	missingIdx, ok := entryExtras(sup, sub, maxMissing)
+	var buf [mergeMaxExtras + 1]int
+	missingIdx, ok := entryExtras(sup, sub, buf[:maxMissing])
 	if !ok {
 		return false
 	}
@@ -390,19 +403,21 @@ func budgetedInfeasible(cons []Constraint, ncols int) bool {
 	return fmInfeasible(sc, cons, ncols, implicationBudget)
 }
 
-// entryExtras returns the indices of constraints of a that are not present
-// in b, giving up (with ok=false) as soon as more than max are found.
-func entryExtras(a, b *coalEntry, max int) ([]int, bool) {
-	var out []int
+// entryExtras writes the indices of constraints of a that are not present
+// in b into buf and returns them, giving up (with ok=false) as soon as more
+// than len(buf) are found.
+func entryExtras(a, b *coalEntry, buf []int) ([]int, bool) {
+	n := 0
 	for i, c := range a.b.cons {
 		if !b.hasConstraintHashed(a.hashes[i], c) {
-			if len(out) == max {
+			if n == len(buf) {
 				return nil, false
 			}
-			out = append(out, i)
+			buf[n] = i
+			n++
 		}
 	}
-	return out, true
+	return buf[:n], true
 }
 
 // isComplement reports whether the inequality vectors u and v describe
@@ -482,11 +497,12 @@ func tryMergePair(a, b *coalEntry, full bool) (*coalEntry, bool) {
 		a.divSig != b.divSig || !divsCompatible(a.b, b.b) {
 		return nil, false
 	}
-	extrasA, ok := entryExtras(a, b, mergeMaxExtras)
+	var bufA, bufB [mergeMaxExtras]int
+	extrasA, ok := entryExtras(a, b, bufA[:])
 	if !ok {
 		return nil, false
 	}
-	extrasB, ok := entryExtras(b, a, mergeMaxExtras)
+	extrasB, ok := entryExtras(b, a, bufB[:])
 	if !ok {
 		return nil, false
 	}

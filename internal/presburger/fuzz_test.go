@@ -250,12 +250,16 @@ func FuzzSimplify(f *testing.F) {
 	})
 }
 
+// coalesceSeeds is the seed corpus of FuzzCoalesce; each seed is added as
+// both operands.
+func coalesceSeeds(tb testing.TB) [][]byte {
+	return append(polybenchSeeds(tb, "gemm"), divSeed())
+}
+
 func FuzzCoalesce(f *testing.F) {
-	seeds := polybenchSeeds(f, "gemm")
-	for _, s := range seeds {
+	for _, s := range coalesceSeeds(f) {
 		f.Add(s, s)
 	}
-	f.Add(divSeed(), divSeed())
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		ndim, restA, ok := decodeDims(a)
 		if !ok {

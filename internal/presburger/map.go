@@ -165,7 +165,7 @@ func (bm BasicMap) ApplyRange(o BasicMap) (BasicMap, error) {
 	nIn, nMid, nOut := bm.NIn(), bm.NOut(), o.NOut()
 	// Build a basic with dims [in, out, mid] so the mid columns are last and
 	// can be eliminated without disturbing the result layout.
-	res := basic{ndim: nIn + nOut + nMid}
+	res := basic{ndim: nIn + nOut + nMid, cons: make([]Constraint, 0, len(bm.b.cons)+len(o.b.cons))}
 	dimMapA := make([]int, nIn+nMid)
 	for i := 0; i < nIn; i++ {
 		dimMapA[i] = i

@@ -36,6 +36,43 @@ func TestPredicatesMatchReferenceOnSimplifySeeds(t *testing.T) {
 	}
 }
 
+// TestSimplifyMatchesReferenceOnSimplifySeeds runs the map-backed
+// reference of simplify's dedup index (simplify_ref_test.go) on every basic
+// set of the FuzzSimplify seed corpus.
+func TestSimplifyMatchesReferenceOnSimplifySeeds(t *testing.T) {
+	for i, data := range setSeeds(t) {
+		ndim, rest, ok := decodeDims(data)
+		if !ok {
+			continue
+		}
+		if err := presburger.DiffSimplify(decodeBasicSet(ndim, rest)); err != nil {
+			t.Errorf("seed %d: %v", i, err)
+		}
+	}
+}
+
+// TestCoalEntryMatchesReferenceOnCoalesceSeeds checks the coalescer's
+// sorted entry index (coalentry_ref_test.go) on every basic set of the
+// FuzzCoalesce seed corpus, as decoded and as simplified (the coalescer
+// indexes simplified clones).
+func TestCoalEntryMatchesReferenceOnCoalesceSeeds(t *testing.T) {
+	for i, data := range coalesceSeeds(t) {
+		ndim, rest, ok := decodeDims(data)
+		if !ok {
+			continue
+		}
+		bs := decodeBasicSet(ndim, rest)
+		if err := presburger.DiffCoalEntry(bs); err != nil {
+			t.Errorf("seed %d: %v", i, err)
+		}
+		if simp, ok := bs.Simplify(); ok {
+			if err := presburger.DiffCoalEntry(simp); err != nil {
+				t.Errorf("seed %d simplified: %v", i, err)
+			}
+		}
+	}
+}
+
 // TestSetOperationsLeaveInputRows checks the ownership rule from the
 // outside: operations that return a new basic set work on a clone and never
 // write to the rows of their input, even though the kernels under them

@@ -3,22 +3,27 @@ package presburger
 // transferDivs copies the div definitions of src into b (mapping src
 // dimension i to b dimension dimMap[i]) and returns the column map from src
 // columns to b columns so the caller can remap constraint vectors itself.
+// b's constraint rows keep their width: the caller widens them once, after
+// every div is in.
 func (b *basic) transferDivs(src *basic, dimMap []int) []int {
 	colMap := make([]int, src.ncols())
-	colMap[0] = 0
 	for i := 0; i < src.ndim; i++ {
 		colMap[src.dimCol(i)] = b.dimCol(dimMap[i])
 	}
+	// One numerator buffer serves every div: appendDiv copies what it keeps.
+	var buf Vec
+	if len(src.divs) > 0 {
+		buf = NewVec(b.ncols() + len(src.divs))
+	}
 	for i := range src.divs {
-		num := NewVec(b.ncols())
+		num := buf[:b.ncols()]
+		clear(num)
 		for j, x := range clip(src.divs[i].Num, src.ncols()) {
-			if x == 0 {
-				continue
+			if x != 0 {
+				num[colMap[j]] += x
 			}
-			num[colMap[j]] += x
 		}
-		col := b.addDiv(num, src.divs[i].Den)
-		colMap[src.divCol(i)] = col
+		colMap[src.divCol(i)] = b.appendDiv(num, src.divs[i].Den)
 	}
 	return colMap
 }
@@ -43,6 +48,7 @@ func subtractBasic(a, o *basic) []basic {
 	var pieces []basic
 	prefix := a.clone()
 	colMap := prefix.transferDivs(&simplified, identityDimMap(simplified.ndim))
+	prefix.resize()
 	remap := func(dst *basic, v Vec) Vec {
 		out := NewVec(dst.ncols())
 		for j, x := range v {
