@@ -47,7 +47,7 @@ func main() {
 	budgetFlag := flag.Int64("budget", 0, "per-operation symbolic cost limit in cost units (0 = unlimited); an operation over budget fails in exact mode, falls back to trace profiling in auto mode, and degrades to certified bounds in bounded mode")
 	deadline := flag.Duration("deadline", 0, "wall-clock deadline for the whole analysis (e.g. 30s; 0 = none)")
 	stats := flag.Bool("stats", false, "print extended statistics (coalescing counters, basic-map counts, budget use, and degradation provenance)")
-	check := flag.Bool("check", false, "statically verify the program (scopcheck) and print the findings before the analysis; warnings are reported, errors abort")
+	check := flag.Bool("check", false, "print the static verifier's (scopcheck) findings before the analysis; warnings are reported, errors abort (the analysis itself rejects programs with errors either way)")
 	flag.Parse()
 
 	if *list {
@@ -125,7 +125,6 @@ func main() {
 		}
 		if *check {
 			runCheck(prog)
-			opts.SkipVerify = true // already verified, skip the silent pre-flight
 		}
 		pm, err := core.ComputeParametricModelContext(ctx, prog, cfg.LineSize, opts)
 		if err != nil {
@@ -149,7 +148,6 @@ func main() {
 		prog := k.Build(sz)
 		if *check {
 			runCheck(prog)
-			opts.SkipVerify = true // already verified, skip the silent pre-flight
 		}
 		res, err = core.AnalyzeContext(ctx, prog, cfg, opts)
 		if err != nil {

@@ -11,7 +11,12 @@
 // (ComputeDistances) and a cheap per-hierarchy counting phase
 // (DistanceModel.CountMisses), so design-space sweeps over many cache
 // hierarchies pay the expensive phase once — see Analyze for the one-shot
-// composition. The package also bundles a trace-driven cache simulator
+// composition. The symbolic analysis has one front door: the program is
+// validated and extracted into its polyhedral form once, that form is
+// statically verified (in-bounds accesses, a well-formed schedule), and an
+// invalid program is refused with an error listing the findings before any
+// modeling work; there is no opt-out, since the check costs milliseconds.
+// The package also bundles a trace-driven cache simulator
 // (a Dinero IV stand-in), an exact reuse-distance profiler, and the thirty
 // PolyBench kernels used in the paper's evaluation.
 //
@@ -97,9 +102,11 @@ type Config = core.Config
 
 // Options configures the analysis: it toggles the optimizations of the miss
 // counting stage (equalization, rasterization, partial enumeration), selects
-// the rung of the degradation ladder via Mode, and sets the number of worker
-// goroutines via Parallelism (zero uses all cores; results are bit-identical
-// at every parallelism level).
+// the rung of the degradation ladder via Mode, caps per-operation cost via
+// Budget, and sets the number of worker goroutines via Parallelism (zero
+// uses all cores; results are bit-identical at every parallelism level) or
+// hands the analysis a shared executor via Exec. Input verification is not
+// an option: every symbolic analysis runs it.
 type Options = core.Options
 
 // Result is the outcome of analyzing a program.

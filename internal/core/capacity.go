@@ -219,22 +219,12 @@ func (cc *capacityCounter) Count(distances []StatementDistance, cacheLines []int
 			continue
 		}
 		for l, iv := range itemBounds[idx] {
-			out.perStmt[l][stmt] = satAddCount(out.perStmt[l][stmt], iv.Hi)
+			out.perStmt[l][stmt] = ints.SatAdd(out.perStmt[l][stmt], iv.Hi)
 			out.bounds[l] = out.bounds[l].Add(iv)
 		}
 		out.degraded = append(out.degraded, itemReasons[idx])
 	}
 	return out, nil
-}
-
-// satAddCount adds two non-negative counts, saturating at MaxInt64 (a
-// degraded piece with no box bound reports MaxInt64 as its upper bound;
-// callers clamp against the statement's instance count afterwards).
-func satAddCount(a, b int64) int64 {
-	if a > math.MaxInt64-b {
-		return math.MaxInt64
-	}
-	return a + b
 }
 
 // boundPiece computes certified bounds on the capacity misses of a piece

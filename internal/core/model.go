@@ -201,13 +201,6 @@ type Options struct {
 	// selects runtime.NumCPU(). Results are bit-identical for every
 	// parallelism level.
 	Parallelism int
-	// SkipVerify disables the static pre-flight verification
-	// (internal/scopcheck) that ComputeDistances and ComputeParametricModel
-	// run on the input program. The verification is cheap and rejects
-	// malformed programs (out-of-bounds accesses, broken schedules) with
-	// structured diagnostics instead of letting the symbolic pipeline
-	// compute garbage; disable it only for programs already verified.
-	SkipVerify bool
 	// Mode selects the degradation ladder rung (exact, auto, bounded, sim);
 	// see the Mode constants. The zero value is ModeExact, which fails
 	// loudly; DefaultOptions selects ModeAuto.

@@ -9,6 +9,7 @@ import (
 
 	"haystack/internal/budget"
 	"haystack/internal/counting"
+	"haystack/internal/ints"
 	"haystack/internal/presburger"
 	"haystack/internal/qpoly"
 	"haystack/internal/scop"
@@ -134,10 +135,7 @@ func ComputeParametricModelContext(ctx context.Context, prog *scop.Program, line
 	if !prog.IsParametric() {
 		return nil, fmt.Errorf("core: program %s has no parameters; use ComputeDistances", prog.Name)
 	}
-	if err := preflight(prog, opts); err != nil {
-		return nil, err
-	}
-	info, err := scop.BuildPoly(prog)
+	info, err := extract(prog)
 	if err != nil {
 		return nil, err
 	}
@@ -421,7 +419,7 @@ func (pm *ParametricModel) Eval(cfg Config, bindings map[string]int64) (*Result,
 		// Parametric pieces: one exact polynomial evaluation per statement.
 		for stmt, bag := range mp.perStmt {
 			n := bag.EvalSum(point).Int()
-			counts.perStmt[l][stmt] = satAddCount(counts.perStmt[l][stmt], n)
+			counts.perStmt[l][stmt] = ints.SatAdd(counts.perStmt[l][stmt], n)
 			counts.bounds[l] = counts.bounds[l].Add(counting.Exact(n))
 		}
 		// Affine pieces whose parametric count failed at this capacity.
@@ -433,7 +431,7 @@ func (pm *ParametricModel) Eval(cfg Config, bindings map[string]int64) (*Result,
 			return nil, err
 		}
 		for stmt, n := range extra.perStmt[0] {
-			counts.perStmt[l][stmt] = satAddCount(counts.perStmt[l][stmt], n)
+			counts.perStmt[l][stmt] = ints.SatAdd(counts.perStmt[l][stmt], n)
 		}
 		counts.bounds[l] = counts.bounds[l].Add(extra.bounds[0])
 		counts.degraded = append(counts.degraded, extra.degraded...)

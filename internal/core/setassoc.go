@@ -180,7 +180,7 @@ func (dm *DistanceModel) countSetAssocLevel(ctx context.Context, ex parwork.Exec
 				n = dm.stmtInstances[stmt]
 			}
 			sr.bounds = sr.bounds.Add(counting.Interval{Lo: 0, Hi: n})
-			sr.perStmt[stmt] = satAddCount(sr.perStmt[stmt], n)
+			sr.perStmt[stmt] = ints.SatAdd(sr.perStmt[stmt], n)
 			sr.degraded = append(sr.degraded, fmt.Sprintf("%s%s: %s", opPrefix, stmt, degraded[stmt]))
 		}
 		return nil
@@ -200,7 +200,7 @@ func (dm *DistanceModel) countSetAssocLevel(ctx context.Context, ex parwork.Exec
 		lvl.pieces[s] = sr.pieces
 		lvl.bounds = lvl.bounds.Add(sr.bounds)
 		for stmt, n := range sr.perStmt {
-			lvl.perStmt[stmt] = satAddCount(lvl.perStmt[stmt], n)
+			lvl.perStmt[stmt] = ints.SatAdd(lvl.perStmt[stmt], n)
 		}
 		lvl.degraded = append(lvl.degraded, sr.degraded...)
 		lvl.stats.merge(&sr.stats)

@@ -143,7 +143,7 @@ func computeStackDistances(ctx context.Context, info *scop.PolyInfo, lineSize in
 		return nil, nil, presburger.UnionMap{}, fmt.Errorf("core: touched lines composition: %w", err)
 	}
 
-	dists, degraded, err := countTouchedCards(ctx, info, touched, ex, fs, meter, bounded, "")
+	dists, degraded, err := countTouchedCards(ctx, info, touched, ex, fs, meter, bounded)
 	if err != nil {
 		return nil, nil, presburger.UnionMap{}, err
 	}
@@ -155,11 +155,8 @@ func computeStackDistances(ctx context.Context, info *scop.PolyInfo, lineSize in
 // summed over the accessed arrays. The per-map cardinalities are
 // independent, so they are computed on the worker pool; the per-statement
 // sums fold the results in map order so the outcome matches the sequential
-// computation exactly. It is shared between the fully associative pipeline
-// (the whole touched map, empty opPrefix) and the set-associative counting
-// (the map restricted to one cache set, with the set named in opPrefix so
-// budget provenance stays attributable).
-func countTouchedCards(ctx context.Context, info *scop.PolyInfo, touched presburger.UnionMap, ex parwork.Exec, fs *frontierStats, meter *budget.Meter, bounded bool, opPrefix string) ([]StatementDistance, map[string]string, error) {
+// computation exactly.
+func countTouchedCards(ctx context.Context, info *scop.PolyInfo, touched presburger.UnionMap, ex parwork.Exec, fs *frontierStats, meter *budget.Meter, bounded bool) ([]StatementDistance, map[string]string, error) {
 	byStatement := map[string][]presburger.Map{}
 	for _, m := range touched.Maps() {
 		byStatement[m.InSpace().Name] = append(byStatement[m.InSpace().Name], m)
@@ -223,7 +220,7 @@ func countTouchedCards(ctx context.Context, info *scop.PolyInfo, touched presbur
 		if leader[idx] != idx {
 			return nil // copied after the pool drains
 		}
-		card, err := counting.MapCard(simplifyMap(it.m, fs), meter.Op(opPrefix+"touched-line count of "+it.name))
+		card, err := counting.MapCard(simplifyMap(it.m, fs), meter.Op("touched-line count of "+it.name))
 		if err != nil {
 			if bounded && !budget.IsCancellation(err) {
 				// Degrade the statement instead of the analysis; the caller

@@ -115,7 +115,8 @@ func ComputeDistancesContext(ctx context.Context, prog *scop.Program, lineSize i
 	if opts.Mode == ModeSim {
 		return computeDistancesByProfiling(prog, lineSize)
 	}
-	if err := preflight(prog, opts); err != nil {
+	info, err := extract(prog)
+	if err != nil {
 		return nil, err
 	}
 	meter := budget.New(ctx, opts.Budget)
@@ -127,10 +128,6 @@ func ComputeDistancesContext(ctx context.Context, prog *scop.Program, lineSize i
 	ex, release := opts.executor()
 	defer release()
 
-	info, err := scop.BuildPoly(prog)
-	if err != nil {
-		return nil, err
-	}
 	dm.TotalAccesses, dm.stmtInstances, err = totalAccesses(info)
 	if err != nil {
 		return nil, err

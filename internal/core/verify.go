@@ -33,23 +33,25 @@ func (e *InvalidProgramError) Error() string {
 // Unwrap makes errors.Is(err, ErrInvalidProgram) work.
 func (e *InvalidProgramError) Unwrap() error { return ErrInvalidProgram }
 
-// preflight runs the static verifier on the program unless opts.SkipVerify
-// is set. Error-severity findings abort the analysis with an
+// extract builds the polyhedral description of prog — once per analysis —
+// and verifies that same object with the static checker before the pipeline
+// runs on it. Structural findings (the walk BuildPoly starts with) and
+// Error-severity semantic findings abort the analysis with an
 // *InvalidProgramError; warnings (empty domains, undecidable properties) do
 // not block — the analysis is still well-defined on such programs.
-func preflight(prog *scop.Program, opts Options) error {
-	if opts.SkipVerify {
-		return nil
-	}
-	diags := scopcheck.Check(prog)
-	if !scopcheck.HasErrors(diags) {
-		return nil
+func extract(prog *scop.Program) (*scop.PolyInfo, error) {
+	info, err := scop.BuildPoly(prog)
+	if err != nil {
+		return nil, &InvalidProgramError{Program: prog.Name, Diagnostics: scopcheck.Structural(err)}
 	}
 	var errs []scopcheck.Diagnostic
-	for _, d := range diags {
+	for _, d := range scopcheck.CheckPoly(info) {
 		if d.Severity == scopcheck.Error {
 			errs = append(errs, d)
 		}
 	}
-	return &InvalidProgramError{Program: prog.Name, Diagnostics: errs}
+	if len(errs) > 0 {
+		return nil, &InvalidProgramError{Program: prog.Name, Diagnostics: errs}
+	}
+	return info, nil
 }

@@ -41,17 +41,6 @@ func TestAnalyzeRejectsInvalidProgram(t *testing.T) {
 	}
 }
 
-func TestAnalyzeSkipVerify(t *testing.T) {
-	// With SkipVerify the broken program reaches the model, which analyzes
-	// it without complaint (the access map just covers an element outside
-	// the declared extent; the symbolic pipeline does not care).
-	opts := DefaultOptions()
-	opts.SkipVerify = true
-	if _, err := Analyze(brokenProgram(), DefaultConfig(), opts); err != nil {
-		t.Fatalf("Analyze with SkipVerify: %v", err)
-	}
-}
-
 func TestParametricModelRejectsInvalidProgram(t *testing.T) {
 	p := scop.NewProgram("brokenparam")
 	N := p.NewParam("N")

@@ -3,9 +3,9 @@ package counting
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"haystack/internal/budget"
+	"haystack/internal/ints"
 	"haystack/internal/presburger"
 )
 
@@ -24,7 +24,7 @@ func Exact(n int64) Interval { return Interval{Lo: n, Hi: n} }
 func (iv Interval) IsExact() bool { return iv.Lo == iv.Hi }
 
 // Width returns Hi - Lo (0 for exact results), saturating on overflow.
-func (iv Interval) Width() int64 { return satSub(iv.Hi, iv.Lo) }
+func (iv Interval) Width() int64 { return ints.SatSub(iv.Hi, iv.Lo) }
 
 // Contains reports whether n lies within the interval.
 func (iv Interval) Contains(n int64) bool { return iv.Lo <= n && n <= iv.Hi }
@@ -32,7 +32,7 @@ func (iv Interval) Contains(n int64) bool { return iv.Lo <= n && n <= iv.Hi }
 // Add returns the interval sum (sound for sums of independent counts),
 // saturating on overflow.
 func (iv Interval) Add(o Interval) Interval {
-	return Interval{Lo: satAdd(iv.Lo, o.Lo), Hi: satAdd(iv.Hi, o.Hi)}
+	return Interval{Lo: ints.SatAdd(iv.Lo, o.Lo), Hi: ints.SatAdd(iv.Hi, o.Hi)}
 }
 
 // ClampHi lowers Hi to hi if the current Hi exceeds it (used to intersect
@@ -53,33 +53,6 @@ func (iv Interval) String() string {
 		return fmt.Sprintf("%d", iv.Lo)
 	}
 	return fmt.Sprintf("[%d, %d]", iv.Lo, iv.Hi)
-}
-
-func satAdd(a, b int64) int64 {
-	s := a + b
-	if a > 0 && b > 0 && s < a {
-		return math.MaxInt64
-	}
-	if a < 0 && b < 0 && s > a {
-		return math.MinInt64
-	}
-	return s
-}
-
-func satSub(a, b int64) int64 { return satAdd(a, -b) }
-
-func satMul(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	p := a * b
-	if p/b != a {
-		if (a > 0) == (b > 0) {
-			return math.MaxInt64
-		}
-		return math.MinInt64
-	}
-	return p
 }
 
 // maxEnum caps the points ScanPrefix visits.
@@ -137,11 +110,11 @@ func BoxCountUpper(bs presburger.BasicSet) (int64, bool) {
 	}
 	total := int64(1)
 	for d := range lo {
-		w := satSub(hi[d], lo[d]) // box side length - 1
+		w := ints.SatSub(hi[d], lo[d]) // box side length - 1
 		if w < 0 {
 			return 0, true // empty box: lo > hi on some dimension
 		}
-		total = satMul(total, satAdd(w, 1))
+		total = ints.SatMul(total, ints.SatAdd(w, 1))
 	}
 	return total, true
 }
@@ -218,7 +191,7 @@ func boxUpper(s presburger.Set) (int64, bool) {
 		if !ok {
 			return 0, false
 		}
-		hi = satAdd(hi, n)
+		hi = ints.SatAdd(hi, n)
 	}
 	return hi, true
 }

@@ -148,19 +148,12 @@ func (s *system) fanOutEstimate(dim int) int64 {
 	// penalties; with adversarial coefficients the raw products (and the
 	// checked LCM, which panics) overflow int64. Saturating keeps the
 	// heuristic ordered — a saturated estimate just means "sum this last".
-	satMul := func(a, b int64) int64 {
-		p, ok := ints.TryMul(a, b)
-		if !ok {
-			return int64(^uint64(0) >> 1) // saturate at MaxInt64
-		}
-		return p
-	}
 	satLCM := func(a, b int64) int64 {
 		if a == 0 || b == 0 {
 			return 0
 		}
 		g := ints.GCD(a, b)
-		return satMul(ints.Abs(a)/g, ints.Abs(b))
+		return ints.SatMul(ints.Abs(a)/g, ints.Abs(b))
 	}
 	col := s.dimCol(dim)
 	var period int64 = 1
@@ -212,17 +205,17 @@ func (s *system) fanOutEstimate(dim int) int64 {
 			}
 		}
 		if penalty < 1<<20 {
-			penalty = satMul(penalty, w)
+			penalty = ints.SatMul(penalty, w)
 		}
 	}
 	if hasEq && period == 1 {
 		return 1
 	}
-	pairs := satMul(lowers, uppers)
+	pairs := ints.SatMul(lowers, uppers)
 	if hasEq || pairs == 0 {
 		pairs = 1
 	}
-	return satMul(satMul(period, pairs), penalty)
+	return ints.SatMul(ints.SatMul(period, pairs), penalty)
 }
 
 // divDependsOnDim reports, per div, whether its numerator references the

@@ -13,13 +13,15 @@
 // (core.DistanceModel.CountMisses). Tile sizes that leave a kernel
 // unchanged (no rectangular band, or tiles covering the whole extent of an
 // untileable band) collapse onto the untiled variant and share its distance
-// model too. Both phases fan out over the shared parwork pool —
-// configurations in the outer pool — and results are deterministic at every
-// parallelism level: with the default TiledSymbolic strategy every result
-// is bit-identical to a standalone core.Analyze call with the same options,
-// while the TiledProfile strategy builds the models of tiled variants from
-// an exact trace profile instead (still exact, much cheaper for the deep
-// loop nests tiling produces, and equally shared across hierarchies).
+// model too. Both phases run on one parwork pool: configurations fan out as
+// its items, and every analysis schedules its own units on the worker
+// driving it, so Options.Parallelism alone sizes the sweep. Results are
+// deterministic at every worker count: with the default TiledSymbolic
+// strategy every result is bit-identical to a standalone core.Analyze call
+// with the same options, while the TiledProfile strategy builds the models
+// of tiled variants from an exact trace profile instead (still exact, much
+// cheaper for the deep loop nests tiling produces, and equally shared
+// across hierarchies).
 package explore
 
 import (
@@ -78,27 +80,25 @@ const (
 
 // Options configures a sweep.
 type Options struct {
-	// Analysis holds the model options of every evaluation. A
-	// non-positive Analysis.Parallelism is balanced against the outer pool
-	// (see DefaultOptions); a positive value fixes the inner parallelism of
-	// every analysis. Analysis.Mode selects the degradation ladder rung of
-	// every grid point (core.ComputeDistancesContext resolves it); ModeSim
-	// routes all variants, tiled and untiled, through exact trace profiling.
+	// Analysis holds the model options of every evaluation. Its
+	// Parallelism and Exec are ignored: every analysis runs on the sweep's
+	// pool. Analysis.Mode selects the degradation ladder rung of every grid
+	// point (core.ComputeDistancesContext resolves it); ModeSim routes all
+	// variants, tiled and untiled, through exact trace profiling.
 	Analysis core.Options
-	// Parallelism is the worker count of the sweep's outer pool, which fans
-	// out over configurations; zero or below selects the number of CPUs.
+	// Parallelism is the worker count of the sweep's pool, which runs the
+	// configurations and the analyses' own units alike; zero or below
+	// selects the number of CPUs.
 	Parallelism int
 	// Tiled selects the analysis strategy of tiled variants (default
 	// TiledSymbolic).
 	Tiled TiledAnalysis
 }
 
-// DefaultOptions enables every model optimization and balances the two
-// parallelism levels automatically: the outer pool fans out over
-// configurations, and when the distance phase has fewer jobs than outer
-// workers the spare cores go to the individual analyses instead. Leaving
-// Analysis.Parallelism at zero requests this balancing; setting it
-// explicitly fixes the inner parallelism of every analysis.
+// DefaultOptions enables every model optimization and sizes the pool by the
+// number of CPUs. Idle workers steal units across analyses, so when the
+// distance phase has fewer jobs than workers the spare cores go to the
+// individual analyses without any inner/outer split.
 func DefaultOptions() Options {
 	return Options{Analysis: core.DefaultOptions()}
 }
@@ -255,16 +255,12 @@ func SweepContext(ctx context.Context, grid Grid, opts Options) (*Result, error)
 	// bit-identical at every worker count.
 	ex, releasePool := parwork.NewExec(workers)
 	defer releasePool()
-	analysis := opts.Analysis
-	if analysis.Parallelism <= 0 {
-		analysis.Parallelism = 1
-	}
 	err := ex.RunGroup(ctx, len(jobs), func(w *parwork.Worker, idx int) error {
 		job := jobs[idx]
 		v := variants[job.variant]
 		// The analysis runs on this worker: Options.Exec is call scoped, so
 		// the per-job copy hands the worker to exactly one call.
-		jobOpts := analysis
+		jobOpts := opts.Analysis
 		jobOpts.Exec = w
 		if v.tiled && opts.Tiled == TiledProfile {
 			jobOpts.Mode = core.ModeSim

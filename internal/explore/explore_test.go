@@ -202,8 +202,6 @@ func TestSweepPolyBenchWorkerCountBitIdentical(t *testing.T) {
 		grid.Kernels = append(grid.Kernels, Kernel{Name: name, Program: k.Build(polybench.Mini)})
 	}
 	opts := DefaultOptions()
-	opts.Analysis.Parallelism = 1
-
 	var base *Result
 	for _, workers := range []int{1, 2, 4} {
 		opts.Parallelism = workers

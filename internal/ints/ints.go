@@ -8,7 +8,10 @@
 // than a legitimate large value.
 package ints
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // AddChecked returns a+b and panics on overflow.
 func AddChecked(a, b int64) int64 {
@@ -43,7 +46,8 @@ func TryAdd(a, b int64) (int64, bool) {
 // TrySub returns a-b, reporting false on overflow instead of panicking.
 func TrySub(a, b int64) (int64, bool) {
 	d := a - b
-	if (b < 0 && a > 0 && d < 0) || (b > 0 && a < 0 && d > 0) {
+	// a = 0 counts as non-negative: 0 - MinInt64 wraps to MinInt64.
+	if (b < 0 && a >= 0 && d < 0) || (b > 0 && a < 0 && d > 0) {
 		return 0, false
 	}
 	return d, true
@@ -64,6 +68,40 @@ func TryMul(a, b int64) (int64, bool) {
 }
 
 const minInt64 = -1 << 63
+
+// SatAdd returns a+b, saturating at MaxInt64 or MinInt64 on overflow. Use
+// the saturating helpers for counts and bounds where a clamped extreme is
+// the right answer (certified upper bounds, heuristic scores).
+func SatAdd(a, b int64) int64 {
+	if s, ok := TryAdd(a, b); ok {
+		return s
+	}
+	return saturate(a > 0)
+}
+
+// SatSub returns a-b, saturating at MaxInt64 or MinInt64 on overflow.
+func SatSub(a, b int64) int64 {
+	if d, ok := TrySub(a, b); ok {
+		return d
+	}
+	return saturate(a >= 0)
+}
+
+// SatMul returns a*b, saturating at MaxInt64 or MinInt64 on overflow.
+func SatMul(a, b int64) int64 {
+	if p, ok := TryMul(a, b); ok {
+		return p
+	}
+	return saturate((a > 0) == (b > 0))
+}
+
+// saturate returns the extreme an overflowing result clamps to.
+func saturate(positive bool) int64 {
+	if positive {
+		return math.MaxInt64
+	}
+	return math.MinInt64
+}
 
 // Abs returns the absolute value of a.
 func Abs(a int64) int64 {

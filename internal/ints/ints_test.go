@@ -214,3 +214,49 @@ func SubChecked(a, b int64) int64 {
 	}
 	return d
 }
+
+// TestSaturatingHelpers pins SatAdd, SatSub and SatMul at the int64
+// extremes, including the two wraps a bare overflow check misses:
+// MinInt64 × -1 (the quotient check p/b == a passes) and 0 - MinInt64
+// (the difference wraps to MinInt64).
+func TestSaturatingHelpers(t *testing.T) {
+	const maxI, minI = math.MaxInt64, math.MinInt64
+	cases := []struct {
+		a, b          int64
+		add, sub, mul int64
+	}{
+		{3, 4, 7, -1, 12},
+		{-3, 4, 1, -7, -12},
+		{0, 0, 0, 0, 0},
+		{maxI, 1, maxI, maxI - 1, maxI},
+		{maxI, maxI, maxI, 0, maxI},
+		{maxI, -1, maxI - 1, maxI, -maxI},
+		{maxI, 2, maxI, maxI - 2, maxI},
+		{maxI, -2, maxI - 2, maxI, minI},
+		{minI, 1, minI + 1, minI, minI},
+		{minI, -1, minI, minI + 1, maxI},
+		{-1, minI, minI, maxI, maxI},
+		{minI, minI, minI, 0, maxI},
+		{minI, maxI, -1, minI, minI},
+		{0, minI, minI, maxI, 0},
+		{1, minI, minI + 1, maxI, minI},
+		{-1, maxI, maxI - 1, minI, -maxI},
+		{-2, maxI, maxI - 2, minI, minI},
+		{1 << 32, 1 << 32, 1 << 33, 0, maxI},
+		{-(1 << 32), 1 << 32, 0, -(1 << 33), minI},
+	}
+	for _, c := range cases {
+		if got := SatAdd(c.a, c.b); got != c.add {
+			t.Errorf("SatAdd(%d, %d) = %d, want %d", c.a, c.b, got, c.add)
+		}
+		if got := SatSub(c.a, c.b); got != c.sub {
+			t.Errorf("SatSub(%d, %d) = %d, want %d", c.a, c.b, got, c.sub)
+		}
+		if got := SatMul(c.a, c.b); got != c.mul {
+			t.Errorf("SatMul(%d, %d) = %d, want %d", c.a, c.b, got, c.mul)
+		}
+		if got := SatMul(c.b, c.a); got != c.mul {
+			t.Errorf("SatMul(%d, %d) = %d, want %d (commuted)", c.b, c.a, got, c.mul)
+		}
+	}
+}

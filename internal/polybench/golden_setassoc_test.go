@@ -1,9 +1,7 @@
 package polybench
 
 import (
-	"encoding/json"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"haystack/internal/core"
@@ -33,67 +31,14 @@ func goldenSetAssocConfig() core.Config {
 func TestGoldenSetAssocConformance(t *testing.T) {
 	cfg := goldenSetAssocConfig()
 	if os.Getenv("UPDATE_GOLDEN") != "" {
-		golden := map[string]goldenEntry{}
-		for _, k := range Kernels() {
-			ref, err := core.SimulateSetAssocReference(k.Build(Mini), cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", k.Name, err)
-			}
-			golden[k.Name] = goldenEntry{
-				TotalAccesses:    ref.TotalAccesses,
-				CompulsoryMisses: ref.CompulsoryMisses,
-				TotalMisses:      ref.TotalMisses,
-			}
-		}
-		data, err := json.MarshalIndent(golden, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenSetAssocPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenSetAssocPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s with %d kernels", goldenSetAssocPath, len(golden))
+		writeGolden(t, goldenSetAssocPath, cfg, core.SimulateSetAssocReference)
 		return
 	}
-	data, err := os.ReadFile(goldenSetAssocPath)
-	if err != nil {
-		t.Fatalf("reading golden fixture (regenerate with UPDATE_GOLDEN=1 go test ./internal/polybench -run TestGoldenSetAssocConformance): %v", err)
-	}
-	var golden map[string]goldenEntry
-	if err := json.Unmarshal(data, &golden); err != nil {
-		t.Fatalf("parsing %s: %v", goldenSetAssocPath, err)
-	}
-	if got, want := len(Kernels()), len(golden); got != want {
-		t.Errorf("fixture covers %d kernels, registry has %d (regenerate with UPDATE_GOLDEN=1)", want, got)
-	}
+	golden := loadGolden(t, goldenSetAssocPath)
 	for _, k := range Kernels() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
-			want, ok := golden[k.Name]
-			if !ok {
-				t.Fatalf("kernel %s missing from %s (regenerate with UPDATE_GOLDEN=1)", k.Name, goldenSetAssocPath)
-			}
-			ref, err := core.SimulateSetAssocReference(k.Build(Mini), cfg)
-			if err != nil {
-				t.Fatalf("SimulateSetAssocReference: %v", err)
-			}
-			if ref.TotalAccesses != want.TotalAccesses {
-				t.Errorf("total accesses: got %d, golden %d", ref.TotalAccesses, want.TotalAccesses)
-			}
-			if ref.CompulsoryMisses != want.CompulsoryMisses {
-				t.Errorf("compulsory misses: got %d, golden %d", ref.CompulsoryMisses, want.CompulsoryMisses)
-			}
-			if len(ref.TotalMisses) != len(want.TotalMisses) {
-				t.Fatalf("level count: got %d, golden %d", len(ref.TotalMisses), len(want.TotalMisses))
-			}
-			for l, m := range ref.TotalMisses {
-				if m != want.TotalMisses[l] {
-					t.Errorf("L%d total misses: got %d, golden %d", l+1, m, want.TotalMisses[l])
-				}
-			}
+			checkGolden(t, golden, goldenSetAssocPath, k, cfg, core.SimulateSetAssocReference)
 		})
 	}
 }

@@ -25,26 +25,6 @@ func registerStencils() {
 		return p
 	})
 
-	// jacobi-2d: two 5-point sweeps per time step.
-	register("jacobi-2d", "stencil", func(s Size) *scop.Program {
-		d := jacobi2dDims.at(s)
-		n, tsteps := d[0], d[1]
-		p := scop.NewProgram("jacobi-2d")
-		A := p.NewArray("A", elem, n, n)
-		B := p.NewArray("B", elem, n, n)
-		t, i, j, i2, j2 := v("t"), v("i"), v("j"), v("i2"), v("j2")
-		p.Add(
-			f(t, c(0), c(tsteps),
-				f(i, c(1), c(n-1), f(j, c(1), c(n-1),
-					st("S0", rd(A, x(i), x(j)), rd(A, x(i), x(j).Minus(c(1))), rd(A, x(i), x(j).Plus(c(1))),
-						rd(A, x(i).Plus(c(1)), x(j)), rd(A, x(i).Minus(c(1)), x(j)), wr(B, x(i), x(j))))),
-				f(i2, c(1), c(n-1), f(j2, c(1), c(n-1),
-					st("S1", rd(B, x(i2), x(j2)), rd(B, x(i2), x(j2).Minus(c(1))), rd(B, x(i2), x(j2).Plus(c(1))),
-						rd(B, x(i2).Plus(c(1)), x(j2)), rd(B, x(i2).Minus(c(1)), x(j2)), wr(A, x(i2), x(j2)))))),
-		)
-		return p
-	})
-
 	// seidel-2d: in-place 9-point Gauss-Seidel sweep.
 	seidelDims := dims{
 		Mini: {40, 20}, Small: {120, 40}, Medium: {400, 100}, Large: {2000, 500}, ExtraLarge: {4000, 1000},

@@ -1,6 +1,7 @@
 package polybench
 
 import (
+	"fmt"
 	"sort"
 
 	"haystack/internal/scop"
@@ -9,10 +10,10 @@ import (
 // ParametricKernel is a kernel whose problem sizes are symbolic program
 // parameters: Build constructs the program once with scop parameters in its
 // loop bounds and array extents, and Bindings maps every standard PolyBench
-// size onto concrete parameter values. Instantiating the parametric program
-// at Bindings(s) yields the same program the concrete registry builds at
-// size s, so one parametric analysis (core.ComputeParametricModel) answers
-// every size.
+// size onto concrete parameter values. The concrete registry entry of the
+// same name is the parametric program instantiated at Bindings(s), so the
+// kernel is defined once and one parametric analysis
+// (core.ComputeParametricModel) answers every size.
 type ParametricKernel struct {
 	Name     string
 	Category string
@@ -24,9 +25,18 @@ type ParametricKernel struct {
 
 var parametricRegistry []ParametricKernel
 
+// registerParametric registers the parametric kernel and, under the same
+// name, its concrete instantiation at every standard size.
 func registerParametric(name, category string, build func() *scop.Program, bindings func(Size) map[string]int64) {
 	parametricRegistry = append(parametricRegistry, ParametricKernel{
 		Name: name, Category: category, Build: build, Bindings: bindings,
+	})
+	register(name, category, func(s Size) *scop.Program {
+		p, err := build().Instantiate(bindings(s))
+		if err != nil {
+			panic(fmt.Sprintf("polybench: instantiating %s at %s: %v", name, s, err))
+		}
+		return p
 	})
 }
 
@@ -56,6 +66,20 @@ func ParametricNames() []string {
 	}
 	return out
 }
+
+// The standard problem sizes of the parametric kernels.
+var (
+	gemmDims = dims{
+		Mini: {20, 25, 30}, Small: {60, 70, 80}, Medium: {200, 220, 240},
+		Large: {1000, 1100, 1200}, ExtraLarge: {2000, 2300, 2600},
+	}
+	trmmDims = dims{
+		Mini: {20, 30}, Small: {60, 80}, Medium: {200, 240}, Large: {1000, 1200}, ExtraLarge: {2000, 2600},
+	}
+	jacobi2dDims = dims{
+		Mini: {30, 20}, Small: {90, 40}, Medium: {250, 100}, Large: {1300, 500}, ExtraLarge: {2800, 1000},
+	}
+)
 
 func init() {
 	// gemm: C = alpha*A*B + beta*C, parametric in NI, NJ, NK.

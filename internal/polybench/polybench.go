@@ -125,40 +125,7 @@ func init() {
 // Linear algebra: BLAS-like kernels and multi-matrix products.
 // ---------------------------------------------------------------------------
 
-// gemmDims, trmmDims, and jacobi2dDims are shared between the concrete
-// kernel builders below and the parametric builders in parametric.go, so the
-// standard problem sizes cannot drift apart.
-var gemmDims = dims{
-	Mini: {20, 25, 30}, Small: {60, 70, 80}, Medium: {200, 220, 240},
-	Large: {1000, 1100, 1200}, ExtraLarge: {2000, 2300, 2600},
-}
-
-var trmmDims = dims{
-	Mini: {20, 30}, Small: {60, 80}, Medium: {200, 240}, Large: {1000, 1200}, ExtraLarge: {2000, 2600},
-}
-
-var jacobi2dDims = dims{
-	Mini: {30, 20}, Small: {90, 40}, Medium: {250, 100}, Large: {1300, 500}, ExtraLarge: {2800, 1000},
-}
-
 func registerLinearAlgebra() {
-	// gemm: C = alpha*A*B + beta*C.
-	register("gemm", "blas", func(s Size) *scop.Program {
-		d := gemmDims.at(s)
-		ni, nj, nk := d[0], d[1], d[2]
-		p := scop.NewProgram("gemm")
-		A := p.NewArray("A", elem, ni, nk)
-		B := p.NewArray("B", elem, nk, nj)
-		C := p.NewArray("C", elem, ni, nj)
-		i, j, k := v("i"), v("j"), v("k")
-		p.Add(f(i, c(0), c(ni),
-			f(j, c(0), c(nj),
-				st("S0", rd(C, x(i), x(j)), wr(C, x(i), x(j))),
-				f(k, c(0), c(nk),
-					st("S1", rd(A, x(i), x(k)), rd(B, x(k), x(j)), rd(C, x(i), x(j)), wr(C, x(i), x(j)))))))
-		return p
-	})
-
 	// 2mm: tmp = alpha*A*B; D = beta*D + tmp*C.
 	mm2Dims := dims{
 		Mini: {16, 18, 22, 24}, Small: {40, 50, 70, 80}, Medium: {180, 190, 210, 220},
@@ -415,23 +382,6 @@ func registerLinearAlgebra() {
 					f(j2, c(0), x(i).Plus(c(1)),
 						st("S1", rd(A, x(j2), x(k)), rd(B, x(i), x(k)), rd(B, x(j2), x(k)), rd(A, x(i), x(k)),
 							rd(C, x(i), x(j2)), wr(C, x(i), x(j2)))))),
-		)
-		return p
-	})
-
-	// trmm: triangular matrix multiply.
-	register("trmm", "blas", func(s Size) *scop.Program {
-		d := trmmDims.at(s)
-		m, n := d[0], d[1]
-		p := scop.NewProgram("trmm")
-		A := p.NewArray("A", elem, m, m)
-		B := p.NewArray("B", elem, m, n)
-		i, j, k := v("i"), v("j"), v("k")
-		p.Add(
-			f(i, c(0), c(m), f(j, c(0), c(n),
-				f(k, x(i).Plus(c(1)), c(m),
-					st("S0", rd(A, x(k), x(i)), rd(B, x(k), x(j)), rd(B, x(i), x(j)), wr(B, x(i), x(j)))),
-				st("S1", rd(B, x(i), x(j)), wr(B, x(i), x(j))))),
 		)
 		return p
 	})

@@ -89,7 +89,8 @@ func statementsWithPositions(p *Program) []*PolyStatement {
 	return out
 }
 
-// BuildPoly derives the polyhedral description of the program.
+// BuildPoly derives the polyhedral description of the program. It fails only
+// when Validate does, with the same *ValidationError.
 func BuildPoly(p *Program) (*PolyInfo, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -105,9 +106,7 @@ func BuildPoly(p *Program) (*PolyInfo, error) {
 	info := &PolyInfo{Program: p, Statements: stmts, ScheduleDim: schedDim,
 		Params: append([]string(nil), p.Params...)}
 	for _, ps := range stmts {
-		if err := buildStatement(ps, schedDim, info.Params, p.Context); err != nil {
-			return nil, err
-		}
+		buildStatement(ps, schedDim, info.Params, p.Context)
 	}
 	return info, nil
 }
@@ -115,8 +114,9 @@ func BuildPoly(p *Program) (*PolyInfo, error) {
 // exprToVec converts an affine expression over the program parameters and
 // the statement's loop variables into a column vector over the statement
 // space columns [const, params..., loopvars..., a] with the given total
-// width.
-func exprToVec(e Expr, params, loopVars []string, width int) (presburger.Vec, error) {
+// width. Validate rejects every expression naming another variable, so an
+// unknown name is a caller bug and panics.
+func exprToVec(e Expr, params, loopVars []string, width int) presburger.Vec {
 	v := presburger.NewVec(width)
 	v[0] = e.Const
 	for name, c := range e.Coeffs {
@@ -142,10 +142,10 @@ func exprToVec(e Expr, params, loopVars []string, width int) (presburger.Vec, er
 			}
 		}
 		if !found {
-			return nil, fmt.Errorf("scop: expression references unbound variable %s", name)
+			panic(fmt.Sprintf("scop: expression references unbound variable %s", name))
 		}
 	}
-	return v, nil
+	return v
 }
 
 // paramEqualities adds out-param == in-param constraints for every parameter
@@ -162,7 +162,7 @@ func paramEqualities(bm presburger.BasicMap, nParam, nIn int) presburger.BasicMa
 	return bm
 }
 
-func buildStatement(ps *PolyStatement, schedDim int, params []string, context []Expr) error {
+func buildStatement(ps *PolyStatement, schedDim int, params []string, context []Expr) {
 	inst := ps.Instance
 	loopVars := inst.LoopVars()
 	nP := len(params)
@@ -174,20 +174,14 @@ func buildStatement(ps *PolyStatement, schedDim int, params []string, context []
 	bs := presburger.UniverseBasicSet(ps.Space)
 	width := bs.NCols()
 	for _, ctx := range context {
-		cv, err := exprToVec(ctx, params, loopVars, width)
-		if err != nil {
-			return err
-		}
+		cv := exprToVec(ctx, params, loopVars, width)
 		bs = bs.AddConstraint(presburger.Constraint{C: cv})
 	}
 	for i, loop := range inst.Loops {
 		lowers := append([]Expr{loop.Lower}, loop.ExtraLower...)
 		uppers := append([]Expr{loop.Upper}, loop.ExtraUpper...)
 		for _, le := range lowers {
-			lower, err := exprToVec(le, params, loopVars, width)
-			if err != nil {
-				return err
-			}
+			lower := exprToVec(le, params, loopVars, width)
 			// v_i - lower >= 0
 			lo := presburger.NewVec(width)
 			for j := range lo {
@@ -197,10 +191,7 @@ func buildStatement(ps *PolyStatement, schedDim int, params []string, context []
 			bs = bs.AddConstraint(presburger.Constraint{C: lo})
 		}
 		for _, ue := range uppers {
-			upper, err := exprToVec(ue, params, loopVars, width)
-			if err != nil {
-				return err
-			}
+			upper := exprToVec(ue, params, loopVars, width)
 			// upper - 1 - v_i >= 0
 			hi := presburger.NewVec(width)
 			copy(hi, upper)
@@ -251,7 +242,6 @@ func buildStatement(ps *PolyStatement, schedDim int, params []string, context []
 	}
 	eqInDim(schedDim-1, len(loopVars)) // acc = a
 	ps.Schedule = presburger.MapFromBasic(bm).IntersectDomain(ps.Domain)
-	return nil
 }
 
 // Schedule returns the union schedule map of the program.
@@ -333,11 +323,7 @@ func (info *PolyInfo) AccessRelations(lineSize int64) []AccessRelation {
 			ceq.C[0] = -int64(accIdx)
 			bm = bm.AddConstraint(ceq)
 			for d := 0; d < rank; d++ {
-				idxVec, err := exprToVec(acc.Index[d], info.Params, loopVars, w)
-				if err != nil {
-					// Validate() has already been run; this cannot happen.
-					panic(err)
-				}
+				idxVec := exprToVec(acc.Index[d], info.Params, loopVars, w)
 				outCol := 1 + nIn + nP + d
 				if lineSize == 0 || d < rank-1 {
 					// out_d == subscript_d

@@ -367,76 +367,181 @@ func (s *StatementInstance) LoopVars() []string {
 	return out
 }
 
-// Validate checks structural invariants of the program: unique statement
-// names, subscript arities matching array ranks, and accesses referencing
-// declared arrays.
+// The kinds of structural findings. They are the diagnostic kinds of the
+// static checker (internal/scopcheck) too, so each is spelled once, here.
+const (
+	// KindUndeclaredArray: an access to an array the program does not
+	// declare.
+	KindUndeclaredArray = "undeclared-array"
+	// KindSubscriptArity: an access whose subscript count differs from the
+	// rank of the array.
+	KindSubscriptArity = "subscript-arity"
+	// KindDanglingVariable: a subscript or loop bound referencing a name
+	// that is neither an enclosing (for a bound: outer) loop variable nor a
+	// program parameter.
+	KindDanglingVariable = "dangling-variable"
+	// KindDuplicateStatement: two statements sharing a name.
+	KindDuplicateStatement = "duplicate-statement"
+	// KindDuplicateParameter: a parameter declared twice.
+	KindDuplicateParameter = "duplicate-parameter"
+	// KindShadowedParameter: a loop variable shadowing a parameter.
+	KindShadowedParameter = "shadowed-parameter"
+	// KindNoAccesses: a statement without memory accesses.
+	KindNoAccesses = "no-accesses"
+	// KindBadArray: a malformed array declaration (zero rank, non-positive
+	// element size, or an extent referencing a non-parameter).
+	KindBadArray = "bad-array"
+	// KindBadContext: a context constraint referencing a non-parameter.
+	KindBadContext = "bad-context"
+)
+
+// Finding is one structural violation of a program.
+type Finding struct {
+	// Kind is one of the Kind constants.
+	Kind string
+	// Statement names the statement the finding concerns ("" for
+	// program-level findings).
+	Statement string
+	// Array names the array of array and access findings.
+	Array string
+	// AccessIndex is the position of the offending access within its
+	// statement, -1 when not applicable.
+	AccessIndex int
+	// Message is the human-readable description.
+	Message string
+}
+
+// ValidationError is the error of Validate and BuildPoly: every structural
+// finding of the program, in walk order.
+type ValidationError struct {
+	Program  string
+	Findings []Finding
+}
+
+func (e *ValidationError) Error() string {
+	f := e.Findings[0]
+	var b strings.Builder
+	fmt.Fprintf(&b, "scop: program %s: %s", e.Program, f.Kind)
+	if f.Statement != "" {
+		fmt.Fprintf(&b, ": statement %s", f.Statement)
+	}
+	fmt.Fprintf(&b, ": %s", f.Message)
+	if n := len(e.Findings) - 1; n > 0 {
+		fmt.Fprintf(&b, " (and %d more)", n)
+	}
+	return b.String()
+}
+
+// Validate checks the structural invariants of the program in one walk
+// that collects every violation: unique parameter and statement names,
+// context constraints and array extents over parameters only, well-formed
+// arrays, statements with accesses to declared arrays at the right arity,
+// loop variables that do not shadow parameters, and loop bounds and
+// subscripts over bound names only. It returns a *ValidationError listing
+// the findings, or nil.
 func (p *Program) Validate() error {
+	var fs []Finding
+	add := func(kind, stmt, array string, acc int, format string, args ...any) {
+		fs = append(fs, Finding{Kind: kind, Statement: stmt, Array: array, AccessIndex: acc,
+			Message: fmt.Sprintf(format, args...)})
+	}
+
 	params := map[string]bool{}
 	for _, n := range p.Params {
 		if params[n] {
-			return fmt.Errorf("scop: duplicate parameter %s", n)
+			add(KindDuplicateParameter, "", "", -1, "parameter %s is declared twice", n)
+			continue
 		}
 		params[n] = true
 	}
+	isParam := func(v string) bool { return params[v] }
 	for _, ctx := range p.Context {
-		for v, c := range ctx.Coeffs {
-			if c != 0 && !params[v] {
-				return fmt.Errorf("scop: context constraint references non-parameter %s", v)
-			}
+		for _, v := range unbound(ctx, isParam) {
+			add(KindBadContext, "", "", -1, "context constraint %s >= 0 references non-parameter %s", ctx, v)
 		}
 	}
+
 	declared := map[*Array]bool{}
-	names := map[string]bool{}
 	for _, a := range p.Arrays {
 		declared[a] = true
 		if a.Rank() == 0 {
-			return fmt.Errorf("scop: array %s has no dimensions", a.Name)
+			add(KindBadArray, "", a.Name, -1, "array %s has no dimensions", a.Name)
 		}
 		if a.Elem <= 0 {
-			return fmt.Errorf("scop: array %s has non-positive element size", a.Name)
+			add(KindBadArray, "", a.Name, -1, "array %s has non-positive element size %d", a.Name, a.Elem)
 		}
-		for _, de := range a.DimExprs {
-			for v, c := range de.Coeffs {
-				if c != 0 && !params[v] {
-					return fmt.Errorf("scop: extent of array %s references non-parameter %s", a.Name, v)
-				}
+		for i, de := range a.DimExprs {
+			for _, v := range unbound(de, isParam) {
+				add(KindBadArray, "", a.Name, -1, "extent %d of array %s references non-parameter %s", i, a.Name, v)
 			}
 		}
 	}
+
+	names := map[string]bool{}
 	for _, si := range p.Statements() {
-		if names[si.Statement.Name] {
-			return fmt.Errorf("scop: duplicate statement name %s", si.Statement.Name)
+		stmt := si.Statement.Name
+		if names[stmt] {
+			add(KindDuplicateStatement, stmt, "", -1, "statement name %s is used twice", stmt)
 		}
-		names[si.Statement.Name] = true
+		names[stmt] = true
 		if len(si.Statement.Accesses) == 0 {
-			return fmt.Errorf("scop: statement %s has no accesses", si.Statement.Name)
+			add(KindNoAccesses, stmt, "", -1, "statement performs no memory accesses")
 		}
+
+		// A bound may reference parameters, outer loop variables and its
+		// own loop variable; a subscript any enclosing loop variable.
 		vars := map[string]bool{}
-		for _, v := range si.LoopVars() {
+		for _, loop := range si.Loops {
+			v := loop.Var.Name
 			if params[v] {
-				return fmt.Errorf("scop: loop variable %s shadows a program parameter", v)
+				add(KindShadowedParameter, stmt, "", -1, "loop variable %s shadows a program parameter", v)
+			}
+			inBound := func(n string) bool { return n == v || vars[n] || params[n] }
+			for _, e := range append(append([]Expr{loop.Lower, loop.Upper}, loop.ExtraLower...), loop.ExtraUpper...) {
+				for _, n := range unbound(e, inBound) {
+					add(KindDanglingVariable, stmt, "", -1,
+						"bound of loop %s references %s, which is neither a parameter nor an outer loop variable", v, n)
+				}
 			}
 			vars[v] = true
 		}
-		for _, acc := range si.Statement.Accesses {
+		inScope := func(n string) bool { return vars[n] || params[n] }
+
+		for accIdx, acc := range si.Statement.Accesses {
+			arr := acc.Array.Name
 			if !declared[acc.Array] {
-				return fmt.Errorf("scop: statement %s accesses undeclared array %s", si.Statement.Name, acc.Array.Name)
+				add(KindUndeclaredArray, stmt, arr, accIdx, "access to array %s, which the program does not declare", arr)
+				continue
 			}
 			if len(acc.Index) != acc.Array.Rank() {
-				return fmt.Errorf("scop: statement %s access to %s has %d subscripts, array has %d dimensions",
-					si.Statement.Name, acc.Array.Name, len(acc.Index), acc.Array.Rank())
+				add(KindSubscriptArity, stmt, arr, accIdx, "access to %s has %d subscripts, array has %d dimensions",
+					arr, len(acc.Index), acc.Array.Rank())
 			}
 			for _, idx := range acc.Index {
-				for v := range idx.Coeffs {
-					if idx.Coeffs[v] != 0 && !vars[v] && !params[v] {
-						return fmt.Errorf("scop: statement %s subscript uses variable %s not bound by an enclosing loop",
-							si.Statement.Name, v)
-					}
+				for _, n := range unbound(idx, inScope) {
+					add(KindDanglingVariable, stmt, arr, accIdx,
+						"subscript references %s, which is neither a parameter nor an enclosing loop variable", n)
 				}
 			}
 		}
 	}
+	if len(fs) > 0 {
+		return &ValidationError{Program: p.Name, Findings: fs}
+	}
 	return nil
+}
+
+// unbound returns the names with a nonzero coefficient in e that bound
+// rejects, sorted so the findings come out deterministically.
+func unbound(e Expr, bound func(string) bool) []string {
+	var out []string
+	for n, c := range e.Coeffs {
+		if c != 0 && !bound(n) {
+			out = append(out, n)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // CheckBindings validates a parameter binding against the program: every

@@ -1,6 +1,8 @@
 package scop
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"haystack/internal/ints"
@@ -314,4 +316,49 @@ func (l *Layout) TotalBytes(p *Program) int64 {
 		}
 	}
 	return end
+}
+
+// TestValidateCollectsEveryFinding breaks one program in every structural
+// way at once: the walk must report each violation, in walk order
+// (parameters, context, arrays, then statement by statement), and the error
+// must name the first.
+func TestValidateCollectsEveryFinding(t *testing.T) {
+	p := NewProgram("broken")
+	n := p.NewParam("N")
+	p.NewParam("N")
+	p.Require(X(V("q")))
+	a := p.NewArray("A", 0, 4)
+	ghost := &Array{Name: "G", Elem: 8, Dims: []int64{4}}
+	i := V("i")
+	p.Add(
+		For(i, C(0), X(V("z")),
+			Stmt("S0", Read(a, X(i), X(i)), Read(ghost, X(i)), Write(a, X(V("w"))))),
+		For(n, C(0), C(4), Stmt("S1")),
+		For(i, C(0), C(4), Stmt("S1", Read(a, X(i)))),
+	)
+	err := p.Validate()
+	var ve *ValidationError
+	if !errors.As(err, &ve) {
+		t.Fatalf("want *ValidationError, got %v", err)
+	}
+	want := []string{
+		KindDuplicateParameter, KindBadContext, KindBadArray,
+		KindDanglingVariable, KindSubscriptArity, KindUndeclaredArray, KindDanglingVariable, // S0
+		KindNoAccesses, KindShadowedParameter, // first S1
+		KindDuplicateStatement, // second S1
+	}
+	if len(ve.Findings) != len(want) {
+		t.Fatalf("%d findings, want %d: %+v", len(ve.Findings), len(want), ve.Findings)
+	}
+	for k, f := range ve.Findings {
+		if f.Kind != want[k] {
+			t.Errorf("finding %d is %s (%s), want %s", k, f.Kind, f.Message, want[k])
+		}
+	}
+	if got := err.Error(); !strings.Contains(got, KindDuplicateParameter) || !strings.Contains(got, "and 9 more") {
+		t.Errorf("error %q does not name the first finding and the count", got)
+	}
+	if _, err := BuildPoly(p); !errors.As(err, &ve) {
+		t.Errorf("BuildPoly: want *ValidationError, got %v", err)
+	}
 }

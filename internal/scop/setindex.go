@@ -130,18 +130,12 @@ func (sp *SetPartition) StatementSetDomain(stmt string, s int64) (presburger.Set
 		f := presburger.NewVec(w)
 		f[0] = la.baseLine * sp.lineSize
 		for d := 0; d < rank-1; d++ {
-			idxVec, err := exprToVec(acc.Index[d], nil, loopVars, w)
-			if err != nil {
-				return presburger.Set{}, err
-			}
+			idxVec := exprToVec(acc.Index[d], nil, loopVars, w)
 			for j := range idxVec {
 				f[j] += la.lineStrides[d] * sp.lineSize * idxVec[j]
 			}
 		}
-		lastVec, err := exprToVec(acc.Index[rank-1], nil, loopVars, w)
-		if err != nil {
-			return presburger.Set{}, err
-		}
+		lastVec := exprToVec(acc.Index[rank-1], nil, loopVars, w)
 		for j := range lastVec {
 			f[j] += acc.Array.Elem * lastVec[j]
 		}

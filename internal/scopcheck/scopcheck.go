@@ -4,11 +4,13 @@
 // SCoPs tomorrow — and the Presburger machinery, which silently computes
 // garbage on malformed input.
 //
-// The checker runs two passes. The structural pass walks the program tree
-// and reports well-formedness violations (undeclared arrays, subscript arity
+// The checker runs two passes. The structural pass is scop's own program
+// walk (scop.Program.Validate, which scop.BuildPoly runs): it reports
+// well-formedness violations (undeclared arrays, subscript arity
 // mismatches, dangling variables, duplicate names) without any polyhedral
-// machinery. The semantic pass builds the polyhedral description and uses
-// the Presburger engine itself to prove, per statement:
+// machinery, and Structural turns its findings into diagnostics. The
+// semantic pass (CheckPoly) takes the polyhedral description and uses the
+// Presburger engine itself to prove, per statement:
 //
 //   - every array access stays inside the declared extents; a violation is
 //     reported with a concrete counterexample point obtained by
@@ -22,11 +24,13 @@
 //
 // Diagnostics are structured ([]Diagnostic with kind, severity, statement,
 // and witness point), so callers can render, filter, or assert on them. The
-// cache model (internal/core) runs Check as an opt-out pre-flight; the
-// cmd/scopcheck CLI and the -check flag of cmd/haystack expose it directly.
+// cache model (internal/core) verifies every program it analyzes: it builds
+// the polyhedral description once and runs CheckPoly on it. The
+// cmd/scopcheck CLI and the -check flag of cmd/haystack run Check directly.
 package scopcheck
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -37,7 +41,7 @@ import (
 // Kind classifies a diagnostic.
 type Kind string
 
-// The diagnostic kinds. Structural kinds come from the program tree walk,
+// The diagnostic kinds. Structural kinds come from scop's program walk,
 // semantic kinds from the Presburger pass.
 const (
 	// KindOutOfBounds reports an array access that leaves the declared
@@ -66,29 +70,17 @@ const (
 	// nor refute (an operation left the supported fragment).
 	KindUnverifiable Kind = "unverifiable"
 
-	// KindUndeclaredArray reports an access to an array the program does
-	// not declare.
-	KindUndeclaredArray Kind = "undeclared-array"
-	// KindSubscriptArity reports an access whose subscript count differs
-	// from the rank of the array.
-	KindSubscriptArity Kind = "subscript-arity"
-	// KindDanglingVariable reports a subscript or bound referencing a name
-	// that is neither an enclosing loop variable nor a program parameter.
-	KindDanglingVariable Kind = "dangling-variable"
-	// KindDuplicateStatement reports two statements sharing a name.
-	KindDuplicateStatement Kind = "duplicate-statement"
-	// KindDuplicateParameter reports a parameter declared twice.
-	KindDuplicateParameter Kind = "duplicate-parameter"
-	// KindShadowedParameter reports a loop variable shadowing a parameter.
-	KindShadowedParameter Kind = "shadowed-parameter"
-	// KindNoAccesses reports a statement without memory accesses.
-	KindNoAccesses Kind = "no-accesses"
-	// KindBadArray reports a malformed array declaration (zero rank,
-	// non-positive element size, or an extent referencing a non-parameter).
-	KindBadArray Kind = "bad-array"
-	// KindBadContext reports a context constraint referencing a
-	// non-parameter.
-	KindBadContext Kind = "bad-context"
+	// The structural kinds are scop's finding kinds (documented at
+	// scop.KindUndeclaredArray and its siblings), spelled once there.
+	KindUndeclaredArray    Kind = scop.KindUndeclaredArray
+	KindSubscriptArity     Kind = scop.KindSubscriptArity
+	KindDanglingVariable   Kind = scop.KindDanglingVariable
+	KindDuplicateStatement Kind = scop.KindDuplicateStatement
+	KindDuplicateParameter Kind = scop.KindDuplicateParameter
+	KindShadowedParameter  Kind = scop.KindShadowedParameter
+	KindNoAccesses         Kind = scop.KindNoAccesses
+	KindBadArray           Kind = scop.KindBadArray
+	KindBadContext         Kind = scop.KindBadContext
 )
 
 // Severity grades a diagnostic.
@@ -170,28 +162,33 @@ func HasErrors(diags []Diagnostic) bool {
 	return false
 }
 
-// Check validates a program: the structural pass first, then — when the
-// structure is sound — the semantic Presburger pass over the polyhedral
-// description. A nil or empty result means the program verified clean.
+// Check validates a program: the structural walk first (through
+// scop.BuildPoly), then — when the structure is sound — the semantic
+// Presburger pass over the polyhedral description. A nil or empty result
+// means the program verified clean.
 func Check(prog *scop.Program) []Diagnostic {
-	diags := checkStructure(prog)
-	if HasErrors(diags) {
-		// BuildPoly would reject the program (or panic on arity mismatches);
-		// the structural findings are the actionable report.
-		return sortDiags(diags)
-	}
 	info, err := scop.BuildPoly(prog)
 	if err != nil {
-		// Validate() and the structural pass agree on well-formedness, so
-		// this is unreachable in practice; degrade into a diagnostic rather
-		// than losing the finding.
-		diags = append(diags, Diagnostic{
-			Kind: KindDanglingVariable, Severity: Error, AccessIndex: -1,
-			Message: fmt.Sprintf("building the polyhedral description failed: %v", err),
-		})
-		return sortDiags(diags)
+		return Structural(err)
 	}
-	return sortDiags(append(diags, CheckPoly(info)...))
+	return CheckPoly(info)
+}
+
+// Structural turns a structural rejection — the *scop.ValidationError that
+// scop.Program.Validate and scop.BuildPoly fail with — into one Error
+// diagnostic per finding, sorted like every result of the package. It
+// panics on any other error: neither function returns one.
+func Structural(err error) []Diagnostic {
+	var ve *scop.ValidationError
+	if !errors.As(err, &ve) {
+		panic(fmt.Sprintf("scopcheck: %v is not a structural finding", err))
+	}
+	diags := make([]Diagnostic, len(ve.Findings))
+	for i, f := range ve.Findings {
+		diags[i] = Diagnostic{Kind: Kind(f.Kind), Severity: Error, Statement: f.Statement,
+			Array: f.Array, AccessIndex: f.AccessIndex, Message: f.Message}
+	}
+	return sortDiags(diags)
 }
 
 // sortDiags orders diagnostics deterministically: errors before warnings,

@@ -1,6 +1,7 @@
 package scopcheck_test
 
 import (
+	"errors"
 	"testing"
 
 	"haystack/internal/polybench"
@@ -140,6 +141,10 @@ func TestCheckBrokenPrograms(t *testing.T) {
 		severity  scopcheck.Severity
 		statement string
 		witness   []int64 // nil: don't check the point
+		// structural rows must be rejected by scop's Validate with the same
+		// kind first; the other rows pass it (only the Presburger pass sees
+		// them).
+		structural bool
 	}{
 		{
 			name: "empty-domain",
@@ -163,7 +168,33 @@ func TestCheckBrokenPrograms(t *testing.T) {
 					scop.Stmt("S0", scop.Read(A, scop.X(scop.V("q"))))))
 				return p
 			},
-			kind: scopcheck.KindDanglingVariable, severity: scopcheck.Error, statement: "S0",
+			kind: scopcheck.KindDanglingVariable, severity: scopcheck.Error, statement: "S0", structural: true,
+		},
+		{
+			name: "dangling-loop-bound",
+			build: func() *scop.Program {
+				p := scop.NewProgram("danglingbound")
+				A := p.NewArray("A", scop.ElemFloat64, 4)
+				// The upper bound references q, which is neither an outer
+				// loop variable nor a declared parameter.
+				p.Add(scop.For(i, scop.C(0), scop.X(scop.V("q")),
+					scop.Stmt("S0", scop.Read(A, scop.X(i)))))
+				return p
+			},
+			kind: scopcheck.KindDanglingVariable, severity: scopcheck.Error, statement: "S0", structural: true,
+		},
+		{
+			name: "inner-loop-bound",
+			build: func() *scop.Program {
+				p := scop.NewProgram("innerbound")
+				A := p.NewArray("A", scop.ElemFloat64, 4, 4)
+				// The outer bound references the inner loop variable j.
+				p.Add(scop.For(i, scop.C(0), scop.X(j),
+					scop.For(j, scop.C(0), scop.C(4),
+						scop.Stmt("S0", scop.Read(A, scop.X(i), scop.X(j))))))
+				return p
+			},
+			kind: scopcheck.KindDanglingVariable, severity: scopcheck.Error, statement: "S0", structural: true,
 		},
 		{
 			name: "undeclared-array",
@@ -174,7 +205,7 @@ func TestCheckBrokenPrograms(t *testing.T) {
 					scop.Stmt("S0", scop.Read(ghost, scop.X(i)))))
 				return p
 			},
-			kind: scopcheck.KindUndeclaredArray, severity: scopcheck.Error, statement: "S0",
+			kind: scopcheck.KindUndeclaredArray, severity: scopcheck.Error, statement: "S0", structural: true,
 		},
 		{
 			name: "subscript-arity",
@@ -185,7 +216,7 @@ func TestCheckBrokenPrograms(t *testing.T) {
 					scop.Stmt("S0", scop.Read(A, scop.X(i)))))
 				return p
 			},
-			kind: scopcheck.KindSubscriptArity, severity: scopcheck.Error, statement: "S0",
+			kind: scopcheck.KindSubscriptArity, severity: scopcheck.Error, statement: "S0", structural: true,
 		},
 		{
 			name: "duplicate-statement",
@@ -198,7 +229,7 @@ func TestCheckBrokenPrograms(t *testing.T) {
 				)
 				return p
 			},
-			kind: scopcheck.KindDuplicateStatement, severity: scopcheck.Error, statement: "S0",
+			kind: scopcheck.KindDuplicateStatement, severity: scopcheck.Error, statement: "S0", structural: true,
 		},
 		{
 			name: "infeasible-context",
@@ -218,7 +249,18 @@ func TestCheckBrokenPrograms(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			diags := scopcheck.Check(tc.build())
+			prog := tc.build()
+			err := prog.Validate()
+			var ve *scop.ValidationError
+			switch {
+			case !tc.structural && err != nil:
+				t.Errorf("Validate rejects a structurally sound program: %v", err)
+			case tc.structural && !errors.As(err, &ve):
+				t.Errorf("Validate: want a *scop.ValidationError, got %v", err)
+			case tc.structural && scopcheck.Kind(ve.Findings[0].Kind) != tc.kind:
+				t.Errorf("Validate's first finding is %s, want %s", ve.Findings[0].Kind, tc.kind)
+			}
+			diags := scopcheck.Check(prog)
 			if len(diags) == 0 {
 				t.Fatalf("want a %s diagnostic, got none", tc.kind)
 			}

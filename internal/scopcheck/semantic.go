@@ -10,15 +10,16 @@ import (
 
 // CheckPoly runs the semantic (Presburger) pass over a polyhedral program
 // description: access bounds, schedule totality/single-valuedness/injectivity,
-// domain and context non-emptiness. It assumes the program is structurally
-// well-formed (BuildPoly succeeded).
+// domain and context non-emptiness. It takes the description BuildPoly
+// returned, so the program is structurally well-formed, and only reads it:
+// the caller can run its analysis on the same object afterwards.
 func CheckPoly(info *scop.PolyInfo) []Diagnostic {
 	var diags []Diagnostic
 	diags = append(diags, checkContext(info)...)
 	diags = append(diags, checkDomains(info)...)
 	diags = append(diags, checkBounds(info)...)
 	diags = append(diags, checkSchedules(info)...)
-	return diags
+	return sortDiags(diags)
 }
 
 // checkContext verifies the context set of a parametric program: it must
