@@ -17,13 +17,13 @@
 // that associativity; a bare size stays fully associative.
 // Output formats: text (aligned tables), csv, json.
 //
-// Tiled variants default to the fully symbolic, problem-size-independent
-// pipeline (-tiled symbolic): the coalescing layer of the Presburger engine
-// keeps the deep tiled nests tractable, so symbolic tiled sweeps finish in
-// seconds per variant. Pass -tiled profile to build the tiled models from
-// an exact trace profile instead — equally exact and still shared across
-// all hierarchies, but with cost proportional to the trace length (it can
-// win for small problem sizes or programs outside the symbolic fragment).
+// Every variant, tiled or not, runs the fully symbolic,
+// problem-size-independent pipeline by default (-mode auto): the coalescing
+// layer of the Presburger engine keeps the deep tiled nests tractable, so
+// symbolic tiled sweeps finish in seconds per variant. Pass -mode sim to
+// build every model from an exact trace profile instead — equally exact and
+// still shared across all hierarchies, but with cost proportional to the
+// trace length (it can win for small problem sizes).
 package main
 
 import (
@@ -50,8 +50,6 @@ func main() {
 		"semicolon separated cache hierarchies, each a comma separated list of per-level capacities in bytes; a level spelled size/ways (e.g. 32768/8) is set-associative")
 	objective := flag.String("objective", "l1", "ranking objective: l1, llc, or total")
 	format := flag.String("format", "text", "output format: text, csv, or json")
-	tiled := flag.String("tiled", "symbolic",
-		"analysis of tiled variants: 'symbolic' (full symbolic pipeline, problem-size independent) or 'profile' (exact trace profile, cost grows with the trace length)")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines of the sweep's configuration pool (0 = all cores)")
 	mode := flag.String("mode", "auto", "degradation ladder rung of every grid point: auto (exact symbolic, else exact trace profiling), exact (exact symbolic or fail), bounded (certified interval bounds on degraded operations), sim (exact trace profiling for all variants)")
 	budgetFlag := flag.Int64("budget", 0, "per-operation symbolic cost limit in cost units (0 = unlimited)")
@@ -80,14 +78,6 @@ func main() {
 	}
 	opts := explore.DefaultOptions()
 	opts.Parallelism = *parallelism
-	switch strings.ToLower(*tiled) {
-	case "profile":
-		opts.Tiled = explore.TiledProfile
-	case "symbolic":
-		opts.Tiled = explore.TiledSymbolic
-	default:
-		log.Fatalf("unknown -tiled strategy %q (want profile or symbolic)", *tiled)
-	}
 	m, err := core.ParseMode(*mode)
 	if err != nil {
 		log.Fatal(err)

@@ -11,12 +11,12 @@
 // (ComputeDistances) and a cheap per-hierarchy counting phase
 // (DistanceModel.CountMisses), so design-space sweeps over many cache
 // hierarchies pay the expensive phase once — see Analyze for the one-shot
-// composition. The symbolic analysis has one front door: the program is
-// validated and extracted into its polyhedral form once, that form is
-// statically verified (in-bounds accesses, a well-formed schedule), and an
-// invalid program is refused with an error listing the findings before any
-// modeling work; there is no opt-out, since the check costs milliseconds.
-// The package also bundles a trace-driven cache simulator
+// composition. Every analysis, ModeSim included, has one front door: the
+// program is validated and extracted into its polyhedral form once, that
+// form is statically verified (in-bounds accesses, a well-formed schedule),
+// and an invalid program is refused with an error listing the findings
+// before any modeling work; there is no opt-out, since the check costs
+// milliseconds. The package also bundles a trace-driven cache simulator
 // (a Dinero IV stand-in), an exact reuse-distance profiler, and the thirty
 // PolyBench kernels used in the paper's evaluation.
 //
@@ -123,7 +123,7 @@ type Stats = core.Stats
 // on: ModeExact (the zero value) fails when the symbolic pipeline degrades,
 // ModeAuto (selected by DefaultOptions) answers from exact trace profiling
 // instead, ModeBounded answers with certified interval bounds, and ModeSim
-// skips the symbolic pipeline entirely.
+// verifies the program, then skips the symbolic pipeline.
 type Mode = core.Mode
 
 const (
@@ -197,11 +197,11 @@ type DistanceModel = core.DistanceModel
 // given cache line size. Use the returned model's CountMisses to evaluate
 // cache hierarchies (their LineSize must match); each call returns a Result
 // identical to Analyze with the same options. With Options.Mode set to
-// ModeSim the model comes from an exact stack distance profile of the trace
-// instead of the symbolic pipeline: equally exact and equally reusable
-// across hierarchies, at a cost proportional to the trace length — the
-// choice for programs the symbolic pipeline handles slowly, such as the
-// deep loop nests tiling produces.
+// ModeSim the program is still verified, but the model comes from an exact
+// stack distance profile of the trace instead of the symbolic pipeline:
+// equally exact and equally reusable across hierarchies, at a cost
+// proportional to the trace length — the choice for programs the symbolic
+// pipeline handles slowly, such as the deep loop nests tiling produces.
 func ComputeDistances(p *Program, lineSize int64, opts Options) (*DistanceModel, error) {
 	return core.ComputeDistances(p, lineSize, opts)
 }
@@ -224,8 +224,7 @@ func SimulateReference(p *Program, cfg Config) (Reference, error) {
 // analysis: a program with symbolic size parameters (Program.NewParam,
 // Program.NewArrayP) is analyzed once, and every concrete size is an
 // instantiation — Eval returns the Result a concrete Analyze of the
-// instantiated program would produce, Bind yields a concrete DistanceModel.
-// It is safe for concurrent Eval and Bind calls.
+// instantiated program would produce. It is safe for concurrent Eval calls.
 type ParametricModel = core.ParametricModel
 
 // ErrNonParametric reports that a pipeline stage cannot handle a piece of a

@@ -114,8 +114,9 @@ const (
 	// (Lo <= exact <= Hi) instead of failing: the analysis always answers,
 	// and exact sub-results keep width 0.
 	ModeBounded
-	// ModeSim skips the symbolic pipeline entirely and answers from an
-	// exact trace profile (runtime proportional to the trace length).
+	// ModeSim verifies the program like every mode, then skips the symbolic
+	// pipeline and answers from an exact trace profile (runtime
+	// proportional to the trace length).
 	ModeSim
 	// ModeAuto runs the exact symbolic pipeline and, where it fails, answers
 	// from the exact trace profile instead (TierSimulated): results stay
@@ -526,8 +527,7 @@ type Reference struct {
 // stack distance profile yields the misses of every configured cache size.
 // It is the ground truth the model is validated against in the tests.
 func SimulateReference(prog *scop.Program, cfg Config) (Reference, error) {
-	layout := scop.NewLayout(prog, scop.LayoutPadded, cfg.LineSize)
-	cp, err := scop.Compile(prog, layout)
+	cp, err := compileTrace(prog, cfg.LineSize)
 	if err != nil {
 		return Reference{}, err
 	}
@@ -537,6 +537,12 @@ func SimulateReference(prog *scop.Program, cfg Config) (Reference, error) {
 		ref.TotalMisses = append(ref.TotalMisses, profile.MissesForCapacity(size/cfg.LineSize))
 	}
 	return ref, nil
+}
+
+// compileTrace compiles the trace of prog on the padded array layout the
+// model assumes; every trace replay that is compared with the model uses it.
+func compileTrace(prog *scop.Program, lineSize int64) (*scop.CompiledProgram, error) {
+	return scop.Compile(prog, scop.NewLayout(prog, scop.LayoutPadded, lineSize))
 }
 
 // DetailedSimulation runs the trace-driven simulator (Dinero stand-in) on

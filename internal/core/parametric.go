@@ -57,13 +57,10 @@ type missPolys struct {
 // ParametricModel is the fully size-independent form of the analysis: the
 // stack distance quasi-polynomials, the total access count, and the
 // compulsory miss count of a parametric program, all symbolic in the program
-// parameters. One model answers queries for every problem size:
-//
-//   - Eval instantiates the model at a parameter binding and returns the same
-//     Result a concrete Analyze of the instantiated program would produce —
-//     in microseconds-to-milliseconds instead of a fresh symbolic analysis.
-//   - Bind produces a concrete DistanceModel (the two-phase API) for a
-//     binding, sharing the already-computed distances.
+// parameters. One model answers queries for every problem size: Eval
+// instantiates the model at a parameter binding and returns the same Result
+// a concrete Analyze of the instantiated program would produce — in
+// microseconds-to-milliseconds instead of a fresh symbolic analysis.
 //
 // Capacity misses need one extra ingredient: the set of instances whose
 // distance exceeds a capacity is a polyhedron only where the distance
@@ -73,7 +70,7 @@ type missPolys struct {
 // instantiation (see ResidualPieces). Compulsory misses and total accesses
 // are always fully parametric.
 //
-// A ParametricModel is safe for concurrent Eval and Bind calls.
+// A ParametricModel is safe for concurrent Eval calls.
 type ParametricModel struct {
 	// Kernel is the name of the analyzed program.
 	Kernel string
@@ -91,14 +88,14 @@ type ParametricModel struct {
 	prog              *scop.Program
 	opts              Options
 	paramSpace        presburger.Space
-	distances         []StatementDistance
 	perStmtCompulsory map[string]qpoly.PwQPoly // nil when attribution failed
 	baseStats         Stats
 	computeTime       time.Duration
 
-	// Capacity-independent classification of the distance pieces, both
-	// parallel to distances: affine pieces are countable parametrically,
-	// residual pieces are instantiated and counted per evaluation.
+	// Capacity-independent classification of the distance pieces, one
+	// entry per statement in both: affine pieces are countable
+	// parametrically, residual pieces are instantiated and counted per
+	// evaluation.
 	affine   []StatementDistance
 	residual []StatementDistance
 
@@ -110,7 +107,7 @@ type ParametricModel struct {
 // all problem sizes: the stack distances, the total access count, and the
 // compulsory misses are derived symbolically in the program parameters
 // (scop.Program.Params). The returned model instantiates results for
-// arbitrary parameter bindings via Eval and Bind.
+// arbitrary parameter bindings via Eval.
 //
 // Programs whose symbolic pipeline leaves the supported parametric fragment
 // return an error wrapping ErrNonParametric; there is no trace fallback for
@@ -173,7 +170,6 @@ func ComputeParametricModelContext(ctx context.Context, prog *scop.Program, line
 		}
 		return nil, nonParametric("stack distances", err)
 	}
-	pm.distances = distances
 
 	tComp := time.Now()
 	lines, err := touchedLines(info, lineSize)
@@ -195,7 +191,7 @@ func ComputeParametricModelContext(ctx context.Context, prog *scop.Program, line
 	}
 	pm.baseStats.CompulsoryTime = time.Since(tComp)
 
-	pm.classify()
+	pm.classify(distances)
 	pm.computeTime = time.Since(start)
 	return pm, nil
 }
@@ -206,10 +202,10 @@ func ComputeParametricModelContext(ctx context.Context, prog *scop.Program, line
 // carry parameter dimensions through unchanged). Partial and full
 // enumeration are not available parametrically — their pieces become
 // residual.
-func (pm *ParametricModel) classify() {
-	pm.affine = make([]StatementDistance, len(pm.distances))
-	pm.residual = make([]StatementDistance, len(pm.distances))
-	for i, sd := range pm.distances {
+func (pm *ParametricModel) classify(distances []StatementDistance) {
+	pm.affine = make([]StatementDistance, len(distances))
+	pm.residual = make([]StatementDistance, len(distances))
+	for i, sd := range distances {
 		pm.affine[i] = StatementDistance{Statement: sd.Statement, Distance: qpoly.PwQPoly{Space: sd.Distance.Space}}
 		pm.residual[i] = pm.affine[i]
 		for _, piece := range sd.Distance.Pieces {
@@ -380,9 +376,8 @@ func (pm *ParametricModel) Eval(cfg Config, bindings map[string]int64) (*Result,
 	}
 	if cfg.HasSetAssoc() {
 		// A parametric program has no fixed layout, so there is no set-index
-		// map to partition the distances with. Bind the model first: the
-		// instantiated DistanceModel answers set-associative queries.
-		return nil, fmt.Errorf("core: parametric models answer fully associative hierarchies only; Bind the parameters and use the distance model for set-associative counting")
+		// map to partition the distances with; the instantiated program has.
+		return nil, fmt.Errorf("core: parametric models answer fully associative hierarchies only; use ComputeDistances(prog.Instantiate(bindings), ...) for set-associative counting")
 	}
 	point, err := pm.paramPoint(bindings)
 	if err != nil {
@@ -441,36 +436,6 @@ func (pm *ParametricModel) Eval(cfg Config, bindings map[string]int64) (*Result,
 	res.Stats.CapacityTime = time.Since(tCap)
 	res.Stats.TotalTime = time.Since(start)
 	return res, nil
-}
-
-// Bind instantiates the model at a parameter binding into a concrete
-// DistanceModel: the parametric distances are fixed at the binding (no
-// symbolic recomputation), so the result answers CountMisses queries for any
-// hierarchy with the model's line size exactly like
-// ComputeDistances(prog.Instantiate(bindings), ...) — without paying the
-// distance phase again.
-func (pm *ParametricModel) Bind(bindings map[string]int64) (*DistanceModel, error) {
-	start := time.Now()
-	point, err := pm.paramPoint(bindings)
-	if err != nil {
-		return nil, err
-	}
-	inst, err := pm.prog.Instantiate(bindings)
-	if err != nil {
-		return nil, err
-	}
-	dm := &DistanceModel{Kernel: pm.Kernel, LineSize: pm.LineSize, opts: pm.opts, prog: inst}
-	dm.baseStats.NonAffineByAffineDims = map[int]int{}
-	dm.TotalAccesses = pm.TotalAccesses.EvalInt(point)
-	dm.CompulsoryMisses = pm.CompulsoryMisses.EvalInt(point)
-	dm.compulsoryBounds = counting.Exact(dm.CompulsoryMisses)
-	if pm.perStmtCompulsory != nil {
-		dm.perStmtCompulsory = evalCounts(pm.perStmtCompulsory, point)
-	}
-	dm.distances = bindDistances(pm.distances, point)
-	dm.baseStats.DistancePieces = numPieces(dm.distances)
-	dm.computeTime = time.Since(start)
-	return dm, nil
 }
 
 // bindPieces instantiates a parametric piecewise quasi-polynomial at a

@@ -193,53 +193,6 @@ func TestParametricEvalMatchesAnalyze(t *testing.T) {
 	}
 }
 
-// TestParametricBindMatchesComputeDistances checks the second instantiation
-// path: Bind must produce a DistanceModel whose CountMisses results are
-// bit-identical to a fresh ComputeDistances of the instantiated program, for
-// MINI and SMALL.
-func TestParametricBindMatchesComputeDistances(t *testing.T) {
-	cfg := DefaultConfig()
-	for _, pk := range parametricKernelsUnderTest(t) {
-		pk := pk
-		t.Run(pk.Name, func(t *testing.T) {
-			requireBudget(t, parametricBudget(pk.Name))
-			prog := pk.Build()
-			pm := sharedParametricModel(t, pk, cfg.LineSize)
-			sizes := []polybench.Size{polybench.Mini}
-			if !testing.Short() {
-				sizes = append(sizes, polybench.Small)
-			}
-			for _, sz := range sizes {
-				bindings := pk.Bindings(sz)
-				dm, err := pm.Bind(bindings)
-				if err != nil {
-					t.Fatalf("Bind %v: %v", sz, err)
-				}
-				inst, err := prog.Instantiate(bindings)
-				if err != nil {
-					t.Fatalf("Instantiate %v: %v", sz, err)
-				}
-				want, err := ComputeDistances(inst, cfg.LineSize, DefaultOptions())
-				if err != nil {
-					t.Fatalf("ComputeDistances %v: %v", sz, err)
-				}
-				gotRes, err := dm.CountMisses(cfg)
-				if err != nil {
-					t.Fatalf("bound CountMisses %v: %v", sz, err)
-				}
-				wantRes, err := want.CountMisses(cfg)
-				if err != nil {
-					t.Fatalf("fresh CountMisses %v: %v", sz, err)
-				}
-				if wantRes.UsedTraceFallback || gotRes.UsedTraceFallback {
-					t.Fatalf("trace fallback in differential (bound=%v fresh=%v)", gotRes.UsedTraceFallback, wantRes.UsedTraceFallback)
-				}
-				requireSameResult(t, sz.String(), gotRes, wantRes)
-			}
-		})
-	}
-}
-
 // parametricTrmm builds the parametric trmm model under opts. trmm is the
 // kernel with the most residual pieces (52 non-affine distance pieces counted
 // per evaluation), so its Eval exercises the shared counting engine hardest.

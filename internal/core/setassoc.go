@@ -53,9 +53,6 @@ type setAssocLevel struct {
 // the set's instance domain, which is exact, deterministic, and linear in
 // the instance count.
 func (dm *DistanceModel) countSetAssocLevel(ctx context.Context, ex parwork.Exec, meter *budget.Meter, level int, numSets, ways int64) (*setAssocLevel, error) {
-	if dm.saInfo == nil {
-		return nil, fmt.Errorf("core: distance model of %s has no polyhedral state for set-associative counting", dm.Kernel)
-	}
 	part, err := dm.saInfo.SetPartition(dm.LineSize, numSets)
 	if err != nil {
 		return nil, err
@@ -221,20 +218,24 @@ func (dm *DistanceModel) setInstanceCount(part *scop.SetPartition, stmt string, 
 
 // SimulateSetAssocReference computes the exact reference counts for a
 // set-associative hierarchy: the trace is replayed with the padded array
-// layout the model assumes, once, feeding one independent single-level LRU
-// cache per configured level (the model's per-level semantics: every level
-// observes the full access stream). It is the ground truth the analytical
-// set-associative counts are validated against, and the simulation rung the
-// trace-fallback tier answers set-associative queries from.
+// layout the model assumes (replaySetAssoc). It is the ground truth the
+// analytical set-associative counts are validated against.
 func SimulateSetAssocReference(prog *scop.Program, cfg Config) (Reference, error) {
 	if err := cfg.Validate(); err != nil {
 		return Reference{}, err
 	}
-	layout := scop.NewLayout(prog, scop.LayoutPadded, cfg.LineSize)
-	cp, err := scop.Compile(prog, layout)
+	cp, err := compileTrace(prog, cfg.LineSize)
 	if err != nil {
 		return Reference{}, err
 	}
+	return replaySetAssoc(cp, cfg)
+}
+
+// replaySetAssoc replays a compiled trace once, feeding one independent
+// single-level LRU cache per configured level (the model's per-level
+// semantics: every level observes the full access stream). It serves
+// SimulateSetAssocReference and the trace tier's set-associative levels.
+func replaySetAssoc(cp *scop.CompiledProgram, cfg Config) (Reference, error) {
 	hierarchies := make([]*cachesim.Hierarchy, len(cfg.CacheSizes))
 	for i, size := range cfg.CacheSizes {
 		h, err := cachesim.NewHierarchy(cachesim.Config{

@@ -48,12 +48,13 @@ type DistanceModel struct {
 	baseStats   Stats
 	computeTime time.Duration
 
-	// fallbackReason is non-empty when the symbolic distance phase failed
-	// and the model operates on an exact trace profile instead. The profile
-	// is also capacity independent, so fallback models amortize across
-	// hierarchies exactly like symbolic ones.
+	// fallbackReason is non-empty when the model operates on an exact trace
+	// profile instead of symbolic distances (ModeSim, or a failed symbolic
+	// phase under ModeAuto). The profile is also capacity independent, so
+	// trace models amortize across hierarchies exactly like symbolic ones.
 	fallbackReason string
 	profileOnce    sync.Once
+	trace          *scop.CompiledProgram
 	profile        reusedist.Profile
 	profileErr     error
 
@@ -73,9 +74,8 @@ type DistanceModel struct {
 	// the whole phase degraded under ModeBounded).
 	// CountMisses re-counts the touched map restricted to each cache set
 	// when the query's geometry has more than one set — the set partition
-	// depends on the hierarchy, so it cannot be precomputed here. A nil
-	// saInfo (trace-fallback or externally constructed models) answers
-	// set-associative queries from the simulation tier instead.
+	// depends on the hierarchy, so it cannot be precomputed here. Trace
+	// models leave both unset and replay the trace instead.
 	saInfo    *scop.PolyInfo
 	saTouched presburger.UnionMap
 }
@@ -86,15 +86,16 @@ type DistanceModel struct {
 // size. The returned model answers CountMisses queries for any hierarchy
 // sharing that line size without recomputing the distances.
 //
-// opts.Mode picks the rung of the degradation ladder. ModeSim builds the
-// model from an exact stack distance profile of the trace without trying the
-// symbolic pipeline: results are exact and shared across hierarchies like
-// symbolic ones, but the construction cost is proportional to the trace
-// length. It suits programs that are expensive to analyze symbolically,
-// such as the deep loop nests tiling produces. Under ModeAuto, a program
-// the symbolic pipeline cannot handle falls back to the same profile;
-// results stay exact (CountMisses marks them with UsedTraceFallback) and are
-// still shared across hierarchies. ModeExact returns the error instead.
+// opts.Mode picks the rung of the degradation ladder. Every mode extracts
+// and verifies the program first. ModeSim then builds the model from an
+// exact stack distance profile of the trace without trying the symbolic
+// pipeline: results are exact and shared across hierarchies like symbolic
+// ones, but the construction cost is proportional to the trace length. It
+// suits programs that are expensive to analyze symbolically, such as the
+// deep loop nests tiling produces. Under ModeAuto, a program the symbolic
+// pipeline cannot handle falls back to the same profile; results stay exact
+// (CountMisses marks them with UsedTraceFallback) and are still shared
+// across hierarchies. ModeExact returns the error instead.
 func ComputeDistances(prog *scop.Program, lineSize int64, opts Options) (*DistanceModel, error) {
 	return ComputeDistancesContext(context.Background(), prog, lineSize, opts)
 }
@@ -112,9 +113,6 @@ func ComputeDistancesContext(ctx context.Context, prog *scop.Program, lineSize i
 	if prog.IsParametric() {
 		return nil, fmt.Errorf("core: program %s is parametric; use ComputeParametricModel (or Instantiate it first)", prog.Name)
 	}
-	if opts.Mode == ModeSim {
-		return computeDistancesByProfiling(prog, lineSize)
-	}
 	info, err := extract(prog)
 	if err != nil {
 		return nil, err
@@ -125,40 +123,42 @@ func ComputeDistancesContext(ctx context.Context, prog *scop.Program, lineSize i
 	// retain the caller's executor (later CountMisses calls build their own).
 	dm.opts.Exec = nil
 	dm.baseStats.NonAffineByAffineDims = map[int]int{}
-	ex, release := opts.executor()
-	defer release()
-
-	dm.TotalAccesses, dm.stmtInstances, err = totalAccesses(info)
+	if opts.Mode == ModeSim {
+		err = dm.useTrace("exact trace profiling requested")
+	} else {
+		ex, release := opts.executor()
+		err = dm.computeSymbolic(ctx, info, meter, ex)
+		release()
+		if err != nil && opts.Mode == ModeAuto && !budget.IsCancellation(err) {
+			err = dm.useTrace(err.Error())
+		}
+	}
 	if err != nil {
 		return nil, err
-	}
-
-	if symErr := dm.computeSymbolic(ctx, info, meter, ex); symErr != nil {
-		switch {
-		case budget.IsCancellation(symErr):
-			return nil, symErr
-		case opts.Mode == ModeAuto:
-			if err := dm.ensureProfile(); err != nil {
-				return nil, err
-			}
-			dm.fallbackReason = symErr.Error()
-			dm.distances = nil
-			dm.perStmtCompulsory = nil
-			dm.saInfo = nil
-			dm.saTouched = presburger.UnionMap{}
-			// Discard any partial symbolic statistics (the stack distance
-			// stage may have succeeded before a later stage failed):
-			// fallback models answer from the profile, so their results
-			// must not carry distance-phase stats.
-			dm.baseStats = Stats{NonAffineByAffineDims: map[int]int{}}
-			dm.CompulsoryMisses = dm.profile.Compulsory
-		default:
-			return nil, symErr
-		}
 	}
 	dm.baseStats.BudgetUsed = meter.Total()
 	dm.computeTime = time.Since(start)
 	return dm, nil
+}
+
+// useTrace switches the model to the exact trace profile, for the given
+// reason: ModeSim skipped the symbolic pipeline, or it failed under
+// ModeAuto. Partial symbolic state and statistics are discarded (a later
+// stage may fail after the stack distances succeeded): results answered
+// from the profile must not carry distance-phase stats.
+func (dm *DistanceModel) useTrace(reason string) error {
+	if err := dm.ensureProfile(); err != nil {
+		return err
+	}
+	dm.fallbackReason = reason
+	dm.TotalAccesses = dm.profile.Accesses
+	dm.CompulsoryMisses = dm.profile.Compulsory
+	dm.distances = nil
+	dm.perStmtCompulsory = nil
+	dm.saInfo = nil
+	dm.saTouched = presburger.UnionMap{}
+	dm.baseStats = Stats{NonAffineByAffineDims: map[int]int{}}
+	return nil
 }
 
 // countCompulsory fills the model's compulsory misses. Outside ModeBounded
@@ -180,27 +180,6 @@ func (dm *DistanceModel) countCompulsory(info *scop.PolyInfo, meter *budget.Mete
 	dm.CompulsoryMisses = iv.Hi
 	dm.perStmtCompulsory = perStmt
 	return nil
-}
-
-// computeDistancesByProfiling is the ModeSim rung of ComputeDistances: it
-// builds the model from an exact stack distance profile of the trace,
-// without attempting the symbolic pipeline. Results carry UsedTraceFallback
-// so the provenance stays visible.
-func computeDistancesByProfiling(prog *scop.Program, lineSize int64) (*DistanceModel, error) {
-	start := time.Now()
-	if lineSize <= 0 {
-		return nil, fmt.Errorf("core: line size must be positive")
-	}
-	dm := &DistanceModel{Kernel: prog.Name, LineSize: lineSize, prog: prog}
-	dm.baseStats.NonAffineByAffineDims = map[int]int{}
-	dm.fallbackReason = "exact trace profiling requested"
-	if err := dm.ensureProfile(); err != nil {
-		return nil, err
-	}
-	dm.TotalAccesses = dm.profile.Accesses
-	dm.CompulsoryMisses = dm.profile.Compulsory
-	dm.computeTime = time.Since(start)
-	return dm, nil
 }
 
 // stackDistancePhase runs the stack distance stage (section 3.1) of either
@@ -240,14 +219,19 @@ func stackDistancePhase(ctx context.Context, info *scop.PolyInfo, lineSize int64
 	return distances, degraded, touched, nil
 }
 
-// computeSymbolic fills the model from the symbolic pipeline: stack
-// distances (section 3.1) and compulsory misses (section 3.4), together
-// with the statistics of the distance phase. Under ModeBounded a failed
-// stack distance stage degrades every statement: no distance polynomials at
-// all, but the instance counts stay exact and the compulsory misses are
-// still attempted, so every level's misses are certifiably between the
-// compulsory lower bound and the total access count.
+// computeSymbolic fills the model from the symbolic pipeline: the access
+// and instance counts, stack distances (section 3.1) and compulsory misses
+// (section 3.4), together with the statistics of the distance phase. Under
+// ModeBounded a failed stack distance stage degrades every statement: no
+// distance polynomials at all, but the instance counts stay exact and the
+// compulsory misses are still attempted, so every level's misses are
+// certifiably between the compulsory lower bound and the total access
+// count.
 func (dm *DistanceModel) computeSymbolic(ctx context.Context, info *scop.PolyInfo, meter *budget.Meter, ex parwork.Exec) error {
+	var err error
+	if dm.TotalAccesses, dm.stmtInstances, err = totalAccesses(info); err != nil {
+		return err
+	}
 	bounded := dm.opts.Mode == ModeBounded
 	distances, degraded, touched, err := stackDistancePhase(ctx, info, dm.LineSize, ex, meter, bounded, &dm.baseStats)
 	if err != nil {
@@ -313,32 +297,20 @@ func (dm *DistanceModel) CountMissesExec(ctx context.Context, cfg Config, ex par
 	}
 	meter := budget.New(ctx, dm.opts.Budget)
 	res := &Result{Kernel: dm.Kernel, TotalAccesses: dm.TotalAccesses, Stats: dm.baseStats.clone()}
-	if dm.fallbackReason != "" {
-		if err := dm.fillFromProfile(res, cfg); err != nil {
-			return nil, err
-		}
-		res.UsedTraceFallback = true
-		res.FallbackReason = dm.fallbackReason
-		res.Tier = TierSimulated
-		res.Stats.TotalTime = dm.computeTime + time.Since(start)
-		return res, nil
-	}
 	res.CompulsoryMisses = dm.CompulsoryMisses
 	res.CompulsoryBounds = dm.compulsoryBounds
 	res.PerStatementCompulsory = cloneCounts(dm.perStmtCompulsory)
-	if countErr := dm.countSymbolic(ctx, cfg, ex, res, meter); countErr != nil {
+	if dm.fallbackReason != "" {
+		if err := dm.answerFromTrace(res, cfg, dm.fallbackReason); err != nil {
+			return nil, err
+		}
+	} else if countErr := dm.countSymbolic(ctx, cfg, ex, res, meter); countErr != nil {
 		if budget.IsCancellation(countErr) || dm.opts.Mode != ModeAuto {
 			return nil, countErr
 		}
-		if err := dm.ensureProfile(); err != nil {
+		if err := dm.answerFromTrace(res, cfg, countErr.Error()); err != nil {
 			return nil, err
 		}
-		if err := dm.fillFromProfile(res, cfg); err != nil {
-			return nil, err
-		}
-		res.UsedTraceFallback = true
-		res.FallbackReason = countErr.Error()
-		res.Tier = TierSimulated
 	}
 	res.Stats.BudgetUsed += meter.Total()
 	res.Stats.TotalTime = dm.computeTime + time.Since(start)
@@ -474,58 +446,58 @@ func sortedKeys(m map[string]string) []string {
 	return keys
 }
 
-// ensureProfile lazily computes the exact stack distance profile of the
-// trace (padded layout, like SimulateReference) exactly once, no matter how
-// many CountMisses calls need it.
+// ensureProfile lazily compiles the trace (padded layout, like
+// SimulateReference) and computes its exact stack distance profile exactly
+// once, no matter how many CountMisses calls need it.
 func (dm *DistanceModel) ensureProfile() error {
 	dm.profileOnce.Do(func() {
-		layout := scop.NewLayout(dm.prog, scop.LayoutPadded, dm.LineSize)
-		cp, err := scop.Compile(dm.prog, layout)
-		if err != nil {
-			dm.profileErr = err
-			return
+		dm.trace, dm.profileErr = compileTrace(dm.prog, dm.LineSize)
+		if dm.profileErr == nil {
+			dm.profile = reusedist.ProfileProgram(dm.trace, dm.LineSize)
 		}
-		dm.profile = reusedist.ProfileProgram(cp, dm.LineSize)
 	})
 	return dm.profileErr
 }
 
-// fillFromProfile fills the per-level miss counts of res from the exact
-// trace profile; the profile answers any capacity, so this path shares the
-// profile across hierarchies the same way the symbolic path shares the
-// distances. The stack distance profile only answers fully associative
-// geometries; a level with more than one cache set is answered by replaying
-// the trace through a set-associative LRU simulation of just that geometry
-// (still exact, still on the padded layout the model assumes).
-func (dm *DistanceModel) fillFromProfile(res *Result, cfg Config) error {
+// answerFromTrace fills the per-level miss counts of res from the exact
+// trace profile and marks res as trace-answered (TierSimulated) with the
+// given reason; it is the one place a result leaves the symbolic tiers. The
+// profile answers any capacity, so this path shares the profile across
+// hierarchies the same way the symbolic path shares the distances. The
+// stack distance profile only answers fully associative geometries; when a
+// level has more than one cache set, the compiled trace is replayed once
+// through set-associative LRU caches of the hierarchy (still exact, still on
+// the padded layout the model assumes).
+func (dm *DistanceModel) answerFromTrace(res *Result, cfg Config, reason string) error {
+	if err := dm.ensureProfile(); err != nil {
+		return err
+	}
 	res.CompulsoryMisses = dm.profile.Compulsory
 	res.CompulsoryBounds = counting.Exact(res.CompulsoryMisses)
-	var ref Reference
-	haveRef := false
-	setAssoc := make([]bool, len(cfg.CacheSizes))
-	for i := range cfg.CacheSizes {
+	var replay *Reference
+	capBounds := make([]counting.Interval, len(cfg.CacheSizes))
+	for i, size := range cfg.CacheSizes {
 		numSets, _, err := cfg.LevelGeometry(i)
 		if err != nil {
 			return fmt.Errorf("core: level %d: %w", i+1, err)
 		}
-		setAssoc[i] = numSets > 1
-		if setAssoc[i] && !haveRef {
-			ref, err = SimulateSetAssocReference(dm.prog, cfg)
+		if numSets == 1 {
+			capBounds[i] = counting.Exact(dm.profile.CapacityMissesFor(size / cfg.LineSize))
+			continue
+		}
+		if replay == nil {
+			ref, err := replaySetAssoc(dm.trace, cfg)
 			if err != nil {
 				return err
 			}
-			haveRef = true
+			replay = &ref
 		}
-	}
-	capBounds := make([]counting.Interval, len(cfg.CacheSizes))
-	for i, size := range cfg.CacheSizes {
-		if setAssoc[i] {
-			capBounds[i] = counting.Exact(ref.TotalMisses[i] - res.CompulsoryMisses)
-		} else {
-			capBounds[i] = counting.Exact(dm.profile.CapacityMissesFor(size / cfg.LineSize))
-		}
+		capBounds[i] = counting.Exact(replay.TotalMisses[i] - res.CompulsoryMisses)
 	}
 	res.setLevels(cfg.CacheSizes, capBounds, nil, nil)
+	res.UsedTraceFallback = true
+	res.FallbackReason = reason
+	res.Tier = TierSimulated
 	return nil
 }
 

@@ -20,24 +20,30 @@ func brokenProgram() *scop.Program {
 	return p
 }
 
+// TestAnalyzeRejectsInvalidProgram: every rung of the ladder, ModeSim
+// included, goes through the front door and rejects the program.
 func TestAnalyzeRejectsInvalidProgram(t *testing.T) {
-	_, err := Analyze(brokenProgram(), DefaultConfig(), DefaultOptions())
-	if !errors.Is(err, ErrInvalidProgram) {
-		t.Fatalf("want ErrInvalidProgram, got %v", err)
-	}
-	var ipe *InvalidProgramError
-	if !errors.As(err, &ipe) {
-		t.Fatalf("want *InvalidProgramError, got %T", err)
-	}
-	if len(ipe.Diagnostics) == 0 {
-		t.Fatal("error carries no diagnostics")
-	}
-	d := ipe.Diagnostics[0]
-	if d.Kind != scopcheck.KindOutOfBounds {
-		t.Fatalf("want out-of-bounds diagnostic, got %s", d)
-	}
-	if len(d.Witness) == 0 {
-		t.Fatal("diagnostic carries no witness point")
+	for _, mode := range []Mode{ModeExact, ModeAuto, ModeBounded, ModeSim} {
+		opts := DefaultOptions()
+		opts.Mode = mode
+		_, err := Analyze(brokenProgram(), DefaultConfig(), opts)
+		if !errors.Is(err, ErrInvalidProgram) {
+			t.Fatalf("%v: want ErrInvalidProgram, got %v", mode, err)
+		}
+		var ipe *InvalidProgramError
+		if !errors.As(err, &ipe) {
+			t.Fatalf("%v: want *InvalidProgramError, got %T", mode, err)
+		}
+		if len(ipe.Diagnostics) == 0 {
+			t.Fatalf("%v: error carries no diagnostics", mode)
+		}
+		d := ipe.Diagnostics[0]
+		if d.Kind != scopcheck.KindOutOfBounds {
+			t.Fatalf("%v: want out-of-bounds diagnostic, got %s", mode, d)
+		}
+		if len(d.Witness) == 0 {
+			t.Fatalf("%v: diagnostic carries no witness point", mode)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // countBasicSet returns the exact number of integer points of the basic set,
 // computed symbolically (no parameters). The summand form is used directly:
 // the total is the sum over all zero-dimensional summand pieces, so the
-// disjointness fold of CardBasicSet would be pure overhead here. The budget
+// disjointness fold of cardBasicSet would be pure overhead here. The budget
 // operation is charged one cost unit per intermediate elimination system; a
 // nil op is unlimited.
 func countBasicSet(bs presburger.BasicSet, op *budget.Op) (int64, error) {
@@ -41,7 +41,7 @@ func countBasicSet(bs presburger.BasicSet, op *budget.Op) (int64, error) {
 // enumerated instead, charging op one cost unit per point. A budget trip or
 // a cancellation is returned as its typed error and never falls through to
 // enumeration, which would re-spend the exhausted budget. The symbolic
-// count charges op as CardBasicSet does; a nil op is unlimited.
+// count charges op as cardBasicSet does; a nil op is unlimited.
 func CountSet(s presburger.Set, op *budget.Op) (int64, error) {
 	n, err := countSymbolic(s, op)
 	if err == nil || errors.Is(err, ErrBudget) || budget.IsCancellation(err) {
@@ -80,11 +80,11 @@ func countSymbolic(s presburger.Set, op *budget.Op) (int64, error) {
 // dimensions to the number of points of the remaining dimensions.
 // Overlapping basic sets are made disjoint by subtraction before counting,
 // so union semantics hold for every parameter value. The budget operation is
-// charged as in CardBasicSet (nil = unlimited).
+// charged as in cardBasicSet (nil = unlimited).
 func CardSet(s presburger.Set, nParam int, paramSpace presburger.Space, op *budget.Op) (qpoly.PwQPoly, error) {
 	total := qpoly.ZeroPw(paramSpace)
 	for _, bs := range disjointBasicSets(s) {
-		card, err := CardBasicSet(bs, nParam, paramSpace, op)
+		card, err := cardBasicSet(bs, nParam, paramSpace, op)
 		if err != nil {
 			return qpoly.PwQPoly{}, err
 		}
@@ -149,7 +149,7 @@ func disjointBasicMaps(m presburger.Map) []presburger.BasicMap {
 // MapCard counts, for every point of the input space, the number of distinct
 // related output points of the map (union semantics: an output point related
 // through several basic maps is counted once). The budget operation is
-// charged as in CardBasicSet (nil = unlimited).
+// charged as in cardBasicSet (nil = unlimited).
 func MapCard(m presburger.Map, op *budget.Op) (qpoly.PwQPoly, error) {
 	cards, err := mapCardPieces(m, op)
 	if err != nil {
@@ -173,7 +173,7 @@ func mapCardPieces(m presburger.Map, op *budget.Op) ([]qpoly.PwQPoly, error) {
 	disjoint := disjointBasicMaps(m)
 	cards := make([]qpoly.PwQPoly, 0, len(disjoint))
 	for _, bm := range disjoint {
-		card, err := CardBasicSet(bm.AsSet(), bm.NIn(), bm.InSpace(), op)
+		card, err := cardBasicSet(bm.AsSet(), bm.NIn(), bm.InSpace(), op)
 		if err != nil {
 			return nil, err
 		}
@@ -186,7 +186,7 @@ func mapCardPieces(m presburger.Map, op *budget.Op) ([]qpoly.PwQPoly, error) {
 // summand pieces of every disjoint basic map (overlapping domains, sum
 // semantics — the cardinality at a point is the sum of every piece whose
 // domain contains it), skipping the per-basic-map disjointness fold of
-// CardBasicSet entirely. That fold is what explodes under set-associative
+// cardBasicSet entirely. That fold is what explodes under set-associative
 // residue restriction: fine residue stripes fan the summation out into many
 // systems, and folding them into a disjoint piecewise normal form pays a
 // quadratic chain of set subtractions for a shape the pointwise evaluator

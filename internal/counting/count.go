@@ -16,7 +16,7 @@ import (
 // bounds; the result is never silently truncated.
 var ErrBudget = budget.ErrExceeded
 
-// CardBasicSet counts the integer points of bs parametrically in its first
+// cardBasicSet counts the integer points of bs parametrically in its first
 // nParam dimensions: the result maps every value of the parameter dimensions
 // to the number of points of the remaining dimensions. The piece domains of
 // the result live in paramSpace (which must have nParam dimensions). The
@@ -25,7 +25,7 @@ var ErrBudget = budget.ErrExceeded
 // dimension and every residue class of a floor split); a nil op is
 // unlimited, and exceeding a limited op returns a budget.Exceeded error
 // matching ErrBudget.
-func CardBasicSet(bs presburger.BasicSet, nParam int, paramSpace presburger.Space, op *budget.Op) (qpoly.PwQPoly, error) {
+func cardBasicSet(bs presburger.BasicSet, nParam int, paramSpace presburger.Space, op *budget.Op) (qpoly.PwQPoly, error) {
 	summands, err := CardBasicSetSummands(bs, nParam, paramSpace, op)
 	if err != nil {
 		return qpoly.PwQPoly{}, err
@@ -41,11 +41,11 @@ func CardBasicSet(bs presburger.BasicSet, nParam int, paramSpace presburger.Spac
 	return result, nil
 }
 
-// CardBasicSetSummands is the sum form of CardBasicSet: it returns the
+// CardBasicSetSummands is the sum form of cardBasicSet: it returns the
 // per-system cardinalities as summand pieces over paramSpace (overlapping
 // domains, sum semantics: the count at a parameter point is the sum of
 // every piece whose domain contains it, which qpoly.Bag evaluates) without
-// the quadratic disjointness fold of CardBasicSet. For counts that are only
+// the quadratic disjointness fold of cardBasicSet. For counts that are only
 // evaluated — never compared piecewise — this is dramatically cheaper when
 // the summation fans out into many systems. The budget operation is charged
 // one cost unit per intermediate system; a nil op is unlimited.

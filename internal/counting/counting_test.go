@@ -125,7 +125,7 @@ func TestCardBasicMapTriangular(t *testing.T) {
 	bm = bm.AddConstraint(ineq(bm.NCols(), 0, 0, 1))
 	bm = bm.AddConstraint(ineq(bm.NCols(), 0, 1, -1))
 
-	card, err := CardBasicSet(bm.AsSet(), bm.NIn(), bm.InSpace(), nil)
+	card, err := cardBasicSet(bm.AsSet(), bm.NIn(), bm.InSpace(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestCardBasicMapWithCacheLines(t *testing.T) {
 	bm = bm.AddConstraint(ineq(bm.NCols(), 0, 0, 1))
 	bm = bm.AddConstraint(ineq(bm.NCols(), 0, 1, -4))
 
-	card, err := CardBasicSet(bm.AsSet(), bm.NIn(), bm.InSpace(), nil)
+	card, err := cardBasicSet(bm.AsSet(), bm.NIn(), bm.InSpace(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestRandomParametricCardMatchesScan(t *testing.T) {
 			bm = bm.AddConstraint(ineq(bm.NCols(), int64(rng.Intn(7)-1),
 				int64(rng.Intn(3)-1), int64(rng.Intn(3)-1), int64(rng.Intn(3)-1)))
 		}
-		card, err := CardBasicSet(bm.AsSet(), bm.NIn(), bm.InSpace(), nil)
+		card, err := cardBasicSet(bm.AsSet(), bm.NIn(), bm.InSpace(), nil)
 		if err != nil {
 			t.Logf("trial %d: fallback (%v)", trial, err)
 			continue
@@ -316,7 +316,7 @@ func TestRandomParametricCardMatchesScan(t *testing.T) {
 
 func TestPieceCountReported(t *testing.T) {
 	bs := boxSet("S", 9, 9).AddConstraint(ineq(boxSet("S", 9, 9).NCols(), 0, 1, -1))
-	pw, err := CardBasicSet(bs, 1, presburger.NewSpace("S", "i"), nil)
+	pw, err := cardBasicSet(bs, 1, presburger.NewSpace("S", "i"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

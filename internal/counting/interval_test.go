@@ -188,7 +188,7 @@ func TestCountIntervalCancellation(t *testing.T) {
 }
 
 func TestErrBudgetMatchesTypedExceeded(t *testing.T) {
-	_, err := CardBasicSet(boxSet("S", 100, 100, 100).
+	_, err := cardBasicSet(boxSet("S", 100, 100, 100).
 		AddConstraint(ineq(boxSet("S", 100, 100, 100).NCols(), 0, 1, -1, 0)),
 		0, presburger.NewSpace("S"), budget.LimitOp("parametric count", 1))
 	if err == nil {

@@ -61,7 +61,7 @@ func randomParamSet(rng *rand.Rand, nParam, nCount int) presburger.BasicSet {
 // TestCardBasicSetParametricRandom cross-checks parametric counting against
 // brute-force enumeration: for random boxes and wedges with one or two
 // parameter dimensions, the piecewise quasi-polynomial returned by
-// CardBasicSet, evaluated at sampled parameter values, must equal the point
+// cardBasicSet, evaluated at sampled parameter values, must equal the point
 // count of the set with the parameters fixed to those values.
 func TestCardBasicSetParametricRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -78,9 +78,9 @@ func TestCardBasicSetParametricRandom(t *testing.T) {
 			paramDims[i] = fmt.Sprintf("P%d", i)
 		}
 		paramSpace := presburger.NewParamSpace("Params", nParam, paramDims...)
-		card, err := CardBasicSet(bs, nParam, paramSpace, nil)
+		card, err := cardBasicSet(bs, nParam, paramSpace, nil)
 		if err != nil {
-			t.Fatalf("case %d (%v): CardBasicSet: %v", ci, bs, err)
+			t.Fatalf("case %d (%v): cardBasicSet: %v", ci, bs, err)
 		}
 		for trial := 0; trial < 6; trial++ {
 			point := make([]int64, nParam)

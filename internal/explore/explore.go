@@ -16,12 +16,12 @@
 // model too. Both phases run on one parwork pool: configurations fan out as
 // its items, and every analysis schedules its own units on the worker
 // driving it, so Options.Parallelism alone sizes the sweep. Results are
-// deterministic at every worker count: with the default TiledSymbolic
-// strategy every result is bit-identical to a standalone core.Analyze call
-// with the same options, while the TiledProfile strategy builds the models
-// of tiled variants from an exact trace profile instead (still exact, much
-// cheaper for the deep loop nests tiling produces, and equally shared
-// across hierarchies).
+// deterministic at every worker count and bit-identical to a standalone
+// core.Analyze call with the same options. Options.Analysis.Mode is the one
+// knob of the degradation ladder: core.ModeSim builds every model from an
+// exact trace profile instead (still exact, cheaper for the deep loop nests
+// tiling produces at small problem sizes, and equally shared across
+// hierarchies).
 package explore
 
 import (
@@ -58,41 +58,18 @@ type Grid struct {
 	Hierarchies []core.Config
 }
 
-// TiledAnalysis selects how the distance models of tiled program variants
-// are built; untiled variants always use the symbolic pipeline.
-type TiledAnalysis int
-
-const (
-	// TiledSymbolic runs the full symbolic pipeline on tiled variants, like
-	// on untiled ones. Every result is bit-identical to a standalone
-	// core.Analyze call. Tiling doubles the loop depth, but the coalescing
-	// layer of internal/presburger keeps the deeper compositions tractable,
-	// so this problem-size-independent strategy is the default.
-	TiledSymbolic TiledAnalysis = iota
-	// TiledProfile builds the models of tiled variants from an exact stack
-	// distance profile of the trace (core.ModeSim).
-	// Results are still exact and still shared across all hierarchies of
-	// the grid, but the model construction costs one trace replay per tiled
-	// variant instead of being problem-size independent. Results of tiled
-	// grid points carry UsedTraceFallback.
-	TiledProfile
-)
-
 // Options configures a sweep.
 type Options struct {
 	// Analysis holds the model options of every evaluation. Its
 	// Parallelism and Exec are ignored: every analysis runs on the sweep's
 	// pool. Analysis.Mode selects the degradation ladder rung of every grid
-	// point (core.ComputeDistancesContext resolves it); ModeSim routes all
-	// variants, tiled and untiled, through exact trace profiling.
+	// point (core.ComputeDistancesContext resolves it); ModeSim builds
+	// every variant's model, tiled and untiled, from an exact trace profile.
 	Analysis core.Options
 	// Parallelism is the worker count of the sweep's pool, which runs the
 	// configurations and the analyses' own units alike; zero or below
 	// selects the number of CPUs.
 	Parallelism int
-	// Tiled selects the analysis strategy of tiled variants (default
-	// TiledSymbolic).
-	Tiled TiledAnalysis
 }
 
 // DefaultOptions enables every model optimization and sizes the pool by the
@@ -262,9 +239,6 @@ func SweepContext(ctx context.Context, grid Grid, opts Options) (*Result, error)
 		// the per-job copy hands the worker to exactly one call.
 		jobOpts := opts.Analysis
 		jobOpts.Exec = w
-		if v.tiled && opts.Tiled == TiledProfile {
-			jobOpts.Mode = core.ModeSim
-		}
 		dm, err := core.ComputeDistancesContext(ctx, v.program, job.lineSize, jobOpts)
 		if err != nil {
 			return fmt.Errorf("explore: distances of %s (tile %d, line %d): %w",

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -253,9 +254,9 @@ func TestSweepSharesModelAcrossHierarchies(t *testing.T) {
 }
 
 // TestSweepComputesDistancesOncePerVariant asserts the amortization claim
-// on a grid with real tiled variants (built via the profile strategy so the
-// test stays cheap): one model per variant, independent of the number of
-// hierarchies.
+// on a grid with real tiled variants (built from trace profiles, ModeSim, so
+// the test stays cheap): one model per variant, independent of the number
+// of hierarchies.
 func TestSweepComputesDistancesOncePerVariant(t *testing.T) {
 	grid := Grid{
 		Kernels:     []Kernel{{Name: "gemm", Program: gemmKernel(8)}},
@@ -263,7 +264,7 @@ func TestSweepComputesDistancesOncePerVariant(t *testing.T) {
 		Hierarchies: testHierarchies(),
 	}
 	opts := DefaultOptions()
-	opts.Tiled = TiledProfile
+	opts.Analysis.Mode = core.ModeSim
 	res, err := Sweep(grid, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -345,12 +346,13 @@ func TestSweepMixedLineSizes(t *testing.T) {
 	}
 }
 
-// TestSweepTiledProfile covers tiled variants end to end with the profile
-// strategy: the tiled grid points must be bit-identical to naive
-// per-configuration profile models at every parallelism level, must agree
-// with the exact trace reference (core.SimulateReference), and on the
-// transposed-access kernel the tiled variant must win the L1 objective —
-// the sweep's purpose demonstrated end to end.
+// TestSweepTiledProfile covers tiled variants end to end under ModeSim,
+// which builds every model from a trace profile: the grid points must be
+// bit-identical to naive per-configuration profile models at every
+// parallelism level, must agree with the exact trace reference
+// (core.SimulateReference), and on the transposed-access kernel the tiled
+// variant must win the L1 objective — the sweep's purpose demonstrated end
+// to end.
 func TestSweepTiledProfile(t *testing.T) {
 	grid := Grid{
 		Kernels:   []Kernel{{Name: "transpose", Program: transposeKernel(64)}},
@@ -361,7 +363,7 @@ func TestSweepTiledProfile(t *testing.T) {
 		},
 	}
 	opts := DefaultOptions()
-	opts.Tiled = TiledProfile
+	opts.Analysis.Mode = core.ModeSim
 
 	tiledProg, ok := tiling.Tile(grid.Kernels[0].Program, 8)
 	if !ok {
@@ -383,21 +385,24 @@ func TestSweepTiledProfile(t *testing.T) {
 		for _, e := range res.Evaluations {
 			prog := grid.Kernels[0].Program
 			if e.TileSize == 8 {
-				if !e.Tiled || !e.Result.UsedTraceFallback {
-					t.Fatalf("tiled evaluation must be marked tiled and profile-backed: %+v", e)
+				if !e.Tiled {
+					t.Fatalf("tiled evaluation must be marked tiled: %+v", e)
 				}
 				prog = tiledProg
-				// Bit-identical to a naive per-configuration profile model.
-				dm, err := core.ComputeDistances(prog, e.Hierarchy.LineSize, core.Options{Mode: core.ModeSim})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := dm.CountMisses(e.Hierarchy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResult(t, "tiled-profile", e.Result, want)
 			}
+			if !e.Result.UsedTraceFallback {
+				t.Fatalf("ModeSim evaluation must be profile-backed: %+v", e)
+			}
+			// Bit-identical to a naive per-configuration profile model.
+			dm, err := core.ComputeDistances(prog, e.Hierarchy.LineSize, core.Options{Mode: core.ModeSim})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := dm.CountMisses(e.Hierarchy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, "profile", e.Result, want)
 			// Exact against the trace ground truth, tiled and untiled alike.
 			ref, err := core.SimulateReference(prog, e.Hierarchy)
 			if err != nil {
@@ -418,6 +423,26 @@ func TestSweepTiledProfile(t *testing.T) {
 	best := res4k(first, t)
 	if best.Evaluation.TileSize != 8 || !best.Evaluation.Tiled {
 		t.Fatalf("tiling should win the transposed access in a 4 KiB cache: %+v", best)
+	}
+}
+
+// TestSweepModeSimVerifiesPrograms: ModeSim profiles every variant but goes
+// through the same front door as the symbolic rungs, so a kernel reading
+// past the end of its array fails the sweep instead of being profiled.
+func TestSweepModeSimVerifiesPrograms(t *testing.T) {
+	p := scop.NewProgram("broken")
+	A := p.NewArray("A", scop.ElemFloat64, 4)
+	i := scop.V("i")
+	p.Add(scop.For(i, scop.C(0), scop.C(5),
+		scop.Stmt("S0", scop.Read(A, scop.X(i)))))
+	opts := DefaultOptions()
+	opts.Analysis.Mode = core.ModeSim
+	_, err := Sweep(Grid{
+		Kernels:     []Kernel{{Name: "broken", Program: p}},
+		Hierarchies: testHierarchies(),
+	}, opts)
+	if !errors.Is(err, core.ErrInvalidProgram) {
+		t.Fatalf("want core.ErrInvalidProgram, got %v", err)
 	}
 }
 

@@ -1,22 +1,17 @@
 package polybench
 
-import (
-	"testing"
+import "testing"
 
-	"haystack/internal/scop"
-)
-
-// TestParametricKernelsInstantiateLikeConcrete checks that instantiating a
-// parametric kernel at the standard bindings reproduces the registry's
-// concrete kernel: same arrays (names, element sizes, extents), same
-// statement names, and the same dynamic statement instance counts at MINI
-// (the trace-level fingerprint of the loop structure).
+// TestParametricKernelsInstantiateLikeConcrete checks that every parametric
+// kernel builds a valid parametric program with a concrete registry
+// counterpart. The concrete gemm, trmm and jacobi-2d entries are themselves
+// built by instantiating these programs, so comparing the two would compare
+// a call with itself; the golden fixtures pin the instantiated kernels.
 func TestParametricKernelsInstantiateLikeConcrete(t *testing.T) {
 	for _, pk := range ParametricKernels() {
 		pk := pk
 		t.Run(pk.Name, func(t *testing.T) {
-			ck, ok := ByName(pk.Name)
-			if !ok {
+			if _, ok := ByName(pk.Name); !ok {
 				t.Fatalf("parametric kernel %s has no concrete counterpart", pk.Name)
 			}
 			prog := pk.Build()
@@ -26,52 +21,8 @@ func TestParametricKernelsInstantiateLikeConcrete(t *testing.T) {
 			if err := prog.Validate(); err != nil {
 				t.Fatalf("Validate: %v", err)
 			}
-			for _, sz := range []Size{Mini, Small} {
-				inst, err := prog.Instantiate(pk.Bindings(sz))
-				if err != nil {
-					t.Fatalf("Instantiate %v: %v", sz, err)
-				}
-				want := ck.Build(sz)
-				if len(inst.Arrays) != len(want.Arrays) {
-					t.Fatalf("%v: %d arrays, want %d", sz, len(inst.Arrays), len(want.Arrays))
-				}
-				for i, a := range inst.Arrays {
-					w := want.Arrays[i]
-					if a.Name != w.Name || a.Elem != w.Elem {
-						t.Errorf("%v: array %d is %s/%d, want %s/%d", sz, i, a.Name, a.Elem, w.Name, w.Elem)
-					}
-					if len(a.Dims) != len(w.Dims) {
-						t.Errorf("%v: array %s rank %d, want %d", sz, a.Name, len(a.Dims), len(w.Dims))
-						continue
-					}
-					for d := range a.Dims {
-						if a.Dims[d] != w.Dims[d] {
-							t.Errorf("%v: array %s dim %d is %d, want %d", sz, a.Name, d, a.Dims[d], w.Dims[d])
-						}
-					}
-				}
-			}
-			got := scop.DynamicStatementInstances(mustInstantiate(t, prog, pk.Bindings(Mini)))
-			want := scop.DynamicStatementInstances(ck.Build(Mini))
-			if len(got) != len(want) {
-				t.Fatalf("statement sets differ: %v vs %v", got, want)
-			}
-			for stmt, n := range want {
-				if got[stmt] != n {
-					t.Errorf("MINI: statement %s runs %d times, want %d", stmt, got[stmt], n)
-				}
-			}
 		})
 	}
-}
-
-func mustInstantiate(t *testing.T, p *scop.Program, bindings map[string]int64) *scop.Program {
-	t.Helper()
-	inst, err := p.Instantiate(bindings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return inst
 }
 
 // TestParametricRegistryLookups covers the registry helpers.
