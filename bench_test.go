@@ -11,6 +11,7 @@
 package haystack_test
 
 import (
+	"context"
 	"testing"
 
 	"haystack"
@@ -296,9 +297,9 @@ func BenchmarkSweep_SharedDistances(b *testing.B) {
 		Kernels:     []explore.Kernel{{Name: "gemm", Program: smallGemm(8)}},
 		Hierarchies: sweepHierarchies,
 	}
-	opts := explore.Options{Analysis: sweepAnalysisOptions(), Parallelism: 1}
+	opts := sweepAnalysisOptions()
 	for i := 0; i < b.N; i++ {
-		res, err := explore.Sweep(grid, opts)
+		res, err := explore.Sweep(context.Background(), grid, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,6 +12,9 @@
 // given parameter values:
 //
 //	haystack -kernel gemm -params NI=1000,NJ=1100,NK=1200
+//
+// The analysis verifies the program first and rejects an invalid one;
+// cmd/scopcheck prints the verifier's findings, warnings included.
 package main
 
 import (
@@ -27,8 +30,6 @@ import (
 	"haystack/internal/core"
 	"haystack/internal/polybench"
 	"haystack/internal/report"
-	"haystack/internal/scop"
-	"haystack/internal/scopcheck"
 )
 
 func main() {
@@ -47,7 +48,6 @@ func main() {
 	budgetFlag := flag.Int64("budget", 0, "per-operation symbolic cost limit in cost units (0 = unlimited); an operation over budget fails in exact mode, falls back to trace profiling in auto mode, and degrades to certified bounds in bounded mode")
 	deadline := flag.Duration("deadline", 0, "wall-clock deadline for the whole analysis (e.g. 30s; 0 = none)")
 	stats := flag.Bool("stats", false, "print extended statistics (coalescing counters, basic-map counts, budget use, and degradation provenance)")
-	check := flag.Bool("check", false, "print the static verifier's (scopcheck) findings before the analysis; warnings are reported, errors abort (the analysis itself rejects programs with errors either way)")
 	flag.Parse()
 
 	if *list {
@@ -123,9 +123,6 @@ func main() {
 		if err := prog.CheckBindings(bindings); err != nil {
 			log.Fatal(err)
 		}
-		if *check {
-			runCheck(prog)
-		}
 		pm, err := core.ComputeParametricModelContext(ctx, prog, cfg.LineSize, opts)
 		if err != nil {
 			log.Fatalf("parametric analysis failed: %v", err)
@@ -145,11 +142,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		prog := k.Build(sz)
-		if *check {
-			runCheck(prog)
-		}
-		res, err = core.AnalyzeContext(ctx, prog, cfg, opts)
+		res, err = core.AnalyzeContext(ctx, k.Build(sz), cfg, opts)
 		if err != nil {
 			log.Fatalf("analysis failed: %v", err)
 		}
@@ -219,19 +212,6 @@ func main() {
 			fmt.Printf("degradation provenance: %s\n", res.FallbackReason)
 		}
 	}
-}
-
-// runCheck statically verifies the program, prints every finding, and exits
-// non-zero when the verifier found errors.
-func runCheck(prog *scop.Program) {
-	diags := scopcheck.Check(prog)
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if scopcheck.HasErrors(diags) {
-		log.Fatalf("static verification of %s failed (%d findings)", prog.Name, len(diags))
-	}
-	fmt.Printf("static verification of %s passed (%d warnings)\n", prog.Name, len(diags))
 }
 
 // parseBindings parses "NAME=value,NAME=value" parameter bindings.

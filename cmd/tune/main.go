@@ -24,6 +24,10 @@
 // build every model from an exact trace profile instead — equally exact and
 // still shared across all hierarchies, but with cost proportional to the
 // trace length (it can win for small problem sizes).
+//
+// The flags fill one core.Options for explore.Sweep: -mode, -budget and
+// -deadline govern every grid point, and -parallelism sizes the one worker
+// pool that the distance and counting phases of all grid points share.
 package main
 
 import (
@@ -76,14 +80,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := explore.DefaultOptions()
+	opts := core.DefaultOptions()
 	opts.Parallelism = *parallelism
-	m, err := core.ParseMode(*mode)
-	if err != nil {
+	if opts.Mode, err = core.ParseMode(*mode); err != nil {
 		log.Fatal(err)
 	}
-	opts.Analysis.Mode = m
-	opts.Analysis.Budget = *budgetFlag
+	opts.Budget = *budgetFlag
 
 	// The deadline covers the whole sweep, not each analysis.
 	ctx := context.Background()
@@ -92,7 +94,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *deadline)
 		defer cancel()
 	}
-	res, err := explore.SweepContext(ctx, grid, opts)
+	res, err := explore.Sweep(ctx, grid, opts)
 	if err != nil {
 		log.Fatalf("sweep failed: %v", err)
 	}

@@ -23,8 +23,8 @@ import (
 // non-affine dimensions.
 //
 // The engine exploits two independent sources of structure. Pieces are
-// mutually independent, so they are fanned out over a pool of worker
-// goroutines (Options.Parallelism); every worker accumulates into its own
+// mutually independent, so they are fanned out over the caller's executor;
+// every worker accumulates into its own
 // Stats, merged deterministically after the pool drains. And the stack
 // distance polynomial is cache-level independent, so every piece is split,
 // equalized, rasterized, and enumerated exactly once and the resulting
@@ -34,24 +34,19 @@ import (
 type capacityCounter struct {
 	opts  Options
 	stats *Stats
-	// meter and ctx wire the counter into the degradation ladder: every
-	// piece is counted under its own budgeted operation (per-operation
-	// limits keep bounded results bit-identical across worker counts) and
-	// workers stop claiming pieces once ctx is cancelled. Both are optional;
-	// nil means unlimited and uncancellable, matching the legacy behaviour.
-	meter *budget.Meter
-	ctx   context.Context
-	// exec is the caller-supplied executor for the piece fan-out (nil means
-	// Count builds a transient one from the options).
-	exec parwork.Exec
 	// The fields below exist only on the per-worker counters Count builds.
-	// w is the pool worker currently driving this counter (each counter is
-	// only ever used from its worker's goroutine); siblings is the full
-	// per-worker counter array, so a spawned sub-group item can pick the
-	// counter of whichever worker stole it; spawnOK gates chamber-level
-	// sub-piece spawning (exact mode with an unlimited meter only — a
-	// budgeted or bounded count keeps its strictly serial, deterministic
-	// per-operation accounting).
+	// meter and ctx are Count's: every piece is counted under its own
+	// budgeted operation (per-operation limits keep bounded results
+	// bit-identical across worker counts) and spawned sub-pieces observe
+	// the cancellation of the count. w is the pool worker currently driving
+	// this counter (each counter is only ever used from its worker's
+	// goroutine); siblings is the full per-worker counter array, so a
+	// spawned sub-group item can pick the counter of whichever worker stole
+	// it; spawnOK gates chamber-level sub-piece spawning (exact mode with an
+	// unlimited meter only — a budgeted or bounded count keeps its strictly
+	// serial, deterministic per-operation accounting).
+	meter    *budget.Meter
+	ctx      context.Context
 	w        *parwork.Worker
 	siblings []*capacityCounter
 	spawnOK  bool
@@ -81,11 +76,13 @@ type capacityWorkItem struct {
 
 // Count returns, for every capacity in cacheLines (in lines), the
 // per-statement capacity miss counts together with a certified interval per
-// level. In exact mode any failing piece fails the count; under ModeBounded
-// a piece whose exact count degraded (budget or solver limits) contributes
-// certified interval bounds instead and the count succeeds. Cancellation
-// always aborts.
-func (cc *capacityCounter) Count(distances []StatementDistance, cacheLines []int64) (capacityResult, error) {
+// level. The pieces fan out over ex, every piece is counted under its own
+// operation of meter (nil = unlimited), and workers stop claiming pieces
+// once ctx is cancelled. In exact mode any failing piece fails the count;
+// under ModeBounded a piece whose exact count degraded (budget or solver
+// limits) contributes certified interval bounds instead and the count
+// succeeds. Cancellation always aborts.
+func (cc *capacityCounter) Count(ctx context.Context, ex parwork.Exec, meter *budget.Meter, distances []StatementDistance, cacheLines []int64) (capacityResult, error) {
 	out := capacityResult{
 		perStmt: make([]map[string]int64, len(cacheLines)),
 		bounds:  make([]counting.Interval, len(cacheLines)),
@@ -107,17 +104,7 @@ func (cc *capacityCounter) Count(distances []StatementDistance, cacheLines []int
 		// pool entirely and report zero workers.
 		return out, nil
 	}
-	ctx := cc.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	bounded := cc.opts.Mode == ModeBounded
-	ex := cc.exec
-	release := func() {}
-	if ex == nil {
-		ex, release = cc.opts.executor()
-	}
-	defer release()
 	workers := ex.Workers()
 	results := make([][]int64, len(items))
 	itemBounds := make([][]counting.Interval, len(items))
@@ -142,12 +129,12 @@ func (cc *capacityCounter) Count(distances []StatementDistance, cacheLines []int
 	// counters share the siblings array so a chamber-level sub-piece stolen
 	// by another worker accumulates into the stealer's Stats (still additive
 	// and order-independent, so the merged totals stay bit-identical).
-	spawnOK := !bounded && cc.meter.Limit() == 0
+	spawnOK := !bounded && meter.Limit() == 0
 	workerStats := make([]Stats, workers)
 	counters := make([]*capacityCounter, workers)
 	for w := range counters {
 		workerStats[w].NonAffineByAffineDims = map[int]int{}
-		counters[w] = &capacityCounter{opts: cc.opts, stats: &workerStats[w], meter: cc.meter,
+		counters[w] = &capacityCounter{opts: cc.opts, stats: &workerStats[w], meter: meter,
 			ctx: ctx, siblings: counters, spawnOK: spawnOK}
 	}
 	ps0 := ex.PoolStats()

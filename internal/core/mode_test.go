@@ -29,8 +29,10 @@ func TestParseModeRoundTrip(t *testing.T) {
 
 // TestModeSimResolvedByDistancePhase: ModeSim is a property of the options,
 // not of the entry point. ComputeDistances itself must answer it from the
-// trace profile, so the two-phase API and Analyze agree on both a fully
-// associative and a set-associative hierarchy.
+// trace profile, so the two-phase API and Analyze agree on a fully
+// associative, a set-associative and a mixed hierarchy, and every level
+// matches the trace replayed through the simulator (SimulateSetAssocReference
+// does not share the trace tier's choice of levels to replay).
 func TestModeSimResolvedByDistancePhase(t *testing.T) {
 	prog := gemm(12)
 	opts := DefaultOptions()
@@ -45,6 +47,13 @@ func TestModeSimResolvedByDistancePhase(t *testing.T) {
 	for _, cfg := range []Config{
 		{LineSize: 64, CacheSizes: []int64{512, 2048}},
 		{LineSize: 64, CacheSizes: []int64{512, 2048}, Ways: []int{4, 8}},
+		// Mixed hierarchies: the trace tier replays only the set-associative
+		// level. At this size a 4-way L1 misses like a fully associative
+		// one; the 2-way L1 and the 4-way L2 do not, so a level answered
+		// from the wrong source shows.
+		{LineSize: 64, CacheSizes: []int64{512, 2048}, Ways: []int{4, 0}},
+		{LineSize: 64, CacheSizes: []int64{512, 2048}, Ways: []int{2, 0}},
+		{LineSize: 64, CacheSizes: []int64{512, 2048}, Ways: []int{0, 4}},
 	} {
 		got, err := dm.CountMisses(cfg)
 		if err != nil {
@@ -60,6 +69,19 @@ func TestModeSimResolvedByDistancePhase(t *testing.T) {
 		if got.TotalAccesses != want.TotalAccesses || got.CompulsoryMisses != want.CompulsoryMisses ||
 			!reflect.DeepEqual(got.Levels, want.Levels) {
 			t.Errorf("ways %v: two-phase result %+v differs from Analyze %+v", cfg.Ways, got.Levels, want.Levels)
+		}
+		ref, err := SimulateSetAssocReference(prog, cfg)
+		if err != nil {
+			t.Fatalf("ways %v: SimulateSetAssocReference: %v", cfg.Ways, err)
+		}
+		if got.TotalAccesses != ref.TotalAccesses || got.CompulsoryMisses != ref.CompulsoryMisses {
+			t.Errorf("ways %v: accesses/compulsory %d/%d, simulator %d/%d", cfg.Ways,
+				got.TotalAccesses, got.CompulsoryMisses, ref.TotalAccesses, ref.CompulsoryMisses)
+		}
+		for i, l := range got.Levels {
+			if l.TotalMisses != ref.TotalMisses[i] {
+				t.Errorf("ways %v: L%d total misses %d, simulator %d", cfg.Ways, i+1, l.TotalMisses, ref.TotalMisses[i])
+			}
 		}
 	}
 }

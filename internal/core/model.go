@@ -365,7 +365,7 @@ type SetAssocLevelStats struct {
 	// SetPieces[s] is the number of cardinality summand pieces of set s,
 	// after restricting the touched-line maps to the set's lines. The
 	// summands stay unmerged (their pointwise sum is the within-set
-	// distance; see counting.MapCardSummands), so this counts the lazy
+	// distance; see counting.CardSetSummands), so this counts the lazy
 	// bag, not a merged piecewise normal form. The counts do not depend
 	// on the worker count.
 	SetPieces []int

@@ -363,9 +363,9 @@ func bindPiece(domain presburger.BasicSet, poly qpoly.QPoly, point []int64) (pre
 // polynomial evaluations; capacity misses evaluate the per-capacity
 // parametric polynomials (computed once per capacity across all Eval calls)
 // plus a count of the instantiated residual pieces by the same counting
-// engine CountMisses uses: in parallel on a transient executor sized by the
-// model's Options.Parallelism, and degrading to certified bounds under
-// ModeBounded.
+// engine CountMisses uses: in parallel on one executor per call (the
+// model's Options.Exec, else a transient one sized by its Parallelism), and
+// degrading to certified bounds under ModeBounded.
 func (pm *ParametricModel) Eval(cfg Config, bindings map[string]int64) (*Result, error) {
 	start := time.Now()
 	if cfg.LineSize != pm.LineSize {
@@ -400,12 +400,17 @@ func (pm *ParametricModel) Eval(cfg Config, bindings map[string]int64) (*Result,
 	for i, size := range cfg.CacheSizes {
 		lines[i] = size / cfg.LineSize
 	}
+	// Eval's signature carries no context, so the counts are not
+	// cancellable.
+	ctx := context.TODO()
+	ex, release := pm.opts.executor()
+	defer release()
+	meter := budget.New(ctx, pm.opts.Budget)
 	counter := newCapacityCounter(pm.opts, &res.Stats)
-	counter.meter = budget.New(context.Background(), pm.opts.Budget)
 	// Residual pieces: instantiated once and classified against all
 	// capacities in a single pass. The residual distances list every
 	// statement, so the per-statement maps start with all of them.
-	counts, err := counter.Count(bindDistances(pm.residual, point), lines)
+	counts, err := counter.Count(ctx, ex, meter, bindDistances(pm.residual, point), lines)
 	if err != nil {
 		return nil, err
 	}
@@ -421,7 +426,7 @@ func (pm *ParametricModel) Eval(cfg Config, bindings map[string]int64) (*Result,
 		if len(mp.extra) == 0 {
 			continue
 		}
-		extra, err := counter.Count(bindDistances(mp.extra, point), lines[l:l+1])
+		extra, err := counter.Count(ctx, ex, meter, bindDistances(mp.extra, point), lines[l:l+1])
 		if err != nil {
 			return nil, err
 		}
@@ -432,7 +437,7 @@ func (pm *ParametricModel) Eval(cfg Config, bindings map[string]int64) (*Result,
 		counts.degraded = append(counts.degraded, extra.degraded...)
 	}
 	res.setLevels(cfg.CacheSizes, counts.bounds, counts.perStmt, counts.degraded)
-	res.Stats.BudgetUsed += counter.meter.Total()
+	res.Stats.BudgetUsed += meter.Total()
 	res.Stats.CapacityTime = time.Since(tCap)
 	res.Stats.TotalTime = time.Since(start)
 	return res, nil

@@ -43,7 +43,7 @@ type setAssocLevel struct {
 // and fan out as a group over the executor.
 //
 // Within a set the within-set distance stays a lazy sum of raw cardinality
-// summands (counting.MapCardSummands): the residue restriction stripes
+// summands (counting.CardSetSummands): the residue restriction stripes
 // every card domain by congruence classes, and any disjoint piecewise
 // normal form — the merged sum the fully associative pipeline hands its
 // capacity counter, or even the per-basic-map fold — grows quadratically
@@ -117,7 +117,7 @@ func (dm *DistanceModel) countSetAssocLevel(ctx context.Context, ex parwork.Exec
 			op := meter.Op(opPrefix + "touched-line count of " + stmt)
 			bagErr := func() error {
 				for _, m := range byStmt[stmt] {
-					pieces, err := counting.MapCardSummands(m, op)
+					pieces, err := counting.CardSetSummands(m.AsSet(), m.InSpace().Dim(), m.InSpace(), op)
 					if err != nil {
 						return err
 					}
@@ -228,27 +228,33 @@ func SimulateSetAssocReference(prog *scop.Program, cfg Config) (Reference, error
 	if err != nil {
 		return Reference{}, err
 	}
-	return replaySetAssoc(cp, cfg)
+	levels := make([]int, len(cfg.CacheSizes))
+	for i := range levels {
+		levels[i] = i
+	}
+	return replaySetAssoc(cp, cfg, levels)
 }
 
 // replaySetAssoc replays a compiled trace once, feeding one independent
-// single-level LRU cache per configured level (the model's per-level
-// semantics: every level observes the full access stream). It serves
-// SimulateSetAssocReference and the trace tier's set-associative levels.
-func replaySetAssoc(cp *scop.CompiledProgram, cfg Config) (Reference, error) {
-	hierarchies := make([]*cachesim.Hierarchy, len(cfg.CacheSizes))
-	for i, size := range cfg.CacheSizes {
+// single-level LRU cache per listed level of cfg (the model's per-level
+// semantics: every level observes the full access stream); TotalMisses[j]
+// belongs to levels[j]. It serves SimulateSetAssocReference, which replays
+// every level, and the trace tier, which replays only the levels with more
+// than one set: the stack distance profile answers the others.
+func replaySetAssoc(cp *scop.CompiledProgram, cfg Config, levels []int) (Reference, error) {
+	hierarchies := make([]*cachesim.Hierarchy, len(levels))
+	for j, i := range levels {
 		h, err := cachesim.NewHierarchy(cachesim.Config{
 			LineSize: cfg.LineSize,
 			Levels: []cachesim.LevelConfig{{
-				Name: fmt.Sprintf("L%d", i+1), SizeBytes: size,
+				Name: fmt.Sprintf("L%d", i+1), SizeBytes: cfg.CacheSizes[i],
 				Ways: cfg.WaysOf(i), Policy: cachesim.LRU,
 			}},
 		})
 		if err != nil {
 			return Reference{}, err
 		}
-		hierarchies[i] = h
+		hierarchies[j] = h
 	}
 	cp.ForEachAccess(func(ref scop.MemRef) bool {
 		for _, h := range hierarchies {

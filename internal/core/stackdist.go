@@ -220,7 +220,8 @@ func countTouchedCards(ctx context.Context, info *scop.PolyInfo, touched presbur
 		if leader[idx] != idx {
 			return nil // copied after the pool drains
 		}
-		card, err := counting.MapCard(simplifyMap(it.m, fs), meter.Op("touched-line count of "+it.name))
+		m := simplifyMap(it.m, fs)
+		card, err := counting.CardSet(m.AsSet(), m.InSpace().Dim(), m.InSpace(), meter.Op("touched-line count of "+it.name))
 		if err != nil {
 			if bounded && !budget.IsCancellation(err) {
 				// Degrade the statement instead of the analysis; the caller

@@ -361,12 +361,8 @@ func (dm *DistanceModel) countSymbolic(ctx context.Context, cfg Config, ex parwo
 		for j, i := range fullIdx {
 			lines[j] = cfg.CacheSizes[i] / cfg.LineSize
 		}
-		counter := newCapacityCounter(dm.opts, &res.Stats)
-		counter.meter = meter
-		counter.ctx = ctx
-		counter.exec = ex
 		arenaBase := presburger.ArenaCountersSnapshot()
-		out, err := counter.Count(dm.distances, lines)
+		out, err := newCapacityCounter(dm.opts, &res.Stats).Count(ctx, ex, meter, dm.distances, lines)
 		arena := presburger.ArenaCountersSnapshot().Sub(arenaBase)
 		res.Stats.ArenaHits += arena.Hits
 		res.Stats.ArenaMisses += arena.Misses
@@ -464,35 +460,37 @@ func (dm *DistanceModel) ensureProfile() error {
 // given reason; it is the one place a result leaves the symbolic tiers. The
 // profile answers any capacity, so this path shares the profile across
 // hierarchies the same way the symbolic path shares the distances. The
-// stack distance profile only answers fully associative geometries; when a
-// level has more than one cache set, the compiled trace is replayed once
-// through set-associative LRU caches of the hierarchy (still exact, still on
-// the padded layout the model assumes).
+// stack distance profile only answers fully associative geometries; the
+// levels with more than one cache set are answered by replaying the
+// compiled trace once through set-associative LRU caches of those levels
+// (still exact, still on the padded layout the model assumes).
 func (dm *DistanceModel) answerFromTrace(res *Result, cfg Config, reason string) error {
 	if err := dm.ensureProfile(); err != nil {
 		return err
 	}
 	res.CompulsoryMisses = dm.profile.Compulsory
 	res.CompulsoryBounds = counting.Exact(res.CompulsoryMisses)
-	var replay *Reference
 	capBounds := make([]counting.Interval, len(cfg.CacheSizes))
+	var setLevels []int
 	for i, size := range cfg.CacheSizes {
 		numSets, _, err := cfg.LevelGeometry(i)
 		if err != nil {
 			return fmt.Errorf("core: level %d: %w", i+1, err)
 		}
-		if numSets == 1 {
-			capBounds[i] = counting.Exact(dm.profile.CapacityMissesFor(size / cfg.LineSize))
+		if numSets > 1 {
+			setLevels = append(setLevels, i)
 			continue
 		}
-		if replay == nil {
-			ref, err := replaySetAssoc(dm.trace, cfg)
-			if err != nil {
-				return err
-			}
-			replay = &ref
+		capBounds[i] = counting.Exact(dm.profile.CapacityMissesFor(size / cfg.LineSize))
+	}
+	if len(setLevels) > 0 {
+		ref, err := replaySetAssoc(dm.trace, cfg, setLevels)
+		if err != nil {
+			return err
 		}
-		capBounds[i] = counting.Exact(replay.TotalMisses[i] - res.CompulsoryMisses)
+		for j, i := range setLevels {
+			capBounds[i] = counting.Exact(ref.TotalMisses[j] - res.CompulsoryMisses)
+		}
 	}
 	res.setLevels(cfg.CacheSizes, capBounds, nil, nil)
 	res.UsedTraceFallback = true

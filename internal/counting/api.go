@@ -79,18 +79,47 @@ func countSymbolic(s presburger.Set, op *budget.Op) (int64, error) {
 // first nParam dimensions: the result maps every value of the parameter
 // dimensions to the number of points of the remaining dimensions.
 // Overlapping basic sets are made disjoint by subtraction before counting,
-// so union semantics hold for every parameter value. The budget operation is
-// charged as in cardBasicSet (nil = unlimited).
+// so union semantics hold for every parameter value. A map is counted as
+// its wrapped set: CardSet(m.AsSet(), m.InSpace().Dim(), m.InSpace(), op)
+// counts, for every input point, the distinct related output points. The
+// budget operation is charged as in cardBasicSet (nil = unlimited).
 func CardSet(s presburger.Set, nParam int, paramSpace presburger.Space, op *budget.Op) (qpoly.PwQPoly, error) {
-	total := qpoly.ZeroPw(paramSpace)
-	for _, bs := range disjointBasicSets(s) {
+	disjoint := disjointBasicSets(s)
+	cards := make([]qpoly.PwQPoly, 0, len(disjoint))
+	for _, bs := range disjoint {
 		card, err := cardBasicSet(bs, nParam, paramSpace, op)
 		if err != nil {
 			return qpoly.PwQPoly{}, err
 		}
-		total = total.Add(card)
+		cards = append(cards, card)
 	}
-	return total, nil
+	// The per-basic cards overlap only where their domains can: the
+	// partitioned fold concatenates provably disjoint chambers (different
+	// access ids, different boundary wedges) and pays the quadratic
+	// disjointness fold only within a chamber.
+	return qpoly.MergeDisjointSum(paramSpace, cards), nil
+}
+
+// CardSetSummands is the sum form of CardSet: it returns the raw summand
+// pieces of every disjoint basic set (overlapping domains, sum semantics —
+// the cardinality at a point is the sum of every piece whose domain
+// contains it), skipping the per-basic disjointness fold of cardBasicSet
+// entirely. That fold is what explodes under set-associative residue
+// restriction: fine residue stripes fan the summation out into many
+// systems, and folding them into a disjoint piecewise normal form pays a
+// quadratic chain of set subtractions for a shape the pointwise evaluator
+// never needs. Every summand is a chamber count — nonnegative on its domain
+// — so threshold evaluation may stop early (qpoly.Bag.SumExceeds).
+func CardSetSummands(s presburger.Set, nParam int, paramSpace presburger.Space, op *budget.Op) ([]qpoly.Piece, error) {
+	var pieces []qpoly.Piece
+	for _, bs := range disjointBasicSets(s) {
+		sum, err := CardBasicSetSummands(bs, nParam, paramSpace, op)
+		if err != nil {
+			return nil, err
+		}
+		pieces = append(pieces, sum...)
+	}
+	return pieces, nil
 }
 
 // disjointBasicSets rewrites the union of basic sets of s into a list of
@@ -118,88 +147,4 @@ func disjointBasicSets(s presburger.Set) []presburger.BasicSet {
 		covered = covered.Union(presburger.SetFromBasic(bs))
 	}
 	return out
-}
-
-// disjointBasicMaps rewrites the union of basic maps of m into pairwise
-// disjoint basic maps covering the same relation pairs. The input is
-// coalesced first (see disjointBasicSets).
-func disjointBasicMaps(m presburger.Map) []presburger.BasicMap {
-	m = m.Coalesce()
-	var out []presburger.BasicMap
-	covered := presburger.EmptyMap(m.InSpace(), m.OutSpace())
-	for _, bm := range m.Basics() {
-		rest := presburger.MapFromBasic(bm)
-		for _, c := range covered.Basics() {
-			rest = rest.Subtract(presburger.MapFromBasic(c))
-			if rest.DefinitelyEmpty() {
-				break
-			}
-		}
-		for _, r := range rest.Basics() {
-			if !r.DefinitelyEmpty() {
-				presburger.DebugAssertBasicMap(r, "disjoint decomposition")
-				out = append(out, r)
-			}
-		}
-		covered = covered.Union(presburger.MapFromBasic(bm))
-	}
-	return out
-}
-
-// MapCard counts, for every point of the input space, the number of distinct
-// related output points of the map (union semantics: an output point related
-// through several basic maps is counted once). The budget operation is
-// charged as in cardBasicSet (nil = unlimited).
-func MapCard(m presburger.Map, op *budget.Op) (qpoly.PwQPoly, error) {
-	cards, err := mapCardPieces(m, op)
-	if err != nil {
-		return qpoly.PwQPoly{}, err
-	}
-	// The per-basic-map cards overlap only where their domains can: the
-	// partitioned fold concatenates provably disjoint chambers (different
-	// access ids, different boundary wedges) and pays the quadratic
-	// disjointness fold only within a chamber.
-	return qpoly.MergeDisjointSum(m.InSpace(), cards), nil
-}
-
-// mapCardPieces is MapCard without the final disjoint merge: it returns one
-// piecewise card per disjoint basic map of the union, and the pointwise sum
-// of the returned polynomials equals the MapCard result. Callers that
-// only evaluate the cardinality at concrete points keep the sum lazy and
-// skip the merge entirely — the set-associative restriction stripes the
-// card domains by residue classes, and the disjoint piecewise normal form
-// of the merged sum grows quadratically with the stripe count.
-func mapCardPieces(m presburger.Map, op *budget.Op) ([]qpoly.PwQPoly, error) {
-	disjoint := disjointBasicMaps(m)
-	cards := make([]qpoly.PwQPoly, 0, len(disjoint))
-	for _, bm := range disjoint {
-		card, err := cardBasicSet(bm.AsSet(), bm.NIn(), bm.InSpace(), op)
-		if err != nil {
-			return nil, err
-		}
-		cards = append(cards, card)
-	}
-	return cards, nil
-}
-
-// MapCardSummands is the sum form of mapCardPieces: it returns the raw
-// summand pieces of every disjoint basic map (overlapping domains, sum
-// semantics — the cardinality at a point is the sum of every piece whose
-// domain contains it), skipping the per-basic-map disjointness fold of
-// cardBasicSet entirely. That fold is what explodes under set-associative
-// residue restriction: fine residue stripes fan the summation out into many
-// systems, and folding them into a disjoint piecewise normal form pays a
-// quadratic chain of set subtractions for a shape the pointwise evaluator
-// never needs. Every summand is a chamber count — nonnegative on its domain
-// — so threshold evaluation may stop early (qpoly.Bag.SumExceeds).
-func MapCardSummands(m presburger.Map, op *budget.Op) ([]qpoly.Piece, error) {
-	var pieces []qpoly.Piece
-	for _, bm := range disjointBasicMaps(m) {
-		sum, err := CardBasicSetSummands(bm.AsSet(), bm.NIn(), bm.InSpace(), op)
-		if err != nil {
-			return nil, err
-		}
-		pieces = append(pieces, sum...)
-	}
-	return pieces, nil
 }

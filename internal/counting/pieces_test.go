@@ -8,12 +8,13 @@ import (
 	"haystack/internal/qpoly"
 )
 
-// TestMapCardPiecesSumMatchesMerged pins the lazy-sum contract the
-// set-associative classifier relies on: the pointwise sum of the per-basic
-// cards returned by mapCardPieces equals the merged MapCard result at
-// every domain point — including points where overlapping basic maps were
-// made disjoint by subtraction.
-func TestMapCardPiecesSumMatchesMerged(t *testing.T) {
+// TestCardSetSummandsSumMatchesMerged pins the lazy-sum contract the
+// set-associative classifier relies on: on a map counted as its wrapped
+// set, the pointwise sum of the per-basic cards of the disjoint
+// decomposition and the sum of the CardSetSummands bag both equal the
+// merged CardSet result at every domain point — including points where
+// overlapping basic maps were made disjoint by subtraction.
+func TestCardSetSummandsSumMatchesMerged(t *testing.T) {
 	// Overlapping union {S(i)->T(j): 0<=j<=i} ∪ {S(i)->T(j): 0<=j<5} over
 	// 0<=i<20, plus a stripe of even outputs {S(i)->T(j): j=2k, 0<=j<=i} to
 	// put a div-carrying card in the bag.
@@ -34,20 +35,24 @@ func TestMapCardPiecesSumMatchesMerged(t *testing.T) {
 	even.C[2] = 1
 	even.C[u] = -2
 	c = cd.AddConstraint(even)
-	m := presburger.MapFromBasics(a, b, c)
+	w := presburger.MapFromBasics(a, b, c).AsSet()
 
-	merged, err := MapCard(m, nil)
+	merged, err := CardSet(w, 1, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pieces, err := mapCardPieces(m, nil)
-	if err != nil {
-		t.Fatal(err)
+	var pieces []qpoly.PwQPoly
+	for _, bs := range disjointBasicSets(w) {
+		card, err := cardBasicSet(bs, 1, s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pieces = append(pieces, card)
 	}
 	if len(pieces) < 2 {
 		t.Fatalf("expected multiple disjoint cards, got %d", len(pieces))
 	}
-	summands, err := MapCardSummands(m, nil)
+	summands, err := CardSetSummands(w, 1, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

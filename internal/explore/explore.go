@@ -13,11 +13,12 @@
 // (core.DistanceModel.CountMisses). Tile sizes that leave a kernel
 // unchanged (no rectangular band, or tiles covering the whole extent of an
 // untileable band) collapse onto the untiled variant and share its distance
-// model too. Both phases run on one parwork pool: configurations fan out as
-// its items, and every analysis schedules its own units on the worker
-// driving it, so Options.Parallelism alone sizes the sweep. Results are
+// model too. Both phases run on one parwork pool, the options' Exec or
+// else a pool of Parallelism workers (the rule core applies to every
+// analysis): configurations fan out as its items, and every analysis
+// schedules its own units on the worker driving it. Results are
 // deterministic at every worker count and bit-identical to a standalone
-// core.Analyze call with the same options. Options.Analysis.Mode is the one
+// core.Analyze call with the same options. The options' Mode is the one
 // knob of the degradation ladder: core.ModeSim builds every model from an
 // exact trace profile instead (still exact, cheaper for the deep loop nests
 // tiling produces at small problem sizes, and equally shared across
@@ -56,28 +57,6 @@ type Grid struct {
 	// may differ in line size; the engine builds one distance model per
 	// (variant, line size) pair.
 	Hierarchies []core.Config
-}
-
-// Options configures a sweep.
-type Options struct {
-	// Analysis holds the model options of every evaluation. Its
-	// Parallelism and Exec are ignored: every analysis runs on the sweep's
-	// pool. Analysis.Mode selects the degradation ladder rung of every grid
-	// point (core.ComputeDistancesContext resolves it); ModeSim builds
-	// every variant's model, tiled and untiled, from an exact trace profile.
-	Analysis core.Options
-	// Parallelism is the worker count of the sweep's pool, which runs the
-	// configurations and the analyses' own units alike; zero or below
-	// selects the number of CPUs.
-	Parallelism int
-}
-
-// DefaultOptions enables every model optimization and sizes the pool by the
-// number of CPUs. Idle workers steal units across analyses, so when the
-// distance phase has fewer jobs than workers the spare cores go to the
-// individual analyses without any inner/outer split.
-func DefaultOptions() Options {
-	return Options{Analysis: core.DefaultOptions()}
 }
 
 // Evaluation is the model result of one grid point.
@@ -144,21 +123,21 @@ type modelJob struct {
 	model    *core.DistanceModel
 }
 
-// Sweep evaluates the full grid. Tiled variants are derived first (the
-// tiler is syntactic and cheap), then the distance models of all distinct
-// (variant, line size) pairs are computed on the outer worker pool, and
-// finally every (variant, hierarchy) grid point is counted on the same
-// pool. Any failing grid point fails the sweep; under core.ModeAuto (the
-// default), programs outside the symbolic fragment degrade to exact trace
-// profiling instead of failing.
-func Sweep(grid Grid, opts Options) (*Result, error) {
-	return SweepContext(context.Background(), grid, opts)
-}
-
-// SweepContext is Sweep observing ctx: both worker pools stop claiming jobs
-// promptly after cancellation, the analyses themselves observe the context,
-// and the context error is returned.
-func SweepContext(ctx context.Context, grid Grid, opts Options) (*Result, error) {
+// Sweep evaluates the full grid with the model options opts. Tiled variants
+// are derived first (the tiler is syntactic and cheap), then the distance
+// models of all distinct (variant, line size) pairs are computed on the
+// sweep's pool, and finally every (variant, hierarchy) grid point is
+// counted on the same pool. The pool is opts.Exec when set, otherwise a
+// transient pool of opts.Parallelism workers (zero or below: the number of
+// CPUs); idle workers steal units across analyses, so when the distance
+// phase has fewer jobs than workers the spare cores go to the individual
+// analyses. opts.Mode selects the degradation ladder rung of every grid
+// point: any failing grid point fails the sweep, and under core.ModeAuto
+// (core.DefaultOptions) programs outside the symbolic fragment degrade to
+// exact trace profiling instead of failing. The pool stops claiming jobs
+// promptly after ctx is cancelled, the analyses observe ctx too, and the
+// context error is returned.
+func Sweep(ctx context.Context, grid Grid, opts core.Options) (*Result, error) {
 	start := time.Now()
 	if len(grid.Kernels) == 0 {
 		return nil, fmt.Errorf("explore: the grid has no kernels")
@@ -167,12 +146,6 @@ func SweepContext(ctx context.Context, grid Grid, opts Options) (*Result, error)
 		return nil, fmt.Errorf("explore: the grid has no cache hierarchies")
 	}
 	for i, h := range grid.Hierarchies {
-		if h.LineSize <= 0 {
-			return nil, fmt.Errorf("explore: hierarchy %d has non-positive line size %d", i, h.LineSize)
-		}
-		if len(h.CacheSizes) == 0 {
-			return nil, fmt.Errorf("explore: hierarchy %d has no cache sizes", i)
-		}
 		if err := h.Validate(); err != nil {
 			return nil, fmt.Errorf("explore: hierarchy %d: %w", i, err)
 		}
@@ -220,24 +193,28 @@ func SweepContext(ctx context.Context, grid Grid, opts Options) (*Result, error)
 			jobs = append(jobs, &modelJob{variant: vi, lineSize: ls})
 		}
 	}
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
 	// One pool serves the whole sweep: configurations fan out as outer
 	// groups, and every analysis schedules its own splittable units (lexmax
 	// basic maps, touched-line counts, capacity pieces) onto the same pool
 	// through the worker driving it. Idle workers steal across jobs, so the
 	// two phases need no static inner/outer core split; results are
 	// bit-identical at every worker count.
-	ex, releasePool := parwork.NewExec(workers)
-	defer releasePool()
+	ex := opts.Exec
+	if ex == nil {
+		workers := opts.Parallelism
+		if workers <= 0 {
+			workers = runtime.NumCPU()
+		}
+		var releasePool func()
+		ex, releasePool = parwork.NewExec(workers)
+		defer releasePool()
+	}
 	err := ex.RunGroup(ctx, len(jobs), func(w *parwork.Worker, idx int) error {
 		job := jobs[idx]
 		v := variants[job.variant]
 		// The analysis runs on this worker: Options.Exec is call scoped, so
 		// the per-job copy hands the worker to exactly one call.
-		jobOpts := opts.Analysis
+		jobOpts := opts
 		jobOpts.Exec = w
 		dm, err := core.ComputeDistancesContext(ctx, v.program, job.lineSize, jobOpts)
 		if err != nil {

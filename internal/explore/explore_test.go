@@ -1,12 +1,15 @@
 package explore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"haystack/internal/core"
+	"haystack/internal/parwork"
 	"haystack/internal/polybench"
 	"haystack/internal/scop"
 	"haystack/internal/tiling"
@@ -127,7 +130,7 @@ func TestSweepMatchesAnalyzeAtEveryParallelism(t *testing.T) {
 		TileSizes:   []int64{1, 4},
 		Hierarchies: testHierarchies(),
 	}
-	opts := DefaultOptions()
+	opts := core.DefaultOptions()
 
 	// Reference: naive per-configuration Analyze calls.
 	type key struct {
@@ -145,7 +148,7 @@ func TestSweepMatchesAnalyzeAtEveryParallelism(t *testing.T) {
 				}
 			}
 			for hi, h := range grid.Hierarchies {
-				res, err := core.Analyze(prog, h, opts.Analysis)
+				res, err := core.Analyze(prog, h, opts)
 				if err != nil {
 					t.Fatalf("Analyze(%s, tile %d, hier %d): %v", k.Name, tile, hi, err)
 				}
@@ -157,7 +160,7 @@ func TestSweepMatchesAnalyzeAtEveryParallelism(t *testing.T) {
 	for _, workers := range []int{1, 2, 7} {
 		opts := opts
 		opts.Parallelism = workers
-		res, err := Sweep(grid, opts)
+		res, err := Sweep(context.Background(), grid, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -202,11 +205,11 @@ func TestSweepPolyBenchWorkerCountBitIdentical(t *testing.T) {
 		}
 		grid.Kernels = append(grid.Kernels, Kernel{Name: name, Program: k.Build(polybench.Mini)})
 	}
-	opts := DefaultOptions()
+	opts := core.DefaultOptions()
 	var base *Result
 	for _, workers := range []int{1, 2, 4} {
 		opts.Parallelism = workers
-		res, err := Sweep(grid, opts)
+		res, err := Sweep(context.Background(), grid, opts)
 		if err != nil {
 			t.Fatalf("sweep with %d workers: %v", workers, err)
 		}
@@ -236,8 +239,8 @@ func TestSweepSharesModelAcrossHierarchies(t *testing.T) {
 		Kernels:     []Kernel{{Name: "gemm", Program: gemmKernel(8)}},
 		Hierarchies: testHierarchies(),
 	}
-	opts := DefaultOptions()
-	res, err := Sweep(grid, opts)
+	opts := core.DefaultOptions()
+	res, err := Sweep(context.Background(), grid, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,11 +248,52 @@ func TestSweepSharesModelAcrossHierarchies(t *testing.T) {
 		t.Fatalf("expected 1 distance computation for 3 hierarchies, got %d", res.Stats.DistanceComputations)
 	}
 	for hi, h := range grid.Hierarchies {
-		want, err := core.Analyze(grid.Kernels[0].Program, h, opts.Analysis)
+		want, err := core.Analyze(grid.Kernels[0].Program, h, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameResult(t, "gemm", res.Evaluations[hi].Result, want)
+	}
+}
+
+// groupCountingExec counts the groups run directly on the wrapped executor.
+type groupCountingExec struct {
+	parwork.Exec
+	groups atomic.Int64
+}
+
+func (e *groupCountingExec) RunGroup(ctx context.Context, n int, fn parwork.GroupFunc) error {
+	e.groups.Add(1)
+	return e.Exec.RunGroup(ctx, n, fn)
+}
+
+// TestSweepRunsOnOptionsExec: given an executor in its options, a sweep
+// runs both phases on it (one group each, the rule core applies to every
+// analysis) instead of building a pool of its own, and still answers like
+// Analyze.
+func TestSweepRunsOnOptionsExec(t *testing.T) {
+	grid := Grid{
+		Kernels:     []Kernel{{Name: "sweep2x", Program: sweepTwiceKernel(64)}},
+		Hierarchies: testHierarchies(),
+	}
+	pool, release := parwork.NewExec(2)
+	defer release()
+	ex := &groupCountingExec{Exec: pool}
+	opts := core.DefaultOptions()
+	opts.Exec = ex
+	res, err := Sweep(context.Background(), grid, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ex.groups.Load(); got != 2 {
+		t.Fatalf("sweep ran %d groups on the options' executor, want 2 (distance and counting phase)", got)
+	}
+	for hi, h := range grid.Hierarchies {
+		want, err := core.Analyze(grid.Kernels[0].Program, h, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, "sweep2x", res.Evaluations[hi].Result, want)
 	}
 }
 
@@ -263,9 +307,9 @@ func TestSweepComputesDistancesOncePerVariant(t *testing.T) {
 		TileSizes:   []int64{1, 2, 4},
 		Hierarchies: testHierarchies(),
 	}
-	opts := DefaultOptions()
-	opts.Analysis.Mode = core.ModeSim
-	res, err := Sweep(grid, opts)
+	opts := core.DefaultOptions()
+	opts.Mode = core.ModeSim
+	res, err := Sweep(context.Background(), grid, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +336,7 @@ func TestSweepCollapsesUntileableVariants(t *testing.T) {
 			{LineSize: 64, CacheSizes: []int64{2048}},
 		},
 	}
-	res, err := Sweep(grid, DefaultOptions())
+	res, err := Sweep(context.Background(), grid, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +377,7 @@ func TestSweepMixedLineSizes(t *testing.T) {
 			{LineSize: 32, CacheSizes: []int64{1024}},
 		},
 	}
-	res, err := Sweep(grid, DefaultOptions())
+	res, err := Sweep(context.Background(), grid, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,8 +406,8 @@ func TestSweepTiledProfile(t *testing.T) {
 			{LineSize: 64, CacheSizes: []int64{16 * 1024}},
 		},
 	}
-	opts := DefaultOptions()
-	opts.Analysis.Mode = core.ModeSim
+	opts := core.DefaultOptions()
+	opts.Mode = core.ModeSim
 
 	tiledProg, ok := tiling.Tile(grid.Kernels[0].Program, 8)
 	if !ok {
@@ -374,7 +418,7 @@ func TestSweepTiledProfile(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		opts := opts
 		opts.Parallelism = workers
-		res, err := Sweep(grid, opts)
+		res, err := Sweep(context.Background(), grid, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -435,9 +479,9 @@ func TestSweepModeSimVerifiesPrograms(t *testing.T) {
 	i := scop.V("i")
 	p.Add(scop.For(i, scop.C(0), scop.C(5),
 		scop.Stmt("S0", scop.Read(A, scop.X(i)))))
-	opts := DefaultOptions()
-	opts.Analysis.Mode = core.ModeSim
-	_, err := Sweep(Grid{
+	opts := core.DefaultOptions()
+	opts.Mode = core.ModeSim
+	_, err := Sweep(context.Background(), Grid{
 		Kernels:     []Kernel{{Name: "broken", Program: p}},
 		Hierarchies: testHierarchies(),
 	}, opts)
@@ -521,7 +565,7 @@ func TestSweepValidation(t *testing.T) {
 			g.Hierarchies[i].CacheSizes = append([]int64(nil), good.Hierarchies[i].CacheSizes...)
 		}
 		tc.mut(&g)
-		if _, err := Sweep(g, DefaultOptions()); err == nil {
+		if _, err := Sweep(context.Background(), g, core.DefaultOptions()); err == nil {
 			t.Fatalf("%s: sweep must fail", tc.name)
 		}
 	}

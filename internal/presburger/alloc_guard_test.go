@@ -94,12 +94,12 @@ func TestCoalesceEntriesAllocBudget(t *testing.T) {
 	}
 	fam := coalesceFamily()
 	allocs := testing.AllocsPerRun(200, func() {
-		if len(coalesceBasics(fam, false)) != 1 {
+		if len(fam.coalesce(false)) != 1 {
 			panic("coalesceFamily should coalesce to its bounding box")
 		}
 	})
 	if allocs > 72 {
-		t.Errorf("coalesceBasics = %.1f allocs/op, budget is 72", allocs)
+		t.Errorf("union.coalesce = %.1f allocs/op, budget is 72", allocs)
 	}
 }
 

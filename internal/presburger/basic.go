@@ -65,6 +65,49 @@ func (b *basic) dimCol(i int) int { return 1 + i }
 // clone deep-copies b (see newBasicFrom), padding every row to ncols.
 func (b *basic) clone() basic { return newBasicFrom(nil, b.ndim, b.divs, b.cons) }
 
+// divsCopy returns a copy of the div definitions, every numerator ncols
+// wide: what BasicSet.Divs and BasicMap.Divs hand out.
+func (b *basic) divsCopy() []Div {
+	out := make([]Div, len(b.divs))
+	for i, d := range b.divs {
+		out[i] = Div{Num: d.Num.Resized(b.ncols()), Den: d.Den}
+	}
+	return out
+}
+
+// consCopy returns a copy of the constraints.
+func (b *basic) consCopy() []Constraint {
+	out := make([]Constraint, len(b.cons))
+	for i, c := range b.cons {
+		out[i] = c.Clone()
+	}
+	return out
+}
+
+// fixDim returns a copy of b with dimension dim fixed to value.
+func (b *basic) fixDim(dim int, value int64) basic {
+	c := Constraint{C: NewVec(b.ncols()), Eq: true}
+	c.C[0] = -value
+	c.C[1+dim] = 1
+	out := b.clone()
+	out.addConstraint(c)
+	return out
+}
+
+// projectOut returns a copy of b with dimensions [first, first+n)
+// existentially projected out.
+func (b *basic) projectOut(first, n int) (basic, error) {
+	out := b.clone()
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = out.dimCol(first + i)
+	}
+	if err := out.eliminateDimCols(cols); err != nil {
+		return basic{}, err
+	}
+	return out, nil
+}
+
 // newBasicFrom builds a basic over ndim dimensions that owns copies of the
 // given rows, each padded (or truncated) to the basic's width. All rows are
 // packed into a single slab allocation: the subslices are

@@ -88,56 +88,6 @@ const (
 	implicationBudget = 256
 )
 
-// Coalesce returns a set covering exactly the same integer points with a
-// (weakly) smaller number of basic sets. It runs the full rule stack,
-// including the budgeted Fourier–Motzkin redundancy elimination and
-// semantic subsumption checks; the cheaper syntactic subset of the rules
-// runs automatically inside Subtract, Intersect, and ApplyRange.
-func (s Set) Coalesce() Set { return s.coalesce(true) }
-
-func (s Set) coalesce(full bool) Set {
-	if len(s.basics) == 0 || (len(s.basics) == 1 && !full) {
-		return s
-	}
-	bs := make([]*basic, len(s.basics))
-	for i := range s.basics {
-		bs[i] = &s.basics[i].b
-	}
-	merged := coalesceBasics(bs, full)
-	out := Set{space: s.space, basics: make([]BasicSet, len(merged))}
-	for i, b := range merged {
-		b.debugAssert("coalesce", false)
-		out.basics[i] = BasicSet{space: s.space, b: *b}
-	}
-	return out
-}
-
-// Coalesce returns a map covering exactly the same relation pairs with a
-// (weakly) smaller number of basic maps. See Set.Coalesce for the
-// full/quick rule split.
-func (m Map) Coalesce() Map { return m.coalesce(true) }
-
-// CoalesceQuick runs only the syntactic coalescing rules (dedup, subset
-// subsumption, adjacency) — the subset cheap enough for hot inner loops.
-func (m Map) CoalesceQuick() Map { return m.coalesce(false) }
-
-func (m Map) coalesce(full bool) Map {
-	if len(m.basics) == 0 || (len(m.basics) == 1 && !full) {
-		return m
-	}
-	bs := make([]*basic, len(m.basics))
-	for i := range m.basics {
-		bs[i] = &m.basics[i].b
-	}
-	merged := coalesceBasics(bs, full)
-	out := Map{in: m.in, out: m.out, basics: make([]BasicMap, len(merged))}
-	for i, b := range merged {
-		b.debugAssert("coalesce", false)
-		out.basics[i] = BasicMap{in: m.in, out: m.out, b: *b}
-	}
-	return out
-}
-
 // coalEntry caches the canonical shape of one basic during coalescing.
 type coalEntry struct {
 	b *basic
@@ -200,17 +150,23 @@ func (e *coalEntry) hasConstraintHashed(h uint64, c Constraint) bool {
 // converges in two or three passes in practice.
 const coalesceMaxPasses = 8
 
-// coalesceBasics is the workhorse: it simplifies and canonicalizes every
-// basic, drops duplicates and subsumed basics, and merges adjacent pairs
-// until no rule fires (or the pass budget runs out). The input pointers are
-// not modified; the result aliases freshly cloned basics. With full set,
-// the budgeted Fourier–Motzkin rules (per-basic redundancy elimination and
-// semantic subsumption) run too; without it only the syntactic rules do,
-// which is cheap enough to run inside every set operation.
-func coalesceBasics(in []*basic, full bool) []*basic {
-	entries := make([]*coalEntry, 0, len(in))
-	for _, b := range in {
-		cl := b.clone()
+// coalesce is the one coalescing driver, behind Set.Coalesce,
+// Map.Coalesce, Map.CoalesceQuick and every set operation that
+// quick-coalesces its result: it simplifies and canonicalizes every basic,
+// drops duplicates and subsumed basics, and merges adjacent pairs until no
+// rule fires (or the pass budget runs out). The input is not modified; the
+// result holds freshly cloned basics (a single basic is returned as is when
+// only the syntactic rules run). With full set, the budgeted
+// Fourier–Motzkin rules (per-basic redundancy elimination and semantic
+// subsumption) run too; without it only the syntactic rules do, which is
+// cheap enough to run inside every set operation.
+func (u union) coalesce(full bool) union {
+	if len(u) == 0 || (len(u) == 1 && !full) {
+		return u
+	}
+	entries := make([]*coalEntry, 0, len(u))
+	for i := range u {
+		cl := u[i].clone()
 		if !cl.simplify() {
 			continue
 		}
@@ -271,9 +227,10 @@ func coalesceBasics(in []*basic, full bool) []*basic {
 			break
 		}
 	}
-	out := make([]*basic, len(entries))
+	out := make(union, len(entries))
 	for i, e := range entries {
-		out[i] = e.b
+		e.b.debugAssert("coalesce", false)
+		out[i] = *e.b
 	}
 	return out
 }

@@ -142,19 +142,19 @@ func BenchmarkApplyRange(b *testing.B) {
 // floor(x/8), the shapes lexmin's bound splitting hands the coalescer: the
 // d < x, d == x and d > x slabs of one box (adjacent pairs), a duplicate of
 // the first slab, and a part of the last one (subsumed).
-func coalesceFamily() []*basic {
+func coalesceFamily() union {
 	box := []Constraint{
 		{C: Vec{0, 1, 0, 0}}, {C: Vec{31, -1, 0, 0}}, {C: Vec{0, 0, 1, 0}}, {C: Vec{31, 0, -1, 0}},
 		{C: Vec{0, 1, 0, -8}}, {C: Vec{7, -1, 0, 8}},
 	}
-	with := func(extra ...Constraint) *basic {
-		b := &basic{ndim: 2, divs: []Div{{Num: Vec{0, 1, 0}, Den: 8}}}
+	with := func(extra ...Constraint) basic {
+		b := basic{ndim: 2, divs: []Div{{Num: Vec{0, 1, 0}, Den: 8}}}
 		for _, c := range append(append([]Constraint(nil), box...), extra...) {
 			b.cons = append(b.cons, c.Clone())
 		}
 		return b
 	}
-	return []*basic{
+	return union{
 		with(Constraint{C: Vec{-1, 1, -1, 0}}),                                  // d < x
 		with(Constraint{C: Vec{0, -1, 1, 0}, Eq: true}),                         // d == x
 		with(Constraint{C: Vec{-1, -1, 1, 0}}),                                  // d > x
@@ -171,7 +171,7 @@ func BenchmarkCoalesceEntries(b *testing.B) {
 	fam := coalesceFamily()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if got := coalesceBasics(fam, false); len(got) == 0 {
+		if got := fam.coalesce(false); len(got) == 0 {
 			b.Fatal("the family should not coalesce to nothing")
 		}
 	}

@@ -39,7 +39,7 @@ func lexPrefixStrict(sp Space, d int) BasicMap {
 func LexLT(sp Space) Map {
 	m := EmptyMap(sp, sp)
 	for d := sp.NParam; d < sp.Dim(); d++ {
-		m.basics = append(m.basics, lexPrefixStrict(sp, d))
+		m.basics = append(m.basics, lexPrefixStrict(sp, d).b)
 	}
 	return m
 }

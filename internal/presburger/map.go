@@ -1,9 +1,6 @@
 package presburger
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // BasicMap is a conjunction of quasi-affine constraints relating the
 // dimensions of an input space to the dimensions of an output space. The
@@ -37,22 +34,10 @@ func (bm BasicMap) NIn() int { return bm.in.Dim() }
 func (bm BasicMap) NOut() int { return bm.out.Dim() }
 
 // Divs returns a copy of the div definitions, every numerator NCols wide.
-func (bm BasicMap) Divs() []Div {
-	out := make([]Div, len(bm.b.divs))
-	for i, d := range bm.b.divs {
-		out[i] = Div{Num: d.Num.Resized(bm.b.ncols()), Den: d.Den}
-	}
-	return out
-}
+func (bm BasicMap) Divs() []Div { return bm.b.divsCopy() }
 
 // Constraints returns a copy of the constraints.
-func (bm BasicMap) Constraints() []Constraint {
-	out := make([]Constraint, len(bm.b.cons))
-	for i, c := range bm.b.cons {
-		out[i] = c.Clone()
-	}
-	return out
-}
+func (bm BasicMap) Constraints() []Constraint { return bm.b.consCopy() }
 
 // NCols returns the constraint vector width: 1 + NIn + NOut + number of divs.
 func (bm BasicMap) NCols() int { return bm.b.ncols() }
@@ -82,9 +67,7 @@ func (bm BasicMap) Intersect(o BasicMap) BasicMap {
 	if !bm.in.Equal(o.in) || !bm.out.Equal(o.out) {
 		panic(fmt.Sprintf("presburger: intersect of %v->%v and %v->%v", bm.in, bm.out, o.in, o.out))
 	}
-	out := bm.clone()
-	out.b.embed(&o.b, identityDimMap(o.b.ndim))
-	return out
+	return BasicMap{in: bm.in, out: bm.out, b: intersectAt(&bm.b, &o.b, 0)}
 }
 
 // Reverse swaps input and output dimensions.
@@ -107,13 +90,7 @@ func (bm BasicMap) IntersectDomain(s BasicSet) BasicMap {
 	if !bm.in.Equal(s.space) {
 		panic(fmt.Sprintf("presburger: domain space mismatch %v vs %v", bm.in, s.space))
 	}
-	out := bm.clone()
-	dimMap := make([]int, s.b.ndim)
-	for i := range dimMap {
-		dimMap[i] = i
-	}
-	out.b.embed(&s.b, dimMap)
-	return out
+	return BasicMap{in: bm.in, out: bm.out, b: intersectAt(&bm.b, &s.b, 0)}
 }
 
 // IntersectRange restricts the relation to outputs in the given set.
@@ -121,39 +98,25 @@ func (bm BasicMap) IntersectRange(s BasicSet) BasicMap {
 	if !bm.out.Equal(s.space) {
 		panic(fmt.Sprintf("presburger: range space mismatch %v vs %v", bm.out, s.space))
 	}
-	out := bm.clone()
-	dimMap := make([]int, s.b.ndim)
-	for i := range dimMap {
-		dimMap[i] = bm.NIn() + i
-	}
-	out.b.embed(&s.b, dimMap)
-	return out
+	return BasicMap{in: bm.in, out: bm.out, b: intersectAt(&bm.b, &s.b, bm.NIn())}
 }
 
 // Domain projects the relation onto its input dimensions.
 func (bm BasicMap) Domain() (BasicSet, error) {
-	cl := bm.b.clone()
-	cols := make([]int, bm.NOut())
-	for i := range cols {
-		cols[i] = cl.dimCol(bm.NIn() + i)
-	}
-	if err := cl.eliminateDimCols(cols); err != nil {
+	b, err := bm.b.projectOut(bm.NIn(), bm.NOut())
+	if err != nil {
 		return BasicSet{}, err
 	}
-	return BasicSet{space: bm.in, b: cl}, nil
+	return BasicSet{space: bm.in, b: b}, nil
 }
 
 // Range projects the relation onto its output dimensions.
 func (bm BasicMap) Range() (BasicSet, error) {
-	cl := bm.b.clone()
-	cols := make([]int, bm.NIn())
-	for i := range cols {
-		cols[i] = cl.dimCol(i)
-	}
-	if err := cl.eliminateDimCols(cols); err != nil {
+	b, err := bm.b.projectOut(0, bm.NIn())
+	if err != nil {
 		return BasicSet{}, err
 	}
-	return BasicSet{space: bm.out, b: cl}, nil
+	return BasicSet{space: bm.out, b: b}, nil
 }
 
 // ApplyRange composes bm with o: the result relates x to z whenever bm
@@ -162,10 +125,19 @@ func (bm BasicMap) ApplyRange(o BasicMap) (BasicMap, error) {
 	if !bm.out.Equal(o.in) {
 		panic(fmt.Sprintf("presburger: compose range %v with domain %v", bm.out, o.in))
 	}
-	nIn, nMid, nOut := bm.NIn(), bm.NOut(), o.NOut()
+	res, err := applyRange(&bm.b, &o.b, bm.NIn(), bm.NOut(), o.NOut())
+	if err != nil {
+		return BasicMap{}, err
+	}
+	return BasicMap{in: bm.in, out: o.out, b: res}, nil
+}
+
+// applyRange composes the basic a (nIn inputs, nMid outputs) with the basic
+// o (nMid inputs, nOut outputs).
+func applyRange(a, o *basic, nIn, nMid, nOut int) (basic, error) {
 	// Build a basic with dims [in, out, mid] so the mid columns are last and
 	// can be eliminated without disturbing the result layout.
-	res := basic{ndim: nIn + nOut + nMid, cons: make([]Constraint, 0, len(bm.b.cons)+len(o.b.cons))}
+	res := basic{ndim: nIn + nOut + nMid, cons: make([]Constraint, 0, len(a.cons)+len(o.cons))}
 	dimMapA := make([]int, nIn+nMid)
 	for i := 0; i < nIn; i++ {
 		dimMapA[i] = i
@@ -173,7 +145,7 @@ func (bm BasicMap) ApplyRange(o BasicMap) (BasicMap, error) {
 	for i := 0; i < nMid; i++ {
 		dimMapA[nIn+i] = nIn + nOut + i
 	}
-	res.embed(&bm.b, dimMapA)
+	res.embed(a, dimMapA)
 	dimMapB := make([]int, nMid+nOut)
 	for i := 0; i < nMid; i++ {
 		dimMapB[i] = nIn + nOut + i
@@ -181,23 +153,20 @@ func (bm BasicMap) ApplyRange(o BasicMap) (BasicMap, error) {
 	for i := 0; i < nOut; i++ {
 		dimMapB[nMid+i] = nIn + i
 	}
-	res.embed(&o.b, dimMapB)
+	res.embed(o, dimMapB)
 	cols := make([]int, nMid)
 	for i := range cols {
 		cols[i] = res.dimCol(nIn + nOut + i)
 	}
 	if err := res.eliminateDimCols(cols); err != nil {
-		return BasicMap{}, err
+		return basic{}, err
 	}
-	return BasicMap{in: bm.in, out: o.out, b: res}, nil
+	return res, nil
 }
 
 // FixInputDim returns the basic map with input dimension dim fixed to value.
 func (bm BasicMap) FixInputDim(dim int, value int64) BasicMap {
-	c := Constraint{C: NewVec(bm.b.ncols()), Eq: true}
-	c.C[0] = -value
-	c.C[1+dim] = 1
-	return bm.AddConstraint(c)
+	return BasicMap{in: bm.in, out: bm.out, b: bm.b.fixDim(dim, value)}
 }
 
 // PinnedInputDims returns, per input dimension, whether an equality
@@ -226,26 +195,29 @@ func (bm BasicMap) Contains(point []int64) bool { return bm.b.contains(point) }
 func (bm BasicMap) Scan(fn func(point []int64) error) error { return bm.b.scanPoints(fn) }
 
 // CountByScan counts the relation pairs by enumeration.
-func (bm BasicMap) CountByScan() (int64, error) { return bm.b.countPoints() }
+func (bm BasicMap) CountByScan() (int64, error) { return union{bm.b}.countByScan() }
 
 // AsSet reinterprets the basic map as a basic set over the concatenated
 // input and output dimensions (a "wrapped" relation).
 func (bm BasicMap) AsSet() BasicSet {
-	dims := append(append([]string(nil), bm.in.Dims...), bm.out.Dims...)
-	sp := Space{Name: bm.in.Name + "->" + bm.out.Name, Dims: dims}
-	return BasicSet{space: sp, b: bm.b.clone()}
+	return BasicSet{space: wrapSpace(bm.in, bm.out), b: bm.b.clone()}
+}
+
+// wrapSpace is the space of a wrapped relation: the input dimensions
+// followed by the output dimensions.
+func wrapSpace(in, out Space) Space {
+	dims := append(append([]string(nil), in.Dims...), out.Dims...)
+	return Space{Name: in.Name + "->" + out.Name, Dims: dims}
 }
 
 // String renders the basic map.
-func (bm BasicMap) String() string {
-	names := append(append([]string(nil), bm.in.Dims...), bm.out.Dims...)
-	return fmt.Sprintf("{ %s -> %s : %s }", bm.in, bm.out, bm.b.render(names))
-}
+func (bm BasicMap) String() string { return MapFromBasic(bm).String() }
 
-// Map is a union of basic maps between the same pair of spaces.
+// Map is a union of basic maps between the same pair of spaces. It is
+// stored, combined and counted as its wrapped set (see AsSet).
 type Map struct {
 	in, out Space
-	basics  []BasicMap
+	basics  union
 }
 
 // EmptyMap returns the empty relation between two spaces.
@@ -253,7 +225,7 @@ func EmptyMap(in, out Space) Map { return Map{in: in, out: out} }
 
 // MapFromBasic returns the map containing exactly the given basic map.
 func MapFromBasic(bm BasicMap) Map {
-	return Map{in: bm.in, out: bm.out, basics: []BasicMap{bm}}
+	return Map{in: bm.in, out: bm.out, basics: union{bm.b}}
 }
 
 // MapFromBasics returns the union of the given basic maps, which must share
@@ -267,7 +239,7 @@ func MapFromBasics(bms ...BasicMap) Map {
 		if !bm.in.Equal(m.in) || !bm.out.Equal(m.out) {
 			panic("presburger: MapFromBasics space mismatch")
 		}
-		m.basics = append(m.basics, bm)
+		m.basics = append(m.basics, bm.b)
 	}
 	return m
 }
@@ -279,175 +251,131 @@ func (m Map) InSpace() Space { return m.in }
 func (m Map) OutSpace() Space { return m.out }
 
 // Basics returns the basic maps whose union is m.
-func (m Map) Basics() []BasicMap { return append([]BasicMap(nil), m.basics...) }
+func (m Map) Basics() []BasicMap {
+	out := make([]BasicMap, len(m.basics))
+	for i, b := range m.basics {
+		out[i] = BasicMap{in: m.in, out: m.out, b: b}
+	}
+	return out
+}
+
+// AsSet reinterprets the map as a set over the concatenated input and
+// output dimensions, the union form of BasicMap.AsSet. The basics share
+// their rows with m, the way Basics does.
+func (m Map) AsSet() Set {
+	return Set{space: wrapSpace(m.in, m.out), basics: m.basics.concat(nil)}
+}
 
 // DefinitelyEmpty reports whether every basic map is detectably empty.
-func (m Map) DefinitelyEmpty() bool {
-	for _, b := range m.basics {
-		if !b.DefinitelyEmpty() {
-			return false
-		}
-	}
-	return true
-}
+func (m Map) DefinitelyEmpty() bool { return m.basics.definitelyEmpty() }
 
 // Union returns the union with another map between the same spaces.
 func (m Map) Union(o Map) Map {
-	if !m.in.Equal(o.in) || !m.out.Equal(o.out) {
-		panic("presburger: map union space mismatch")
-	}
-	return Map{in: m.in, out: m.out, basics: append(append([]BasicMap(nil), m.basics...), o.basics...)}
+	m.mustMatch(o, "union")
+	return Map{in: m.in, out: m.out, basics: m.basics.concat(o.basics)}
 }
 
 // Intersect returns the intersection with another map between the same
 // spaces.
 func (m Map) Intersect(o Map) Map {
-	out := Map{in: m.in, out: m.out}
-	for _, a := range m.basics {
-		for _, b := range o.basics {
-			bm := a.Intersect(b)
-			if !bm.DefinitelyEmpty() {
-				out.basics = append(out.basics, bm)
-			}
-		}
+	m.mustMatch(o, "intersect")
+	out, _ := m.basics.combine(o.basics, meet)
+	return Map{in: m.in, out: m.out, basics: out}
+}
+
+// Subtract returns the map difference m \ o (see union.subtract).
+func (m Map) Subtract(o Map) Map {
+	m.mustMatch(o, "subtract")
+	return Map{in: m.in, out: m.out, basics: m.basics.subtract(o.basics)}
+}
+
+// Coalesce returns a map covering exactly the same relation pairs with a
+// (weakly) smaller number of basic maps. See Set.Coalesce for the
+// full/quick rule split.
+func (m Map) Coalesce() Map { return Map{in: m.in, out: m.out, basics: m.basics.coalesce(true)} }
+
+// CoalesceQuick runs only the syntactic coalescing rules (dedup, subset
+// subsumption, adjacency) — the subset cheap enough for hot inner loops.
+func (m Map) CoalesceQuick() Map { return Map{in: m.in, out: m.out, basics: m.basics.coalesce(false)} }
+
+func (m Map) mustMatch(o Map, op string) {
+	if !m.in.Equal(o.in) || !m.out.Equal(o.out) {
+		panic(fmt.Sprintf("presburger: %s of %v->%v and %v->%v", op, m.in, m.out, o.in, o.out))
 	}
-	return out.coalesce(false)
 }
 
 // Reverse swaps inputs and outputs.
 func (m Map) Reverse() Map {
 	out := Map{in: m.out, out: m.in}
-	for _, b := range m.basics {
-		out.basics = append(out.basics, b.Reverse())
+	for _, b := range m.Basics() {
+		out.basics = append(out.basics, b.Reverse().b)
 	}
 	return out
 }
 
 // IntersectDomain restricts the relation to inputs in the given set.
 func (m Map) IntersectDomain(s Set) Map {
-	out := Map{in: m.in, out: m.out}
-	for _, b := range m.basics {
-		for _, bs := range s.basics {
-			bm := b.IntersectDomain(bs)
-			if !bm.DefinitelyEmpty() {
-				out.basics = append(out.basics, bm)
-			}
-		}
+	if !m.in.Equal(s.space) {
+		panic(fmt.Sprintf("presburger: domain space mismatch %v vs %v", m.in, s.space))
 	}
-	return out.coalesce(false)
+	out, _ := m.basics.combine(s.basics, meet)
+	return Map{in: m.in, out: m.out, basics: out}
 }
 
 // IntersectRange restricts the relation to outputs in the given set.
 func (m Map) IntersectRange(s Set) Map {
-	out := Map{in: m.in, out: m.out}
-	for _, b := range m.basics {
-		for _, bs := range s.basics {
-			bm := b.IntersectRange(bs)
-			if !bm.DefinitelyEmpty() {
-				out.basics = append(out.basics, bm)
-			}
-		}
+	if !m.out.Equal(s.space) {
+		panic(fmt.Sprintf("presburger: range space mismatch %v vs %v", m.out, s.space))
 	}
-	return out.coalesce(false)
+	nIn := m.in.Dim()
+	out, _ := m.basics.combine(s.basics, func(a, b *basic) (basic, error) { return intersectAt(a, b, nIn), nil })
+	return Map{in: m.in, out: m.out, basics: out}
 }
 
 // Domain projects the relation onto its input space.
 func (m Map) Domain() (Set, error) {
-	out := EmptySet(m.in)
-	for _, b := range m.basics {
-		d, err := b.Domain()
-		if err != nil {
-			return Set{}, err
-		}
-		if !d.DefinitelyEmpty() {
-			out.basics = append(out.basics, d)
-		}
+	d, err := m.basics.projectOut(m.in.Dim(), m.out.Dim())
+	if err != nil {
+		return Set{}, err
 	}
-	return out, nil
+	return Set{space: m.in, basics: d}, nil
 }
 
 // Range projects the relation onto its output space.
 func (m Map) Range() (Set, error) {
-	out := EmptySet(m.out)
-	for _, b := range m.basics {
-		r, err := b.Range()
-		if err != nil {
-			return Set{}, err
-		}
-		if !r.DefinitelyEmpty() {
-			out.basics = append(out.basics, r)
-		}
+	r, err := m.basics.projectOut(0, m.in.Dim())
+	if err != nil {
+		return Set{}, err
 	}
-	return out, nil
+	return Set{space: m.out, basics: r}, nil
 }
 
 // ApplyRange composes m with o (o ∘ m): x relates to z when m relates x to
 // some y and o relates y to z. The pairwise composition multiplies the
 // basic-map counts, so the result is coalesced before it is returned.
 func (m Map) ApplyRange(o Map) (Map, error) {
-	out := Map{in: m.in, out: o.out}
-	for _, a := range m.basics {
-		for _, b := range o.basics {
-			bm, err := a.ApplyRange(b)
-			if err != nil {
-				return Map{}, err
-			}
-			if !bm.DefinitelyEmpty() {
-				out.basics = append(out.basics, bm)
-			}
-		}
+	if !m.out.Equal(o.in) {
+		panic(fmt.Sprintf("presburger: compose range %v with domain %v", m.out, o.in))
 	}
-	return out.coalesce(false), nil
+	nIn, nMid, nOut := m.in.Dim(), m.out.Dim(), o.out.Dim()
+	out, err := m.basics.combine(o.basics, func(a, b *basic) (basic, error) { return applyRange(a, b, nIn, nMid, nOut) })
+	if err != nil {
+		return Map{}, err
+	}
+	return Map{in: m.in, out: o.out, basics: out}, nil
 }
 
 // Contains reports whether the concatenated point satisfies the relation.
-func (m Map) Contains(point []int64) bool {
-	for _, b := range m.basics {
-		if b.Contains(point) {
-			return true
-		}
-	}
-	return false
-}
+func (m Map) Contains(point []int64) bool { return m.basics.contains(point) }
 
 // Scan enumerates the distinct relation pairs (deduplicated across basic
 // maps).
-func (m Map) Scan(fn func(point []int64) error) error {
-	if len(m.basics) == 1 {
-		return m.basics[0].Scan(fn)
-	}
-	seen := make(map[string]bool)
-	for _, b := range m.basics {
-		err := b.Scan(func(p []int64) error {
-			key := pointKey(p)
-			if seen[key] {
-				return nil
-			}
-			seen[key] = true
-			return fn(p)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (m Map) Scan(fn func(point []int64) error) error { return m.basics.scan(fn) }
 
 // CountByScan counts the distinct relation pairs by enumeration.
-func (m Map) CountByScan() (int64, error) {
-	var n int64
-	err := m.Scan(func([]int64) error { n++; return nil })
-	return n, err
-}
+func (m Map) CountByScan() (int64, error) { return m.basics.countByScan() }
 
 // String renders the map.
 func (m Map) String() string {
-	if len(m.basics) == 0 {
-		return fmt.Sprintf("{ %s -> %s : false }", m.in, m.out)
-	}
-	parts := make([]string, len(m.basics))
-	for i, b := range m.basics {
-		parts[i] = b.String()
-	}
-	return strings.Join(parts, " union ")
+	return m.basics.render(fmt.Sprintf("%s -> %s", m.in, m.out), wrapSpace(m.in, m.out).Dims)
 }

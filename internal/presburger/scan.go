@@ -131,22 +131,7 @@ func (b *basic) scanPoints(fn func(point []int64) error) error {
 	}
 	s := newScanner(b)
 	point := make([]int64, b.ndim)
-	err := s.scanLevel(0, point, fn)
-	if errors.Is(err, ErrStopScan) {
-		return err
-	}
-	return err
-}
-
-// countPoints counts the integer points of the basic set/map by
-// enumeration.
-func (b *basic) countPoints() (int64, error) {
-	var n int64
-	err := b.scanPoints(func([]int64) error {
-		n++
-		return nil
-	})
-	return n, err
+	return s.scanLevel(0, point, fn)
 }
 
 // samplePoint returns one integer point of the basic set/map, or ok=false

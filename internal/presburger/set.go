@@ -33,22 +33,10 @@ func (bs BasicSet) Space() Space { return bs.space }
 func (bs BasicSet) NDim() int { return bs.b.ndim }
 
 // Divs returns a copy of the div definitions, every numerator NCols wide.
-func (bs BasicSet) Divs() []Div {
-	out := make([]Div, len(bs.b.divs))
-	for i, d := range bs.b.divs {
-		out[i] = Div{Num: d.Num.Resized(bs.b.ncols()), Den: d.Den}
-	}
-	return out
-}
+func (bs BasicSet) Divs() []Div { return bs.b.divsCopy() }
 
 // Constraints returns a copy of the constraints.
-func (bs BasicSet) Constraints() []Constraint {
-	out := make([]Constraint, len(bs.b.cons))
-	for i, c := range bs.b.cons {
-		out[i] = c.Clone()
-	}
-	return out
-}
+func (bs BasicSet) Constraints() []Constraint { return bs.b.consCopy() }
 
 // NCols returns the width of constraint vectors: 1 + NDim + number of divs.
 func (bs BasicSet) NCols() int { return bs.b.ncols() }
@@ -79,34 +67,24 @@ func (bs BasicSet) Intersect(o BasicSet) BasicSet {
 	if !bs.space.Equal(o.space) {
 		panic(fmt.Sprintf("presburger: intersect of %v and %v", bs.space, o.space))
 	}
-	out := bs.clone()
-	out.b.embed(&o.b, identityDimMap(o.b.ndim))
-	return out
+	return BasicSet{space: bs.space, b: intersectAt(&bs.b, &o.b, 0)}
 }
 
 // FixDim returns the basic set with dimension dim fixed to value.
 func (bs BasicSet) FixDim(dim int, value int64) BasicSet {
-	c := Constraint{C: NewVec(bs.b.ncols()), Eq: true}
-	c.C[0] = -value
-	c.C[1+dim] = 1
-	return bs.AddConstraint(c)
+	return BasicSet{space: bs.space, b: bs.b.fixDim(dim, value)}
 }
 
 // ProjectOut returns the basic set with dimensions [first, first+n)
 // existentially projected out. The space of the result is anonymous with
 // the surviving dimension names.
 func (bs BasicSet) ProjectOut(first, n int) (BasicSet, error) {
-	out := bs.clone()
-	cols := make([]int, n)
-	for i := 0; i < n; i++ {
-		cols[i] = out.b.dimCol(first + i)
-	}
-	if err := out.b.eliminateDimCols(cols); err != nil {
+	b, err := bs.b.projectOut(first, n)
+	if err != nil {
 		return BasicSet{}, err
 	}
 	dims := append(append([]string(nil), bs.space.Dims[:first]...), bs.space.Dims[first+n:]...)
-	out.space = Space{Name: bs.space.Name, Dims: dims}
-	return out, nil
+	return BasicSet{space: Space{Name: bs.space.Name, Dims: dims}, b: b}, nil
 }
 
 // RemoveRedundancies normalizes the basic set and drops inequality
@@ -269,21 +247,19 @@ func (bs BasicSet) Contains(point []int64) bool { return bs.b.contains(point) }
 func (bs BasicSet) Scan(fn func(point []int64) error) error { return bs.b.scanPoints(fn) }
 
 // CountByScan counts the integer points by enumeration.
-func (bs BasicSet) CountByScan() (int64, error) { return bs.b.countPoints() }
+func (bs BasicSet) CountByScan() (int64, error) { return union{bs.b}.countByScan() }
 
 // Sample returns a point of the basic set, or ok=false when it is empty.
 func (bs BasicSet) Sample() ([]int64, bool) { return bs.b.samplePoint() }
 
 // String renders the basic set.
-func (bs BasicSet) String() string {
-	return fmt.Sprintf("{ %s : %s }", bs.space, bs.b.render(bs.space.Dims))
-}
+func (bs BasicSet) String() string { return SetFromBasic(bs).String() }
 
 // Set is a union of basic sets in the same space. The zero value is not
 // valid; use EmptySet or SetFromBasic.
 type Set struct {
 	space  Space
-	basics []BasicSet
+	basics union
 }
 
 // EmptySet returns the empty set of the space.
@@ -291,7 +267,7 @@ func EmptySet(sp Space) Set { return Set{space: sp} }
 
 // SetFromBasic returns the set containing exactly the given basic set.
 func SetFromBasic(bs BasicSet) Set {
-	return Set{space: bs.space, basics: []BasicSet{bs}}
+	return Set{space: bs.space, basics: union{bs.b}}
 }
 
 // SetFromBasics returns the union of the given basic sets, which must share
@@ -305,7 +281,7 @@ func SetFromBasics(bss ...BasicSet) Set {
 		if !bs.space.Equal(s.space) {
 			panic("presburger: SetFromBasics space mismatch")
 		}
-		s.basics = append(s.basics, bs)
+		s.basics = append(s.basics, bs.b)
 	}
 	return s
 }
@@ -314,68 +290,145 @@ func SetFromBasics(bss ...BasicSet) Set {
 func (s Set) Space() Space { return s.space }
 
 // Basics returns the basic sets whose union is s.
-func (s Set) Basics() []BasicSet { return append([]BasicSet(nil), s.basics...) }
+func (s Set) Basics() []BasicSet {
+	out := make([]BasicSet, len(s.basics))
+	for i, b := range s.basics {
+		out[i] = BasicSet{space: s.space, b: b}
+	}
+	return out
+}
 
 // Union returns the union with another set in the same space.
 func (s Set) Union(o Set) Set {
-	if !s.space.Equal(o.space) {
-		panic(fmt.Sprintf("presburger: union of %v and %v", s.space, o.space))
-	}
-	return Set{space: s.space, basics: append(append([]BasicSet(nil), s.basics...), o.basics...)}
+	s.mustMatch(o, "union")
+	return Set{space: s.space, basics: s.basics.concat(o.basics)}
 }
 
 // Intersect returns the intersection with another set in the same space.
 func (s Set) Intersect(o Set) Set {
-	out := Set{space: s.space}
-	for _, a := range s.basics {
-		for _, b := range o.basics {
-			bs := a.Intersect(b)
-			if !bs.DefinitelyEmpty() {
-				out.basics = append(out.basics, bs)
-			}
-		}
+	s.mustMatch(o, "intersect")
+	out, _ := s.basics.combine(o.basics, meet)
+	return Set{space: s.space, basics: out}
+}
+
+// Subtract returns the set difference s \ o (see union.subtract).
+func (s Set) Subtract(o Set) Set {
+	s.mustMatch(o, "subtract")
+	return Set{space: s.space, basics: s.basics.subtract(o.basics)}
+}
+
+// Coalesce returns a set covering exactly the same integer points with a
+// (weakly) smaller number of basic sets. It runs the full rule stack,
+// including the budgeted Fourier–Motzkin redundancy elimination and
+// semantic subsumption checks; the cheaper syntactic subset of the rules
+// runs automatically inside Subtract, Intersect, and ApplyRange.
+func (s Set) Coalesce() Set { return Set{space: s.space, basics: s.basics.coalesce(true)} }
+
+func (s Set) mustMatch(o Set, op string) {
+	if !s.space.Equal(o.space) {
+		panic(fmt.Sprintf("presburger: %s of %v and %v", op, s.space, o.space))
 	}
-	return out.coalesce(false)
 }
 
 // DefinitelyEmpty reports whether every basic set is detectably empty.
-func (s Set) DefinitelyEmpty() bool {
-	for _, b := range s.basics {
-		if !b.DefinitelyEmpty() {
+func (s Set) DefinitelyEmpty() bool { return s.basics.definitelyEmpty() }
+
+// Contains reports whether the point lies in any basic set.
+func (s Set) Contains(point []int64) bool { return s.basics.contains(point) }
+
+// Scan enumerates the distinct integer points of the set (union semantics:
+// points in several basic sets are reported once). Enumeration order is the
+// lexicographic order within each basic set, deduplicated globally.
+func (s Set) Scan(fn func(point []int64) error) error { return s.basics.scan(fn) }
+
+// CountByScan counts the distinct integer points of the set by enumeration.
+func (s Set) CountByScan() (int64, error) { return s.basics.countByScan() }
+
+// String renders the set.
+func (s Set) String() string { return s.basics.render(s.space.String(), s.space.Dims) }
+
+// union is the storage of a Set and of a Map: a list of basics over one
+// column layout, whose space the owner keeps. A map is combined, coalesced,
+// subtracted and scanned as its wrapped set, so every union-level algorithm
+// is written once, here and in subtract.go and coalesce.go.
+type union []basic
+
+// concat returns a fresh union holding u's basics followed by o's.
+func (u union) concat(o union) union {
+	return append(append(union(nil), u...), o...)
+}
+
+// combine applies f to every pair of u × o, u-major, keeps the results that
+// are not detectably empty and runs the syntactic coalescing rules over
+// them: the pairwise loop behind Intersect, IntersectDomain, IntersectRange
+// and ApplyRange. The first error of f is returned.
+func (u union) combine(o union, f func(a, b *basic) (basic, error)) (union, error) {
+	var out union
+	for i := range u {
+		for j := range o {
+			c, err := f(&u[i], &o[j])
+			if err != nil {
+				return nil, err
+			}
+			if !c.isObviouslyEmpty() {
+				out = append(out, c)
+			}
+		}
+	}
+	return out.coalesce(false), nil
+}
+
+// intersectAt returns a copy of a constrained by b, whose dimension i is
+// a's dimension at+i.
+func intersectAt(a, b *basic, at int) basic {
+	dimMap := identityDimMap(b.ndim)
+	for i := range dimMap {
+		dimMap[i] += at
+	}
+	out := a.clone()
+	out.embed(b, dimMap)
+	return out
+}
+
+// meet is the intersection of basics over the same dimensions, in the form
+// combine takes. It never fails, so combine's error is dropped wherever meet
+// is the combining function.
+func meet(a, b *basic) (basic, error) { return intersectAt(a, b, 0), nil }
+
+// definitelyEmpty reports whether every basic is detectably empty.
+func (u union) definitelyEmpty() bool {
+	for i := range u {
+		if !u[i].isObviouslyEmpty() {
 			return false
 		}
 	}
 	return true
 }
 
-// Contains reports whether the point lies in any basic set.
-func (s Set) Contains(point []int64) bool {
-	for _, b := range s.basics {
-		if b.Contains(point) {
+// contains reports whether the point lies in any basic.
+func (u union) contains(point []int64) bool {
+	for i := range u {
+		if u[i].contains(point) {
 			return true
 		}
 	}
 	return false
 }
 
-// Scan enumerates the distinct integer points of the set (union semantics:
-// points in several basic sets are reported once). Enumeration order is the
-// lexicographic order within each basic set, deduplicated globally.
-func (s Set) Scan(fn func(point []int64) error) error {
-	if len(s.basics) == 1 {
-		return s.basics[0].Scan(fn)
+// scan enumerates the distinct integer points of the union, each basic in
+// lexicographic order, deduplicated across basics.
+func (u union) scan(fn func(point []int64) error) error {
+	if len(u) == 1 {
+		return u[0].scanPoints(fn)
 	}
 	seen := make(map[string]bool)
-	for i, b := range s.basics {
-		i := i
-		err := b.Scan(func(p []int64) error {
-			if i > 0 || len(s.basics) > 1 {
-				key := pointKey(p)
-				if seen[key] {
-					return nil
-				}
-				seen[key] = true
+	for i := range u {
+		err := u[i].scanPoints(func(p []int64) error {
+			key := pointKey(p)
+			if seen[key] {
+				return nil
 			}
+			seen[key] = true
 			return fn(p)
 		})
 		if err != nil {
@@ -385,23 +438,40 @@ func (s Set) Scan(fn func(point []int64) error) error {
 	return nil
 }
 
-// CountByScan counts the distinct integer points of the set by enumeration.
-func (s Set) CountByScan() (int64, error) {
-	var n int64
-	err := s.Scan(func([]int64) error { n++; return nil })
-	return n, err
-}
-
-// String renders the set.
-func (s Set) String() string {
-	if len(s.basics) == 0 {
-		return fmt.Sprintf("{ %s : false }", s.space)
+// render renders the union as "{ head : constraints }" terms joined by
+// "union", naming the dimensions by names.
+func (u union) render(head string, names []string) string {
+	if len(u) == 0 {
+		return fmt.Sprintf("{ %s : false }", head)
 	}
-	parts := make([]string, len(s.basics))
-	for i, b := range s.basics {
-		parts[i] = b.String()
+	parts := make([]string, len(u))
+	for i := range u {
+		parts[i] = fmt.Sprintf("{ %s : %s }", head, u[i].render(names))
 	}
 	return strings.Join(parts, " union ")
+}
+
+// projectOut projects dimensions [first, first+n) out of every basic and
+// drops the detectably empty results.
+func (u union) projectOut(first, n int) (union, error) {
+	var out union
+	for i := range u {
+		p, err := u[i].projectOut(first, n)
+		if err != nil {
+			return nil, err
+		}
+		if !p.isObviouslyEmpty() {
+			out = append(out, p)
+		}
+	}
+	return out, nil
+}
+
+// countByScan counts the distinct integer points of the union.
+func (u union) countByScan() (int64, error) {
+	var n int64
+	err := u.scan(func([]int64) error { n++; return nil })
+	return n, err
 }
 
 func pointKey(p []int64) string {

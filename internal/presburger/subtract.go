@@ -39,13 +39,13 @@ func (b *basic) transferDivs(src *basic, dimMap []int) []int {
 // fewer in the difference plus one inherited constraint fewer in all later
 // pieces — subtraction chains are the worst basic-count amplifier of the
 // pipeline, so this is where simplification in context pays the most.
-func subtractBasic(a, o *basic) []basic {
+func subtractBasic(a, o *basic) union {
 	simplified := o.clone()
 	if !simplified.simplify() {
 		// o is empty: a \ o == a.
-		return []basic{a.clone()}
+		return union{a.clone()}
 	}
-	var pieces []basic
+	var pieces union
 	prefix := a.clone()
 	colMap := prefix.transferDivs(&simplified, identityDimMap(simplified.ndim))
 	prefix.resize()
@@ -119,39 +119,7 @@ func (bs BasicSet) Subtract(o BasicSet) Set {
 	if !bs.space.Equal(o.space) {
 		panic("presburger: subtract space mismatch")
 	}
-	pieces := subtractBasic(&bs.b, &o.b)
-	out := EmptySet(bs.space)
-	for _, p := range pieces {
-		out.basics = append(out.basics, BasicSet{space: bs.space, b: p})
-	}
-	return out
-}
-
-// Subtract returns the set difference s \ o. The accumulating union is
-// coalesced after every subtrahend: subtraction is the worst basic-count
-// amplifier of the pipeline (each step can multiply the piece count by the
-// subtrahend's constraint count), and the slabs it produces are exactly the
-// adjacent/subsumed shapes the coalescer folds back together.
-func (s Set) Subtract(o Set) Set {
-	if !s.space.Equal(o.space) {
-		panic("presburger: subtract space mismatch")
-	}
-	cur := s
-	for _, ob := range o.basics {
-		next := EmptySet(s.space)
-		for _, ab := range cur.basics {
-			// Disjoint operands subtract to the minuend unchanged; checking
-			// this first avoids the piece explosion of the general algorithm
-			// in the common case.
-			if ab.Intersect(ob).DefinitelyEmpty() {
-				next.basics = append(next.basics, ab)
-				continue
-			}
-			next = next.Union(ab.Subtract(ob))
-		}
-		cur = next.coalesce(false)
-	}
-	return cur
+	return Set{space: bs.space, basics: subtractBasic(&bs.b, &o.b)}
 }
 
 // Subtract returns the map difference bm \ o as a map.
@@ -159,28 +127,28 @@ func (bm BasicMap) Subtract(o BasicMap) Map {
 	if !bm.in.Equal(o.in) || !bm.out.Equal(o.out) {
 		panic("presburger: subtract space mismatch")
 	}
-	pieces := subtractBasic(&bm.b, &o.b)
-	out := EmptyMap(bm.in, bm.out)
-	for _, p := range pieces {
-		out.basics = append(out.basics, BasicMap{in: bm.in, out: bm.out, b: p})
-	}
-	return out
+	return Map{in: bm.in, out: bm.out, basics: subtractBasic(&bm.b, &o.b)}
 }
 
-// Subtract returns the map difference m \ o.
-func (m Map) Subtract(o Map) Map {
-	if !m.in.Equal(o.in) || !m.out.Equal(o.out) {
-		panic("presburger: subtract space mismatch")
-	}
-	cur := m
-	for _, ob := range o.basics {
-		next := EmptyMap(m.in, m.out)
-		for _, ab := range cur.basics {
-			if ab.Intersect(ob).DefinitelyEmpty() {
-				next.basics = append(next.basics, ab)
+// subtract returns the difference u \ o, the one subtraction chain of Set
+// and Map. The accumulating union is coalesced after every subtrahend:
+// subtraction is the worst basic-count amplifier of the pipeline (each step
+// can multiply the piece count by the subtrahend's constraint count), and
+// the slabs it produces are exactly the adjacent/subsumed shapes the
+// coalescer folds back together.
+func (u union) subtract(o union) union {
+	cur := u
+	for i := range o {
+		var next union
+		for j := range cur {
+			// Disjoint operands subtract to the minuend unchanged; checking
+			// this first avoids the piece explosion of the general algorithm
+			// in the common case.
+			if ab := intersectAt(&cur[j], &o[i], 0); ab.isObviouslyEmpty() {
+				next = append(next, cur[j])
 				continue
 			}
-			next = next.Union(ab.Subtract(ob))
+			next = append(next, subtractBasic(&cur[j], &o[i])...)
 		}
 		cur = next.coalesce(false)
 	}

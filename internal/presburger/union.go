@@ -1,28 +1,61 @@
 package presburger
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"maps"
+	"slices"
 	"strings"
 )
+
+// members is the storage of UnionSet and UnionMap: one member per key, the
+// union of everything added under it.
+type members[K comparable, V interface{ Union(V) V }] map[K]V
+
+// union returns a fresh collection holding ms with every member of o
+// unioned in under its key.
+func (ms members[K, V]) union(o members[K, V]) members[K, V] {
+	out := make(members[K, V], len(ms)+len(o))
+	maps.Copy(out, ms)
+	for key, v := range o {
+		if cur, ok := out[key]; ok {
+			v = cur.Union(v)
+		}
+		out[key] = v
+	}
+	return out
+}
+
+// sorted returns the members in key order.
+func (ms members[K, V]) sorted(compare func(a, b K) int) []V {
+	out := make([]V, 0, len(ms))
+	for _, key := range slices.SortedFunc(maps.Keys(ms), compare) {
+		out = append(out, ms[key])
+	}
+	return out
+}
+
+// join renders the members of a union set or map.
+func join[V fmt.Stringer](vs []V) string {
+	parts := make([]string, len(vs))
+	for i, v := range vs {
+		parts[i] = v.String()
+	}
+	return strings.Join(parts, "; ")
+}
 
 // UnionSet is a collection of sets living in differently named spaces
 // (e.g. the instances of several statements).
 type UnionSet struct {
-	sets map[string]Set
+	sets members[string, Set]
 }
 
 // NewUnionSet returns an empty union set.
-func NewUnionSet() UnionSet { return UnionSet{sets: map[string]Set{}} }
+func NewUnionSet() UnionSet { return UnionSet{sets: members[string, Set]{}} }
 
 // Add unions a set into the collection.
 func (u UnionSet) Add(s Set) UnionSet {
-	out := u.cloneShallow()
-	if cur, ok := out.sets[s.space.Name]; ok {
-		out.sets[s.space.Name] = cur.Union(s)
-	} else {
-		out.sets[s.space.Name] = s
-	}
-	return out
+	return UnionSet{sets: u.sets.union(members[string, Set]{s.space.Name: s})}
 }
 
 // Get returns the set in the named space.
@@ -32,87 +65,37 @@ func (u UnionSet) Get(name string) (Set, bool) {
 }
 
 // Sets returns the member sets sorted by space name.
-func (u UnionSet) Sets() []Set {
-	names := make([]string, 0, len(u.sets))
-	for n := range u.sets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]Set, 0, len(names))
-	for _, n := range names {
-		out = append(out, u.sets[n])
-	}
-	return out
-}
+func (u UnionSet) Sets() []Set { return u.sets.sorted(strings.Compare) }
 
 // Union returns the union of two union sets.
-func (u UnionSet) Union(o UnionSet) UnionSet {
-	out := u.cloneShallow()
-	for _, s := range o.Sets() {
-		out = out.Add(s)
-	}
-	return out
-}
-
-func (u UnionSet) cloneShallow() UnionSet {
-	out := NewUnionSet()
-	for k, v := range u.sets {
-		out.sets[k] = v
-	}
-	return out
-}
+func (u UnionSet) Union(o UnionSet) UnionSet { return UnionSet{sets: u.sets.union(o.sets)} }
 
 // String renders the union set.
-func (u UnionSet) String() string {
-	parts := make([]string, 0, len(u.sets))
-	for _, s := range u.Sets() {
-		parts = append(parts, s.String())
-	}
-	return strings.Join(parts, "; ")
-}
+func (u UnionSet) String() string { return join(u.Sets()) }
 
 type spacePair struct{ in, out string }
+
+func (p spacePair) compare(o spacePair) int {
+	return cmp.Or(strings.Compare(p.in, o.in), strings.Compare(p.out, o.out))
+}
 
 // UnionMap is a collection of maps between differently named spaces
 // (e.g. a schedule mapping every statement into the schedule space, or an
 // access map from statements to arrays).
 type UnionMap struct {
-	maps map[spacePair]Map
+	maps members[spacePair, Map]
 }
 
 // NewUnionMap returns an empty union map.
-func NewUnionMap() UnionMap { return UnionMap{maps: map[spacePair]Map{}} }
+func NewUnionMap() UnionMap { return UnionMap{maps: members[spacePair, Map]{}} }
 
 // Add unions a map into the collection.
 func (u UnionMap) Add(m Map) UnionMap {
-	out := u.cloneShallow()
-	key := spacePair{m.in.Name, m.out.Name}
-	if cur, ok := out.maps[key]; ok {
-		out.maps[key] = cur.Union(m)
-	} else {
-		out.maps[key] = m
-	}
-	return out
+	return UnionMap{maps: u.maps.union(members[spacePair, Map]{{m.in.Name, m.out.Name}: m})}
 }
 
 // Maps returns the member maps in a deterministic order.
-func (u UnionMap) Maps() []Map {
-	keys := make([]spacePair, 0, len(u.maps))
-	for k := range u.maps {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].in != keys[j].in {
-			return keys[i].in < keys[j].in
-		}
-		return keys[i].out < keys[j].out
-	})
-	out := make([]Map, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, u.maps[k])
-	}
-	return out
-}
+func (u UnionMap) Maps() []Map { return u.maps.sorted(spacePair.compare) }
 
 // Get returns the map between the named spaces.
 func (u UnionMap) Get(in, out string) (Map, bool) {
@@ -121,21 +104,7 @@ func (u UnionMap) Get(in, out string) (Map, bool) {
 }
 
 // Union returns the union of two union maps.
-func (u UnionMap) Union(o UnionMap) UnionMap {
-	out := u.cloneShallow()
-	for _, m := range o.Maps() {
-		out = out.Add(m)
-	}
-	return out
-}
-
-func (u UnionMap) cloneShallow() UnionMap {
-	out := NewUnionMap()
-	for k, v := range u.maps {
-		out.maps[k] = v
-	}
-	return out
-}
+func (u UnionMap) Union(o UnionMap) UnionMap { return UnionMap{maps: u.maps.union(o.maps)} }
 
 // Reverse swaps inputs and outputs of every member map.
 func (u UnionMap) Reverse() UnionMap {
@@ -237,10 +206,4 @@ func (u UnionMap) IntersectRange(s UnionSet) UnionMap {
 }
 
 // String renders the union map.
-func (u UnionMap) String() string {
-	parts := make([]string, 0, len(u.maps))
-	for _, m := range u.Maps() {
-		parts = append(parts, m.String())
-	}
-	return strings.Join(parts, "; ")
-}
+func (u UnionMap) String() string { return join(u.Maps()) }

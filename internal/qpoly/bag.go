@@ -7,7 +7,7 @@ import (
 
 // Bag evaluates the pointwise sum of a collection of summand pieces at many
 // points — the inner loop of set-associative miss classification, where the
-// pieces are the raw cardinality summands (counting.MapCardSummands) whose
+// pieces are the raw cardinality summands (counting.CardSetSummands) whose
 // sum is the within-set stack distance, and the parametric model's capacity
 // miss counts (counting.CardBasicSetSummands). Sum semantics: every piece
 // whose domain contains the point contributes; domains may overlap.
