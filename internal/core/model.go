@@ -226,23 +226,20 @@ type Options struct {
 	Exec parwork.Exec
 }
 
-// effectiveParallelism resolves the Parallelism knob: values below one
-// select the number of CPUs.
-func effectiveParallelism(p int) int {
-	if p <= 0 {
-		return runtime.NumCPU()
-	}
-	return p
-}
-
-// executor resolves the executor of one analysis call: the caller-supplied
-// Exec when set (release is then a no-op — the caller owns it), otherwise a
-// transient executor sized by the Parallelism knob that release tears down.
-func (o Options) executor() (ex parwork.Exec, release func()) {
+// Executor resolves the executor of one analysis call, or of a sweep of
+// analyses: the caller-supplied Exec when set (release is then a no-op —
+// the caller owns it), otherwise a transient executor sized by the
+// Parallelism knob, whose values below one select the number of CPUs, that
+// release tears down.
+func (o Options) Executor() (ex parwork.Exec, release func()) {
 	if o.Exec != nil {
 		return o.Exec, func() {}
 	}
-	return parwork.NewExec(effectiveParallelism(o.Parallelism))
+	workers := o.Parallelism
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	return parwork.NewExec(workers)
 }
 
 // DefaultOptions enables every optimization and selects ModeAuto.

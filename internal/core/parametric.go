@@ -161,7 +161,7 @@ func ComputeParametricModelContext(ctx context.Context, prog *scop.Program, line
 	}
 	pm.TotalAccesses = total
 
-	ex, release := opts.executor()
+	ex, release := opts.Executor()
 	distances, _, _, err := stackDistancePhase(ctx, info, lineSize, ex, meter, false, &pm.baseStats)
 	release()
 	if err != nil {
@@ -403,7 +403,7 @@ func (pm *ParametricModel) Eval(cfg Config, bindings map[string]int64) (*Result,
 	// Eval's signature carries no context, so the counts are not
 	// cancellable.
 	ctx := context.TODO()
-	ex, release := pm.opts.executor()
+	ex, release := pm.opts.Executor()
 	defer release()
 	meter := budget.New(ctx, pm.opts.Budget)
 	counter := newCapacityCounter(pm.opts, &res.Stats)

@@ -49,9 +49,9 @@ type setAssocLevel struct {
 // capacity counter, or even the per-basic-map fold — grows quadratically
 // with the stripes (the classic blow-up of piecewise quasi-polynomials
 // under modulo constraints). The summands themselves stay small and
-// symbolic; the miss classification then evaluates the sum pointwise over
-// the set's instance domain, which is exact, deterministic, and linear in
-// the instance count.
+// symbolic; the miss classification then sweeps the set's instance domain
+// line by line (qpoly.Bag.CountExceeding), which is exact, deterministic,
+// and linear in the instance count.
 func (dm *DistanceModel) countSetAssocLevel(ctx context.Context, ex parwork.Exec, meter *budget.Meter, level int, numSets, ways int64) (*setAssocLevel, error) {
 	part, err := dm.saInfo.SetPartition(dm.LineSize, numSets)
 	if err != nil {
@@ -135,26 +135,15 @@ func (dm *DistanceModel) countSetAssocLevel(ctx context.Context, ex parwork.Exec
 			sr.pieces += len(bag)
 			// Classify the instances whose own access falls into this set:
 			// miss iff the within-set distance exceeds the associativity.
-			// The bag evaluator box-filters the summand pieces and stops as
-			// soon as the partial sum clears the associativity (sound:
-			// summands are chamber counts, so the sum is monotone).
-			ev := qpoly.NewBag(bag)
+			// The bag sweeps the domain line by line and stops summing a
+			// point as soon as the partial sum clears the associativity
+			// (sound: summands are chamber counts, so the sum is monotone).
 			dom, err := part.StatementSetDomain(stmt, set)
 			if err != nil {
 				return err
 			}
 			cop := meter.Op(opPrefix + "miss classification of " + stmt)
-			var misses, points int64
-			scanErr := dom.Scan(func(pt []int64) error {
-				if err := cop.Charge(1); err != nil {
-					return err
-				}
-				points++
-				if ev.SumExceeds(pt, waysRat) {
-					misses++
-				}
-				return nil
-			})
+			misses, points, scanErr := qpoly.NewBag(bag).CountExceeding(dom, waysRat, func() error { return cop.Charge(1) })
 			if scanErr != nil {
 				if bounded && !budget.IsCancellation(scanErr) {
 					degraded[stmt] = scanErr.Error()

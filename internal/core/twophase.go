@@ -126,7 +126,7 @@ func ComputeDistancesContext(ctx context.Context, prog *scop.Program, lineSize i
 	if opts.Mode == ModeSim {
 		err = dm.useTrace("exact trace profiling requested")
 	} else {
-		ex, release := opts.executor()
+		ex, release := opts.Executor()
 		err = dm.computeSymbolic(ctx, info, meter, ex)
 		release()
 		if err != nil && opts.Mode == ModeAuto && !budget.IsCancellation(err) {
@@ -350,7 +350,7 @@ func (dm *DistanceModel) countSymbolic(ctx context.Context, cfg Config, ex parwo
 	}
 	if ex == nil {
 		var release func()
-		ex, release = dm.opts.executor()
+		ex, release = dm.opts.Executor()
 		defer release()
 	}
 	levelBounds := make([]counting.Interval, nLev)

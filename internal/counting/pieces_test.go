@@ -57,6 +57,7 @@ func TestCardSetSummandsSumMatchesMerged(t *testing.T) {
 		t.Fatal(err)
 	}
 	bag := qpoly.NewBag(summands)
+	sums := map[int64]ints.Rat{}
 	for i := int64(0); i < 22; i++ {
 		pt := []int64{i}
 		var sum ints.Rat
@@ -67,16 +68,28 @@ func TestCardSetSummandsSumMatchesMerged(t *testing.T) {
 			t.Errorf("i=%d: lazy sum %v, merged %v", i, sum, want)
 		}
 		// The raw summand form evaluated through the box-filtered bag must
-		// agree with both, and its threshold form must bracket the sum
-		// exactly.
+		// agree with both.
 		if got := bag.EvalSum(pt); got.Cmp(sum) != 0 {
 			t.Errorf("i=%d: summand bag sum %v, card sum %v", i, got, sum)
 		}
-		for _, limit := range []int64{0, 1, 4, 9, 12, 40} {
-			lr := ints.NewRat(limit, 1)
-			if got, want := bag.SumExceeds(pt, lr), sum.Cmp(lr) > 0; got != want {
-				t.Errorf("i=%d limit=%d: SumExceeds=%v, want %v", i, limit, got, want)
+		sums[i] = sum
+	}
+	// Its threshold form, swept over 0 <= i <= 21, must count exactly the
+	// points whose sum exceeds the limit.
+	dom := presburger.SetFromBasic(presburger.NewBasicSet(s, nil, []presburger.Constraint{
+		ineq(2, 0, 1), ineq(2, 21, -1),
+	}))
+	for _, limit := range []int64{0, 1, 4, 9, 12, 40} {
+		lr := ints.NewRat(limit, 1)
+		var want int64
+		for _, sum := range sums {
+			if sum.Cmp(lr) > 0 {
+				want++
 			}
+		}
+		got, points, err := bag.CountExceeding(dom, lr, func() error { return nil })
+		if err != nil || got != want || points != 22 {
+			t.Errorf("limit=%d: CountExceeding = (%d, %d points, %v), want (%d, 22 points)", limit, got, points, err, want)
 		}
 	}
 }

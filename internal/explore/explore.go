@@ -13,22 +13,20 @@
 // (core.DistanceModel.CountMisses). Tile sizes that leave a kernel
 // unchanged (no rectangular band, or tiles covering the whole extent of an
 // untileable band) collapse onto the untiled variant and share its distance
-// model too. Both phases run on one parwork pool, the options' Exec or
-// else a pool of Parallelism workers (the rule core applies to every
-// analysis): configurations fan out as its items, and every analysis
-// schedules its own units on the worker driving it. Results are
-// deterministic at every worker count and bit-identical to a standalone
-// core.Analyze call with the same options. The options' Mode is the one
-// knob of the degradation ladder: core.ModeSim builds every model from an
-// exact trace profile instead (still exact, cheaper for the deep loop nests
-// tiling produces at small problem sizes, and equally shared across
-// hierarchies).
+// model too. Both phases run on one parwork pool, the options' Executor
+// (their Exec, or else a pool of Parallelism workers): configurations fan
+// out as its items, and every analysis schedules its own units on the
+// worker driving it. Results are deterministic at every worker count and
+// bit-identical to a standalone core.Analyze call with the same options.
+// The options' Mode is the one knob of the degradation ladder: core.ModeSim
+// builds every model from an exact trace profile instead (still exact,
+// cheaper for the deep loop nests tiling produces at small problem sizes,
+// and equally shared across hierarchies).
 package explore
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"haystack/internal/core"
@@ -127,12 +125,12 @@ type modelJob struct {
 // are derived first (the tiler is syntactic and cheap), then the distance
 // models of all distinct (variant, line size) pairs are computed on the
 // sweep's pool, and finally every (variant, hierarchy) grid point is
-// counted on the same pool. The pool is opts.Exec when set, otherwise a
-// transient pool of opts.Parallelism workers (zero or below: the number of
-// CPUs); idle workers steal units across analyses, so when the distance
-// phase has fewer jobs than workers the spare cores go to the individual
-// analyses. opts.Mode selects the degradation ladder rung of every grid
-// point: any failing grid point fails the sweep, and under core.ModeAuto
+// counted on the same pool. The pool is opts.Executor(): opts.Exec when
+// set, otherwise a transient pool of opts.Parallelism workers; idle
+// workers steal units across analyses, so when the distance phase has
+// fewer jobs than workers the spare cores go to the individual analyses.
+// opts.Mode selects the degradation ladder rung of every grid point: any
+// failing grid point fails the sweep, and under core.ModeAuto
 // (core.DefaultOptions) programs outside the symbolic fragment degrade to
 // exact trace profiling instead of failing. The pool stops claiming jobs
 // promptly after ctx is cancelled, the analyses observe ctx too, and the
@@ -199,16 +197,8 @@ func Sweep(ctx context.Context, grid Grid, opts core.Options) (*Result, error) {
 	// through the worker driving it. Idle workers steal across jobs, so the
 	// two phases need no static inner/outer core split; results are
 	// bit-identical at every worker count.
-	ex := opts.Exec
-	if ex == nil {
-		workers := opts.Parallelism
-		if workers <= 0 {
-			workers = runtime.NumCPU()
-		}
-		var releasePool func()
-		ex, releasePool = parwork.NewExec(workers)
-		defer releasePool()
-	}
+	ex, release := opts.Executor()
+	defer release()
 	err := ex.RunGroup(ctx, len(jobs), func(w *parwork.Worker, idx int) error {
 		job := jobs[idx]
 		v := variants[job.variant]

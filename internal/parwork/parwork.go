@@ -343,8 +343,10 @@ type Worker struct {
 func InlineExec() Exec { return &Worker{} }
 
 // NewExec returns an executor with the given parallelism together with a
-// release function: an inline executor for one worker (release is a no-op),
-// a fresh pool otherwise (release closes it).
+// release function: an inline executor for one worker or fewer (release is
+// a no-op), a fresh pool otherwise (release closes it). A worker count below
+// one does not mean "every CPU" here; core.Options.Executor resolves the
+// analysis knob that does.
 func NewExec(workers int) (Exec, func()) {
 	if workers <= 1 {
 		return InlineExec(), func() {}

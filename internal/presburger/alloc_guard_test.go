@@ -79,6 +79,31 @@ func TestApplyRangeAllocBudget(t *testing.T) {
 	}
 }
 
+// TestImpliedIneqAllocBudget pins the allocation count of the coalescer's
+// implication test on emptinessBasic's system, one implied and one refuted
+// row. The copy of the system, the negated row and every elimination row
+// come from pooled scratch: 0 allocs/op, against 2 per test (the system
+// copy and the negated row) from the heap. The budget of 1 leaves headroom
+// for toolchain noise. Skipped like the budgets above.
+func TestImpliedIneqAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	if debugInvariants {
+		t.Skip("invariant assertions allocate; budget holds for normal builds only")
+	}
+	b := emptinessBasic()
+	cons := b.materializedConstraints(nil)
+	allocs := testing.AllocsPerRun(200, func() {
+		if !impliedIneq(cons, cons[0].C, 1, b.ncols()) || impliedIneq(cons, cons[0].C, -1, b.ncols()) {
+			panic("i >= 0 is implied by emptinessBasic and i <= 0 is not")
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("impliedIneq = %.1f allocs/op, budget is 1", allocs)
+	}
+}
+
 // TestCoalesceEntriesAllocBudget pins the allocation count of the syntactic
 // coalescer on coalesceFamily (BenchmarkCoalesceEntries). An entry's
 // constraint index is one sorted slice of indices, and the differing

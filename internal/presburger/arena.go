@@ -249,7 +249,7 @@ func putDedup(s *dedupScratch) {
 }
 
 // predScratch is the working memory of one yes/no predicate
-// (isObviouslyEmpty, rationalFeasible, budgetedInfeasible): the throwaway
+// (isObviouslyEmpty, rationalFeasible, impliedIneq): the throwaway
 // clone's rows and every Fourier–Motzkin row are carved from one slab, the
 // elimination rounds alternate between two header buffers, and the clone's
 // headers have buffers of their own. The predicate puts the scratch back

@@ -335,29 +335,26 @@ func impliedByRational(cons []Constraint, c Constraint, ncols int) bool {
 }
 
 // impliedIneq reports whether sign*e >= 0 (sign ±1) is implied by cons over
-// the rationals, with integer tightening of the negation.
+// the rationals, with integer tightening of the negation: whether cons with
+// the negation added is infeasible. The rational Fourier–Motzkin
+// elimination runs over all non-constant columns and gives up, reporting
+// false (not implied), once the intermediate system outgrows the budget,
+// which is always safe for the callers (they skip a merge or keep a
+// constraint). The system, the negated row and every elimination row live
+// in pooled scratch.
 func impliedIneq(cons []Constraint, e Vec, sign int64, ncols int) bool {
+	sc := getPredScratch()
+	defer putPredScratch(sc)
 	// ¬(e >= 0) over the integers is -e - 1 >= 0.
-	neg := NewVec(ncols)
+	neg := sc.vec(ncols)
 	for j := range neg {
 		neg[j] = -sign * e.At(j)
 	}
 	neg[0]--
-	test := make([]Constraint, 0, len(cons)+1)
-	test = append(test, cons...)
-	test = append(test, Constraint{C: neg})
-	return budgetedInfeasible(test, ncols)
-}
-
-// budgetedInfeasible runs rational Fourier–Motzkin elimination over all
-// non-constant columns and reports whether a constant contradiction was
-// derived. If the intermediate system grows beyond the budget the check
-// gives up and reports false (feasible), which is always safe for the
-// callers (they simply skip a merge or keep a constraint).
-func budgetedInfeasible(cons []Constraint, ncols int) bool {
-	sc := getPredScratch()
-	defer putPredScratch(sc)
-	return fmInfeasible(sc, cons, ncols, implicationBudget)
+	_, test := sc.cloneHeaders(0, len(cons)+1)
+	copy(test, cons)
+	test[len(cons)] = Constraint{C: neg}
+	return fmInfeasible(sc, test, ncols, implicationBudget)
 }
 
 // entryExtras writes the indices of constraints of a that are not present

@@ -11,7 +11,7 @@ import (
 )
 
 // Heap oracle for the yes/no predicates that run in pooled scratch
-// (isObviouslyEmpty, rationalFeasible, budgetedInfeasible). The ref*
+// (isObviouslyEmpty, rationalFeasible, impliedIneq). The ref*
 // functions are the implementations the scratch versions replaced: a heap
 // clone, simplify, and Fourier–Motzkin rounds that allocate every header
 // and row and normalize each derived row on a copy. They are kept as the
@@ -170,9 +170,8 @@ func copyCons(cons []Constraint) []Constraint {
 
 // diffPredicates runs the scratch predicates and their references on b and
 // reports the first disagreement, or a change to the rows they read. The
-// budgeted check runs on b's materialized system with each of b's
-// constraints negated in turn, the systems the coalescer's implication test
-// builds.
+// implication test runs on b's materialized system against each of its
+// rows, both ways round, the tests the coalescer makes.
 func diffPredicates(b *basic) error {
 	orig := copyRows(b)
 	if got, want := b.isObviouslyEmpty(), refIsObviouslyEmpty(b); got != want {
@@ -182,22 +181,26 @@ func diffPredicates(b *basic) error {
 		return fmt.Errorf("rationalFeasible = %v, reference %v\nin: %s", got, want, b.render(nil))
 	}
 	base := refMaterialized(b)
-	for i := -1; i < len(b.cons); i++ {
-		test := append([]Constraint(nil), base...)
-		if i >= 0 {
-			neg := base[i].C.Neg()
-			neg[0]--
-			test = append(test, Constraint{C: neg})
-		}
-		before := copyCons(test)
-		got, want := budgetedInfeasible(test, b.ncols()), refFMInfeasible(test, b.ncols(), implicationBudget)
-		if got != want {
-			return fmt.Errorf("budgetedInfeasible (constraint %d negated) = %v, reference %v\nin: %s", i, got, want, b.render(nil))
-		}
-		for j := range test {
-			if test[j].Eq != before[j].Eq || fmt.Sprint(test[j].C) != fmt.Sprint(before[j].C) {
-				return fmt.Errorf("budgetedInfeasible changed input row %d: %v, was %v", j, test[j].C, before[j].C)
+	before := copyCons(base)
+	for i := range base {
+		for _, sign := range []int64{1, -1} {
+			// The system the implication test refutes: base and the
+			// integer negation of sign·base[i] >= 0.
+			neg := NewVec(len(base[i].C))
+			for j, x := range base[i].C {
+				neg[j] = -sign * x
 			}
+			neg[0]--
+			test := append(append([]Constraint(nil), base...), Constraint{C: neg})
+			got, want := impliedIneq(base, base[i].C, sign, b.ncols()), refFMInfeasible(test, b.ncols(), implicationBudget)
+			if got != want {
+				return fmt.Errorf("impliedIneq (constraint %d, sign %d) = %v, reference %v\nin: %s", i, sign, got, want, b.render(nil))
+			}
+		}
+	}
+	for j := range base {
+		if base[j].Eq != before[j].Eq || fmt.Sprint(base[j].C) != fmt.Sprint(before[j].C) {
+			return fmt.Errorf("impliedIneq changed input row %d: %v, was %v", j, base[j].C, before[j].C)
 		}
 	}
 	if !sameExactly(b, orig) {

@@ -75,6 +75,53 @@ func TestBoxScanCount(t *testing.T) {
 	}
 }
 
+// TestScanDedupesUnlessPinnedApart: a union scan reports every point once.
+// Basics that pin one common dimension to pairwise distinct constants are
+// disjoint and skip the deduplication; overlapping basics, and basics
+// pinned on a common dimension to the same value or on different
+// dimensions, are deduplicated.
+func TestScanDedupesUnlessPinnedApart(t *testing.T) {
+	n := boxSet("S", 4, 3).NCols()
+	// part returns the box 0 <= i < 4, 0 <= j < 3 restricted by extra.
+	part := func(extra ...Constraint) BasicSet {
+		bs := boxSet("S", 4, 3)
+		for _, c := range extra {
+			bs = bs.AddConstraint(c)
+		}
+		return bs
+	}
+	for _, tc := range []struct {
+		name   string
+		basics []BasicSet
+		want   int
+		apart  bool
+	}{
+		{"overlapping boxes", []BasicSet{part(ineq(n, 2, -1, 0)), part(ineq(n, -1, 1, 0))}, 12, false},
+		{"pinned to one value", []BasicSet{part(eq(n, -1, 0, 1), ineq(n, 2, -1, 0)), part(eq(n, -1, 0, 1), ineq(n, -1, 1, 0))}, 4, false},
+		{"pinned on different dimensions", []BasicSet{part(eq(n, 0, 1, 0)), part(eq(n, 0, 0, 1))}, 6, false},
+		{"pinned apart on j", []BasicSet{part(eq(n, 0, 0, 1)), part(eq(n, -1, 0, 1)), part(eq(n, -2, 0, 1))}, 12, true},
+		{"pinned apart on j, out of order", []BasicSet{part(eq(n, -2, 0, 1)), part(eq(n, 0, 0, 1))}, 8, true},
+		{"a repeated pin", []BasicSet{part(eq(n, 0, 0, 1)), part(eq(n, -1, 0, 1)), part(eq(n, 0, 0, 1), ineq(n, -2, 1, 0))}, 8, false},
+	} {
+		s := SetFromBasics(tc.basics...)
+		if got := s.basics.pinnedApart(); got != tc.apart {
+			t.Errorf("%s: pinnedApart = %v, want %v", tc.name, got, tc.apart)
+		}
+		seen := map[string]int{}
+		if err := s.Scan(func(p []int64) error { seen[fmt.Sprint(p)]++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		for p, k := range seen {
+			if k != 1 {
+				t.Errorf("%s: point %s reported %d times", tc.name, p, k)
+			}
+		}
+		if len(seen) != tc.want {
+			t.Errorf("%s: %d distinct points, want %d", tc.name, len(seen), tc.want)
+		}
+	}
+}
+
 func TestTriangleCount(t *testing.T) {
 	// { (i,j) : 0 <= i < 10, 0 <= j <= i }  has 55 points.
 	bs := boxSet("S", 10, 10)

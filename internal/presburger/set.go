@@ -2,6 +2,7 @@ package presburger
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -416,10 +417,16 @@ func (u union) contains(point []int64) bool {
 }
 
 // scan enumerates the distinct integer points of the union, each basic in
-// lexicographic order, deduplicated across basics.
+// lexicographic order, deduplicated across basics. Basics that are pinned
+// apart share no point and are scanned without the deduplication.
 func (u union) scan(fn func(point []int64) error) error {
-	if len(u) == 1 {
-		return u[0].scanPoints(fn)
+	if len(u) == 1 || u.pinnedApart() {
+		for i := range u {
+			if err := u[i].scanPoints(fn); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	seen := make(map[string]bool)
 	for i := range u {
@@ -436,6 +443,41 @@ func (u union) scan(fn func(point []int64) error) error {
 		}
 	}
 	return nil
+}
+
+// pinnedApart reports whether some dimension is pinned to a constant by
+// every basic, to pairwise distinct constants: such basics are disjoint (the
+// per-access basics of a statement's set domain, apart on the access
+// index). The check reads each basic's pins once and sorts one value list
+// per commonly pinned dimension.
+func (u union) pinnedApart() bool {
+	if len(u) == 0 {
+		return true
+	}
+	ndim := u[0].ndim
+	common := make([]bool, ndim)
+	vals := make([][]int64, ndim)
+	for d := range common {
+		common[d] = true
+		vals[d] = make([]int64, 0, len(u))
+	}
+	for i := range u {
+		pinned, v := pinnedFromCons(u[i].cons, ndim)
+		for d, p := range pinned {
+			common[d] = common[d] && p
+			vals[d] = append(vals[d], v[d])
+		}
+	}
+	for d, c := range common {
+		if !c {
+			continue
+		}
+		slices.Sort(vals[d])
+		if len(slices.Compact(vals[d])) == len(u) {
+			return true
+		}
+	}
+	return false
 }
 
 // render renders the union as "{ head : constraints }" terms joined by

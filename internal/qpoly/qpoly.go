@@ -404,13 +404,6 @@ func (p QPoly) dropUnusedAtoms() QPoly {
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Add returns p + o.
 func (p QPoly) Add(o QPoly) QPoly {
 	out := p.Clone()
@@ -529,12 +522,19 @@ func (p QPoly) UsesVar(v int) bool {
 }
 
 // Eval evaluates p at the given integer point (one value per variable) and
-// returns the exact rational value.
+// returns the exact rational value. Like every arithmetic of the package it
+// is overflow-checked and panics rather than return a wrapped value.
 func (p QPoly) Eval(point []int64) ints.Rat {
+	return p.evalInto(point, make([]int64, len(p.Atoms)))
+}
+
+// evalInto is Eval with the atom values written into atomVals (at least
+// len(p.Atoms) long), so that a caller evaluating many points allocates
+// nothing.
+func (p QPoly) evalInto(point, atomVals []int64) ints.Rat {
 	if len(point) != p.NVar {
 		panic("qpoly: evaluation point arity mismatch")
 	}
-	atomVals := make([]int64, len(p.Atoms))
 	for i, a := range p.Atoms {
 		var s int64
 		for j, c := range a.Num {
@@ -543,11 +543,11 @@ func (p QPoly) Eval(point []int64) ints.Rat {
 			}
 			switch {
 			case j == 0:
-				s += c
+				s = ints.AddChecked(s, c)
 			case j <= p.NVar:
-				s += c * point[j-1]
+				s = ints.AddChecked(s, ints.MulChecked(c, point[j-1]))
 			default:
-				s += c * atomVals[j-1-p.NVar]
+				s = ints.AddChecked(s, ints.MulChecked(c, atomVals[j-1-p.NVar]))
 			}
 		}
 		atomVals[i] = ints.FloorDiv(s, a.Den)
