@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"haystack/internal/budget"
@@ -637,12 +639,7 @@ func chooseEnumerationDims(poly qpoly.QPoly) []int {
 		}
 		chosen[best] = true
 	}
-	out := make([]int, 0, len(chosen))
-	for v := range chosen {
-		out = append(out, v)
-	}
-	sortInts(out)
-	return out
+	return slices.Sorted(maps.Keys(chosen))
 }
 
 // columnVars returns the variables a power column of the polynomial depends
@@ -688,12 +685,4 @@ func projectOnto(domain presburger.BasicSet, dims []int) presburger.BasicSet {
 		out = exact
 	}
 	return out
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

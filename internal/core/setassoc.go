@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"haystack/internal/budget"
@@ -157,7 +159,7 @@ func (dm *DistanceModel) countSetAssocLevel(ctx context.Context, ex parwork.Exec
 		}
 		// Statements that degraded for this set: their set-s capacity misses
 		// are certifiably within [0, set-s instances].
-		for _, stmt := range sortedKeys(degraded) {
+		for _, stmt := range slices.Sorted(maps.Keys(degraded)) {
 			n, cerr := dm.setInstanceCount(part, stmt, set, meter, opPrefix)
 			if cerr != nil {
 				if budget.IsCancellation(cerr) {

@@ -54,9 +54,11 @@ func (f *frontierStats) observe(before, after int) {
 //
 // The two dominant stages — the per-basic-map lexicographic maxima and the
 // per-statement counting of touched lines — are spread over the given number
-// of worker goroutines. The result is bit-identical for every worker count.
+// of worker goroutines, resolved like Options.Parallelism: a value below one
+// selects the number of CPUs. The result is bit-identical for every worker
+// count.
 func ComputeStackDistancesWith(info *scop.PolyInfo, lineSize int64, workers int) ([]StatementDistance, error) {
-	ex, release := parwork.NewExec(workers)
+	ex, release := Options{Parallelism: workers}.Executor()
 	defer release()
 	dists, _, _, err := computeStackDistances(context.Background(), info, lineSize, ex, nil, nil, false)
 	return dists, err

@@ -3,7 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -299,7 +300,7 @@ func (dm *DistanceModel) CountMissesExec(ctx context.Context, cfg Config, ex par
 	res := &Result{Kernel: dm.Kernel, TotalAccesses: dm.TotalAccesses, Stats: dm.baseStats.clone()}
 	res.CompulsoryMisses = dm.CompulsoryMisses
 	res.CompulsoryBounds = dm.compulsoryBounds
-	res.PerStatementCompulsory = cloneCounts(dm.perStmtCompulsory)
+	res.PerStatementCompulsory = maps.Clone(dm.perStmtCompulsory)
 	if dm.fallbackReason != "" {
 		if err := dm.answerFromTrace(res, cfg, dm.fallbackReason); err != nil {
 			return nil, err
@@ -392,7 +393,7 @@ func (dm *DistanceModel) countSymbolic(ctx context.Context, cfg Config, ex parwo
 	// their capacity misses are certifiably within [0, instances] at every
 	// level. The set-associative pass skips those statements' touched maps,
 	// so the bound is never double counted.
-	for _, stmt := range sortedKeys(dm.boundedStmts) {
+	for _, stmt := range slices.Sorted(maps.Keys(dm.boundedStmts)) {
 		n := dm.stmtInstances[stmt]
 		for l := 0; l < nLev; l++ {
 			levelBounds[l] = levelBounds[l].Add(counting.Interval{Lo: 0, Hi: n})
@@ -431,15 +432,6 @@ func degradationSummary(reasons []string, compulsory counting.Interval) string {
 		return reasons[0]
 	}
 	return fmt.Sprintf("%s (and %d more degraded operations)", reasons[0], len(reasons)-1)
-}
-
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // ensureProfile lazily compiles the trace (padded layout, like
@@ -515,17 +507,6 @@ func (s Stats) clone() Stats {
 	}
 	if len(out.SetAssoc) == 0 {
 		out.SetAssoc = nil
-	}
-	return out
-}
-
-func cloneCounts(m map[string]int64) map[string]int64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]int64, len(m))
-	for k, v := range m {
-		out[k] = v
 	}
 	return out
 }

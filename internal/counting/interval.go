@@ -3,6 +3,7 @@ package counting
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"haystack/internal/budget"
 	"haystack/internal/ints"
@@ -62,16 +63,18 @@ const maxEnum = 4096
 var errEnumCap = errors.New("counting: enumeration cap reached")
 
 // BoxBounds returns per-dimension constant bounds of a box enclosing bs.
-// It first harvests the constant bounds implied by single-dimension
-// constraints (ConstBounds); dimensions still unbounded on a side are
-// retried on the approximate projection of bs onto that dimension alone —
-// the projection is a superset, so its constant bounds are valid for bs.
-// ok is false if any dimension remains unbounded on either side.
+// It starts from the box of bs's signature (presburger.Signature);
+// dimensions still unbounded on a side are retried on the approximate
+// projection of bs onto that dimension alone — the projection is a
+// superset, so its constant bounds are valid for bs. ok is false if any
+// dimension remains unbounded on either side.
 func BoxBounds(bs presburger.BasicSet) (lo, hi []int64, ok bool) {
 	n := bs.NDim()
-	clo, chi, hasLo, hasHi := bs.ConstBounds()
+	lo, hi = make([]int64, n), make([]int64, n)
+	sig := bs.Signature()
 	for d := 0; d < n; d++ {
-		if hasLo[d] && hasHi[d] {
+		lo[d], hi[d] = sig.Bounds(d)
+		if lo[d] != math.MinInt64 && hi[d] != math.MaxInt64 {
 			continue
 		}
 		p := bs
@@ -81,18 +84,18 @@ func BoxBounds(bs presburger.BasicSet) (lo, hi []int64, ok bool) {
 		if d > 0 {
 			p = p.ProjectOutApprox(0, d)
 		}
-		plo, phi, pHasLo, pHasHi := p.ConstBounds()
-		if !hasLo[d] && pHasLo[0] {
-			clo[d], hasLo[d] = plo[0], true
+		plo, phi := p.Signature().Bounds(0)
+		if lo[d] == math.MinInt64 {
+			lo[d] = plo
 		}
-		if !hasHi[d] && pHasHi[0] {
-			chi[d], hasHi[d] = phi[0], true
+		if hi[d] == math.MaxInt64 {
+			hi[d] = phi
 		}
-		if !hasLo[d] || !hasHi[d] {
+		if lo[d] == math.MinInt64 || hi[d] == math.MaxInt64 {
 			return nil, nil, false
 		}
 	}
-	return clo, chi, true
+	return lo, hi, true
 }
 
 // BoxCountUpper returns a certified upper bound on the number of integer

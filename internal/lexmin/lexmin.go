@@ -126,49 +126,30 @@ func foldMin(ctx context.Context, group []presburger.Map) (presburger.Map, error
 	return result, nil
 }
 
-// pinSig records, for one basic map of a candidate, which input dimensions
-// are pinned to constants by its constraints (the form statement constants
-// of a schedule space take).
-type pinSig struct {
-	pinned []bool
-	pins   []int64
-}
-
 // partitionByDomain groups the candidates into chambers whose domains can
 // overlap; candidates in different chambers are provably disjoint (every
-// basic-map pair across them disagrees on an input dimension both pin).
-// The partition is conservative (a pair that cannot cheaply be separated
-// lands in the same chamber, which only costs combineMin work) and
-// deterministic: chambers are ordered by their smallest candidate index and
-// keep the original candidate order.
+// basic-map pair across them has separating domain signatures,
+// presburger.BasicMap.DomainSignature). The partition is conservative (a
+// pair that cannot cheaply be separated lands in the same chamber, which
+// only costs combineMin work) and deterministic: chambers are ordered by
+// their smallest candidate index and keep the original candidate order.
 func partitionByDomain(candidates []presburger.Map) [][]presburger.Map {
-	n := len(candidates)
-	if n <= 1 {
+	if len(candidates) <= 1 {
 		return [][]presburger.Map{candidates}
 	}
-	sigs := make([][]pinSig, n)
+	sigs := make([][]presburger.Signature, len(candidates))
 	for i, c := range candidates {
 		for _, bm := range c.Basics() {
-			pinned, pins := bm.PinnedInputDims()
-			sigs[i] = append(sigs[i], pinSig{pinned, pins})
+			sigs[i] = append(sigs[i], bm.DomainSignature())
 		}
 	}
-	mayOverlap := func(i, j int) bool {
-		for _, sa := range sigs[i] {
-			for _, sb := range sigs[j] {
-				if !presburger.PinsSeparate(sa.pinned, sa.pins, sb.pinned, sb.pins) {
-					return true
-				}
-			}
+	var groups [][]presburger.Map
+	for _, idxs := range presburger.GroupDisjoint(sigs) {
+		group := make([]presburger.Map, len(idxs))
+		for k, i := range idxs {
+			group[k] = candidates[i]
 		}
-		return false
-	}
-	idxGroups := presburger.GroupDisjoint(n, mayOverlap)
-	groups := make([][]presburger.Map, len(idxGroups))
-	for gi, idxs := range idxGroups {
-		for _, i := range idxs {
-			groups[gi] = append(groups[gi], candidates[i])
-		}
+		groups = append(groups, group)
 	}
 	return groups
 }

@@ -575,3 +575,32 @@ func chamberMap() presburger.Map {
 	}
 	return presburger.MapFromBasics(bms...)
 }
+
+// TestPartitionByDomainSeparatesDomainsOnly checks that chambers follow the
+// domain signatures: two candidates on the same input box whose outputs are
+// disjoint, by bounds and by parity, share a chamber (their domains
+// overlap, so their minima must be folded), while a candidate whose input
+// box misses theirs gets a chamber of its own.
+func TestPartitionByDomainSeparatesDomainsOnly(t *testing.T) {
+	s := presburger.NewSpace("S", "i")
+	o := presburger.NewSpace("T", "j")
+	// cand maps ilo <= i <= ilo+7 to jlo <= j <= jlo+3 with j ≡ r (mod 2),
+	// the parity written j = 2·floor(j/2) + r.
+	cand := func(ilo, jlo, r int64) presburger.Map {
+		bm := presburger.UniverseBasicMap(s, o)
+		w := bm.NCols()
+		bm = bm.AddConstraint(ineq(w, -ilo, 1, 0))
+		bm = bm.AddConstraint(ineq(w, ilo+7, -1, 0))
+		bm = bm.AddConstraint(ineq(w, -jlo, 0, 1))
+		bm = bm.AddConstraint(ineq(w, jlo+3, 0, -1))
+		bm, div := bm.AddDiv(presburger.Vec{0, 0, 1}, 2)
+		c := presburger.Constraint{C: presburger.NewVec(bm.NCols()), Eq: true}
+		c.C[0], c.C[2], c.C[div] = -r, 1, -2
+		return presburger.MapFromBasic(bm.AddConstraint(c))
+	}
+	low, high, apart := cand(0, 0, 0), cand(0, 10, 1), cand(20, 0, 0)
+	chambers := partitionByDomain([]presburger.Map{low, high, apart})
+	if len(chambers) != 2 || len(chambers[0]) != 2 || len(chambers[1]) != 1 {
+		t.Fatalf("chambers %v, want {low, high} and {apart}", chambers)
+	}
+}

@@ -1,8 +1,9 @@
 package presburger_test
 
 // Native Go fuzz targets for the set-algebra frontiers: simplify, coalesce
-// and gist. Every target decodes bounded basic sets from the fuzz input,
-// applies the operation, and asserts two properties that hold by
+// and gist, and for the disjointness signature that lets the piecewise folds
+// skip them. Every set-algebra target decodes bounded basic sets from the
+// fuzz input, applies the operation, and asserts two properties that hold by
 // construction: the result satisfies the IR invariants (CheckInvariants) and
 // it covers exactly the same integer points as the input over the bounding
 // box the decoder always imposes. The seed corpora are derived from
@@ -10,6 +11,7 @@ package presburger_test
 // handcrafted seed exercising the div column.
 
 import (
+	"fmt"
 	"testing"
 
 	"haystack/internal/polybench"
@@ -305,6 +307,79 @@ func FuzzGist(f *testing.F) {
 			}
 			if got, want := g.Contains(p), set.Contains(p); got != want {
 				t.Fatalf("Gist changed membership of %v within context: %v -> %v\nset: %v\nctx: %v\nout: %v", p, want, got, set, ctx, g)
+			}
+		})
+	})
+}
+
+// stripeSeed is the residue stripe Σ dims ≡ r (mod 3) over ndim dims,
+// written with a div the way the set-associative residue partition writes
+// it: Σ dims = 3·floor(Σ dims / 3) + r. As a map, its congruence involves
+// the output dimensions whenever ndim > 1.
+func stripeSeed(ndim int, r byte) []byte {
+	data := []byte{byte(ndim - 1), 3, 3} // dims header; div with den 3; const 0
+	for range ndim {
+		data = append(data, 4) // numerator coefficient 1
+	}
+	data = append(data, 1, -r) // eq, const -r
+	for range ndim {
+		data = append(data, 4) // coefficient 1
+	}
+	return append(data, 0) // div coefficient -3
+}
+
+// FuzzSeparate checks that the disjointness signature is sound: whenever
+// two decoded basic sets' signatures Separate, no point of the fuzz box lies
+// in both; and whenever the domain signatures of two basic maps (the same
+// decoded sets with their leading dimensions as inputs) Separate, no input
+// point lies in both domains.
+func FuzzSeparate(f *testing.F) {
+	// The second operand has no dims header.
+	for _, s := range coalesceSeeds(f) {
+		f.Add(s, s[1:])
+	}
+	for _, ndim := range []int{1, 2} {
+		f.Add(stripeSeed(ndim, 0), stripeSeed(ndim, 1)[1:])
+		f.Add(stripeSeed(ndim, 1), stripeSeed(ndim, 1)[1:])
+	}
+	f.Add(divSeed(), stripeSeed(1, 2)[1:])
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		ndim, restA, ok := decodeDims(a)
+		if !ok {
+			t.Skip()
+		}
+		sa := decodeBasicSet(ndim, restA)
+		sb := decodeBasicSet(ndim, b)
+		if sa.Signature().Separate(sb.Signature()) {
+			forEachBoxPoint(ndim, func(p []int64) {
+				if sa.Contains(p) && sb.Contains(p) {
+					t.Fatalf("signatures separate, but %v lies in both\na: %v\nb: %v", p, sa, sb)
+				}
+			})
+		}
+		if ndim < 2 {
+			return
+		}
+		// The header byte picks the input count as well as the dimensions.
+		nIn := 1 + int(a[0]/3)%(ndim-1)
+		dims := fuzzSpace(ndim).Dims
+		in, out := presburger.NewSpace("I", dims[:nIn]...), presburger.NewSpace("O", dims[nIn:]...)
+		asMap := func(bs presburger.BasicSet) presburger.BasicMap {
+			return presburger.NewBasicMap(in, out, bs.Divs(), bs.Constraints())
+		}
+		ma, mb := asMap(sa), asMap(sb)
+		if !ma.DomainSignature().Separate(mb.DomainSignature()) {
+			return
+		}
+		// The box bounds every dimension, so a domain point has a witness
+		// among the box points.
+		inA, inB := map[string]bool{}, map[string]bool{}
+		forEachBoxPoint(ndim, func(p []int64) {
+			key := fmt.Sprint(p[:nIn])
+			inA[key] = inA[key] || ma.Contains(p)
+			inB[key] = inB[key] || mb.Contains(p)
+			if inA[key] && inB[key] {
+				t.Fatalf("domain signatures separate, but input %s lies in both domains\na: %v\nb: %v", key, ma, mb)
 			}
 		})
 	})

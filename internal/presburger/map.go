@@ -169,14 +169,6 @@ func (bm BasicMap) FixInputDim(dim int, value int64) BasicMap {
 	return BasicMap{in: bm.in, out: bm.out, b: bm.b.fixDim(dim, value)}
 }
 
-// PinnedInputDims returns, per input dimension, whether an equality
-// constraint pins it to a single constant, together with that constant
-// (see BasicSet.PinnedDims). Two basic maps pinning the same input
-// dimension to different constants have disjoint domains.
-func (bm BasicMap) PinnedInputDims() (pinned []bool, vals []int64) {
-	return pinnedFromCons(bm.b.cons, bm.NIn())
-}
-
 // DefinitelyEmpty reports whether the basic map can cheaply be shown empty.
 func (bm BasicMap) DefinitelyEmpty() bool { return bm.b.isObviouslyEmpty() }
 

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-
-	"haystack/internal/ints"
 )
 
 // BasicSet is a conjunction of quasi-affine constraints over the dimensions
@@ -167,64 +165,6 @@ func (bs BasicSet) ProjectOutApprox(first, n int) BasicSet {
 // implies set equality; the converse does not hold.
 func (bs BasicSet) StructurallyEqual(o BasicSet) bool {
 	return basicsEqual(&bs.b, &o.b)
-}
-
-// PinnedDims returns, per dimension, whether an equality constraint pins it
-// to a single constant, together with that constant. Two basic sets that pin
-// the same dimension to different constants are disjoint — the cheap
-// separation test behind the domain-partitioned folds of the pipeline.
-func (bs BasicSet) PinnedDims() (pinned []bool, vals []int64) {
-	return pinnedFromCons(bs.b.cons, bs.b.ndim)
-}
-
-// ConstBounds returns, per dimension, the tightest constant lower and upper
-// bounds derivable from single-dimension constraints (equalities pin both
-// sides). Dimensions without such a bound report has=false. Two basic sets
-// whose constant intervals on some dimension do not intersect are disjoint —
-// a free separation test for the piecewise folds.
-func (bs BasicSet) ConstBounds() (lo, hi []int64, hasLo, hasHi []bool) {
-	n := bs.b.ndim
-	lo, hi = make([]int64, n), make([]int64, n)
-	hasLo, hasHi = make([]bool, n), make([]bool, n)
-	for _, c := range bs.b.cons {
-		col, cnt := -1, 0
-		for j := 1; j < len(c.C); j++ {
-			if c.C[j] != 0 {
-				col = j
-				cnt++
-			}
-		}
-		if cnt != 1 || col > n {
-			continue
-		}
-		d := col - 1
-		a, k := c.C[col], c.C[0]
-		if c.Eq {
-			if k%a != 0 {
-				continue // infeasible; emptiness is detected elsewhere
-			}
-			v := -k / a
-			if !hasLo[d] || v > lo[d] {
-				lo[d], hasLo[d] = v, true
-			}
-			if !hasHi[d] || v < hi[d] {
-				hi[d], hasHi[d] = v, true
-			}
-			continue
-		}
-		if a > 0 {
-			v := ints.CeilDiv(-k, a)
-			if !hasLo[d] || v > lo[d] {
-				lo[d], hasLo[d] = v, true
-			}
-		} else {
-			v := ints.FloorDiv(k, -a)
-			if !hasHi[d] || v < hi[d] {
-				hi[d], hasHi[d] = v, true
-			}
-		}
-	}
-	return lo, hi, hasLo, hasHi
 }
 
 // Simplify normalizes constraints and returns ok=false when the basic set is
@@ -448,7 +388,7 @@ func (u union) scan(fn func(point []int64) error) error {
 // pinnedApart reports whether some dimension is pinned to a constant by
 // every basic, to pairwise distinct constants: such basics are disjoint (the
 // per-access basics of a statement's set domain, apart on the access
-// index). The check reads each basic's pins once and sorts one value list
+// index). The check reads each basic's box once and sorts one value list
 // per commonly pinned dimension.
 func (u union) pinnedApart() bool {
 	if len(u) == 0 {
@@ -462,10 +402,10 @@ func (u union) pinnedApart() bool {
 		vals[d] = make([]int64, 0, len(u))
 	}
 	for i := range u {
-		pinned, v := pinnedFromCons(u[i].cons, ndim)
-		for d, p := range pinned {
-			common[d] = common[d] && p
-			vals[d] = append(vals[d], v[d])
+		lo, hi := u[i].box(ndim)
+		for d := range common {
+			common[d] = common[d] && lo[d] == hi[d]
+			vals[d] = append(vals[d], lo[d])
 		}
 	}
 	for d, c := range common {

@@ -13,42 +13,36 @@ import (
 // sum is the within-set stack distance, and the parametric model's capacity
 // miss counts (counting.CardBasicSetSummands). Sum semantics: every piece
 // whose domain contains the point contributes; domains may overlap.
-// Construction precomputes a constant bounding box per piece
-// (BasicSet.ConstBounds), so the hot path rejects most pieces with a few
-// integer comparisons instead of a full div-evaluating membership test.
+// Construction precomputes each piece's signature (BasicSet.Signature), so
+// the hot path rejects most pieces by its constant box with a few integer
+// comparisons instead of a full div-evaluating membership test.
 type Bag struct {
 	pieces []bagPiece
 }
 
-// bagPiece is one piece with its precomputed dimension box. A point outside
-// the box is provably outside the domain; a point inside still needs the
-// exact membership test (the box ignores coupling and div constraints).
+// bagPiece is one piece with its precomputed signature. A point outside the
+// signature's box is provably outside the domain; a point inside still needs
+// the exact membership test (the box ignores coupling and div constraints).
 type bagPiece struct {
 	domain presburger.BasicSet
 	poly   QPoly
-	lo, hi []int64
-	hasLo  []bool
-	hasHi  []bool
+	sig    presburger.Signature
 }
 
 // NewBag builds the box-filtered evaluator over the summand pieces.
 func NewBag(pieces []Piece) *Bag {
-	b := &Bag{pieces: make([]bagPiece, 0, len(pieces))}
-	for _, p := range pieces {
-		bp := bagPiece{domain: p.Domain, poly: p.Poly}
-		bp.lo, bp.hi, bp.hasLo, bp.hasHi = p.Domain.ConstBounds()
-		b.pieces = append(b.pieces, bp)
+	b := &Bag{pieces: make([]bagPiece, len(pieces))}
+	for i, p := range pieces {
+		b.pieces[i] = bagPiece{domain: p.Domain, poly: p.Poly, sig: p.Domain.Signature()}
 	}
 	return b
 }
 
-// inBox reports whether the point can lie in the piece's domain.
-func (p *bagPiece) inBox(point []int64) bool {
+// inBox reports whether the point can lie in the piece's domain, judging by
+// every dimension but skip.
+func (p *bagPiece) inBox(point []int64, skip int) bool {
 	for d, v := range point {
-		if p.hasLo[d] && v < p.lo[d] {
-			return false
-		}
-		if p.hasHi[d] && v > p.hi[d] {
+		if lo, hi := p.sig.Bounds(d); d != skip && (v < lo || v > hi) {
 			return false
 		}
 	}
@@ -60,7 +54,7 @@ func (b *Bag) EvalSum(point []int64) ints.Rat {
 	var sum ints.Rat
 	for i := range b.pieces {
 		p := &b.pieces[i]
-		if !p.inBox(point) || !p.domain.Contains(point) {
+		if !p.inBox(point, -1) || !p.domain.Contains(point) {
 			continue
 		}
 		sum = sum.Add(p.poly.Eval(point))
@@ -75,8 +69,8 @@ func (b *Bag) EvalSum(point []int64) ints.Rat {
 //
 // The points are classified one line at a time. A line is a run of
 // consecutive scan points that differ only in the sweep dimension, the
-// innermost dimension some basic of dom leaves unpinned by an equality. Once
-// per line and piece, the sweep fixes every other dimension: the box test
+// innermost dimension some basic of dom does not pin to a constant. Once per
+// line and piece, the sweep fixes every other dimension: the box test
 // runs on the fixed dimensions, the fixed part of every div numerator and
 // constraint is computed, and the constraints without a div that depends on
 // the sweep coordinate are intersected into an interval of it. A point then
@@ -115,9 +109,10 @@ func sweepDim(dom presburger.Set) int {
 	n := dom.Space().Dim()
 	free := make([]bool, n)
 	for _, bs := range dom.Basics() {
-		pinned, _ := bs.PinnedDims()
-		for d, p := range pinned {
-			free[d] = free[d] || !p
+		sig := bs.Signature()
+		for d := range free {
+			lo, hi := sig.Bounds(d)
+			free[d] = free[d] || lo != hi
 		}
 	}
 	for d := n - 1; d >= 0; d-- {
@@ -272,7 +267,7 @@ func (sw *sweep) exceeds(pt []int64, limit ints.Rat) bool {
 		p := &sw.bag.pieces[i]
 		var in bool
 		if ps.state == lineExact {
-			in = p.inBox(pt) && p.domain.Contains(pt)
+			in = p.inBox(pt, -1) && p.domain.Contains(pt)
 		} else {
 			var ok bool
 			if in, ok = ps.containsAt(p, sw.col, x, sw.divVals); !ok {
@@ -325,17 +320,16 @@ func (sw *sweep) startLine(pt []int64) {
 
 // setup prepares the piece for the line whose column values cols holds.
 func (ps *pieceSweep) setup(p *bagPiece, dim int, cols []int64) {
+	ndim := p.domain.NDim()
 	ps.state = lineOut
-	for d := range p.lo {
-		if v := cols[1+d]; d != dim && (p.hasLo[d] && v < p.lo[d] || p.hasHi[d] && v > p.hi[d]) {
-			return
-		}
+	if !p.inBox(cols[1:1+ndim], dim) {
+		return
 	}
 	ps.state, ps.lo, ps.hi = lineExact, math.MinInt64, math.MaxInt64
 	if dim < 0 {
 		return
 	}
-	divCol := 1 + len(p.lo)
+	divCol := 1 + ndim
 	for i, d := range ps.divs {
 		// The numerator reads only the columns before the div's own.
 		s, ok := dot(d.Num, cols)

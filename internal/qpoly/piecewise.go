@@ -63,16 +63,16 @@ func (pw PwQPoly) Add(o PwQPoly) PwQPoly {
 		return pw
 	}
 	out := ZeroPw(pw.Space)
-	sigA := boxSignatures(pw.Pieces)
-	sigB := boxSignatures(o.Pieces)
-	// Overlaps. Pieces whose constant bounding boxes do not intersect are
-	// skipped outright; structurally identical domains (the dominant case
-	// when summing cards of maps derived from the same iteration domain)
-	// take the fast path: the overlap is the domain itself and the
-	// subtractions below are skipped entirely.
+	sigA := pw.signatures()
+	sigB := o.signatures()
+	// Overlaps. Pieces whose signatures separate are skipped outright;
+	// structurally identical domains (the dominant case when summing cards
+	// of maps derived from the same iteration domain) take the fast path:
+	// the overlap is the domain itself and the subtractions below are
+	// skipped entirely.
 	for i, a := range pw.Pieces {
 		for j, b := range o.Pieces {
-			if sigA[i].disjoint(sigB[j]) {
+			if sigA[i].Separate(sigB[j]) {
 				continue
 			}
 			if a.Domain.StructurallyEqual(b.Domain) {
@@ -92,50 +92,23 @@ func (pw PwQPoly) Add(o PwQPoly) PwQPoly {
 	return out.CoalescePieces()
 }
 
-// boxSig is the constant bounding box of a piece domain together with its
-// residue-class signature, used as a free pairwise separation test in the
-// piecewise folds. The box separates pieces living in different regions;
-// the residue classes separate interleaved stripes (residue splits of the
-// counting engine, cache-set partitions) whose boxes fully overlap.
-type boxSig struct {
-	lo, hi       []int64
-	hasLo, hasHi []bool
-	res          []presburger.ResidueClass
-}
-
-func boxSignatures(pieces []Piece) []boxSig {
-	out := make([]boxSig, len(pieces))
-	for i, p := range pieces {
-		lo, hi, hasLo, hasHi := p.Domain.ConstBounds()
-		out[i] = boxSig{lo, hi, hasLo, hasHi, p.Domain.ResidueClasses()}
+// signatures returns the disjointness signature of every piece domain.
+func (pw PwQPoly) signatures() []presburger.Signature {
+	out := make([]presburger.Signature, len(pw.Pieces))
+	for i, p := range pw.Pieces {
+		out[i] = p.Domain.Signature()
 	}
 	return out
 }
 
-func (a boxSig) disjoint(b boxSig) bool {
-	n := len(a.lo)
-	if len(b.lo) < n {
-		n = len(b.lo)
-	}
-	for d := 0; d < n; d++ {
-		if a.hasLo[d] && b.hasHi[d] && a.lo[d] > b.hi[d] {
-			return true
-		}
-		if a.hasHi[d] && b.hasLo[d] && a.hi[d] < b.lo[d] {
-			return true
-		}
-	}
-	return presburger.ResiduesSeparate(a.res, b.res)
-}
-
 // subtractPieces returns pieces covering the parts of the domains of `a`
 // that no domain of `b` covers, keeping the polynomials of `a`.
-func subtractPieces(a []Piece, sigA []boxSig, b []Piece, sigB []boxSig) []Piece {
+func subtractPieces(a []Piece, sigA []presburger.Signature, b []Piece, sigB []presburger.Signature) []Piece {
 	var out []Piece
 	for i, pa := range a {
 		rest := presburger.SetFromBasic(pa.Domain)
 		for j, pb := range b {
-			if sigA[i].disjoint(sigB[j]) {
+			if sigA[i].Separate(sigB[j]) {
 				continue
 			}
 			if pa.Domain.StructurallyEqual(pb.Domain) {
@@ -158,13 +131,13 @@ func subtractPieces(a []Piece, sigA []boxSig, b []Piece, sigB []boxSig) []Piece 
 }
 
 // MergeDisjointSum folds many piecewise quasi-polynomials into one by
-// pointwise addition, exploiting that summands whose piece domains pin some
-// dimension to different constants can never overlap: such summands are
-// placed in different chambers, chamber results are concatenated without any
-// domain algebra, and only the summands within a chamber pay the quadratic
-// disjointness fold of Add (run as a balanced tree so intermediates stay
-// small). The result is identical, as a function, to folding the summands
-// with Add in any order.
+// pointwise addition, exploiting that summands whose piece domains have
+// separating signatures (presburger.Signature) can never overlap: such
+// summands are placed in different chambers, chamber results are
+// concatenated without any domain algebra, and only the summands within a
+// chamber pay the quadratic disjointness fold of Add (run as a balanced tree
+// so intermediates stay small). The result is identical, as a function, to
+// folding the summands with Add in any order.
 func MergeDisjointSum(sp presburger.Space, cards []PwQPoly) PwQPoly {
 	if len(cards) == 0 {
 		return ZeroPw(sp)
@@ -172,38 +145,16 @@ func MergeDisjointSum(sp presburger.Space, cards []PwQPoly) PwQPoly {
 	if len(cards) == 1 {
 		return cards[0]
 	}
-	type sig struct {
-		pinned []bool
-		vals   []int64
-		res    []presburger.ResidueClass
-	}
-	sigs := make([][]sig, len(cards))
+	sigs := make([][]presburger.Signature, len(cards))
 	for i, c := range cards {
-		for _, p := range c.Pieces {
-			pinned, vals := p.Domain.PinnedDims()
-			sigs[i] = append(sigs[i], sig{pinned, vals, p.Domain.ResidueClasses()})
-		}
-	}
-	mayOverlap := func(i, j int) bool {
-		for _, sa := range sigs[i] {
-			for _, sb := range sigs[j] {
-				if !presburger.PinsSeparate(sa.pinned, sa.vals, sb.pinned, sb.vals) &&
-					!presburger.ResiduesSeparate(sa.res, sb.res) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	idxGroups := presburger.GroupDisjoint(len(cards), mayOverlap)
-	groups := make([][]PwQPoly, len(idxGroups))
-	for gi, idxs := range idxGroups {
-		for _, i := range idxs {
-			groups[gi] = append(groups[gi], cards[i])
-		}
+		sigs[i] = c.signatures()
 	}
 	out := ZeroPw(sp)
-	for _, group := range groups {
+	for _, idxs := range presburger.GroupDisjoint(sigs) {
+		group := make([]PwQPoly, len(idxs))
+		for k, i := range idxs {
+			group[k] = cards[i]
+		}
 		// Balanced fold: pairwise merge rounds keep both operands of every
 		// Add comparably small.
 		for len(group) > 1 {
