@@ -64,6 +64,11 @@ func equalize(domain presburger.BasicSet, poly qpoly.QPoly) ([]splitPiece, bool)
 // atom floor(e/d) involved in a non-affine term is specialized per residue
 // class of its argument, replacing the atom by the exact affine expression
 // (e-r)/d on every class. The rewrite is kept only if the degree decreases.
+//
+// The top-degree part of the rewrite takes only the e/d share of every
+// factor (e-r)/d, so it is the same on every class: class 0 lowers the
+// degree exactly when every class does, and an atom whose class 0 keeps the
+// degree is passed over before any other class or domain is built.
 func rasterize(domain presburger.BasicSet, poly qpoly.QPoly) ([]splitPiece, bool) {
 	for i := range poly.Atoms {
 		if !atomInNonAffineTerm(poly, i) || !atomArgOverVars(poly, i) {
@@ -74,18 +79,14 @@ func rasterize(domain presburger.BasicSet, poly qpoly.QPoly) ([]splitPiece, bool
 			continue
 		}
 		var pieces []splitPiece
-		improved := false
 		ok := true
 		for r := int64(0); r < d; r++ {
 			// atom = (e - r)/d on the class e ≡ r (mod d).
 			expr := atomArgPoly(poly, i).Sub(qpoly.ConstInt(poly.NVar, r)).Scale(ints.NewRat(1, d))
 			sub, subOK := substituteAtomWith(poly, i, expr)
-			if !subOK {
+			if !subOK || (r == 0 && sub.Degree() >= poly.Degree()) {
 				ok = false
 				break
-			}
-			if sub.Degree() < poly.Degree() {
-				improved = true
 			}
 			dom, domOK := residueClassDomain(domain, poly, i, r)
 			if !domOK {
@@ -94,7 +95,7 @@ func rasterize(domain presburger.BasicSet, poly qpoly.QPoly) ([]splitPiece, bool
 			}
 			pieces = append(pieces, splitPiece{dom, sub})
 		}
-		if ok && improved {
+		if ok {
 			return pieces, true
 		}
 	}

@@ -228,14 +228,18 @@ func (b *basic) appendDiv(num Vec, den int64) int {
 // Evaluation is overflow-checked: when any product or sum would wrap int64
 // (huge parameter values meeting huge coefficients), validation falls back
 // to arbitrary-precision arithmetic instead of returning a wrapped verdict.
-func (b *basic) contains(point []int64) bool {
+func (b *basic) contains(point []int64) bool { return b.satisfies(point, b.cons) }
+
+// satisfies reports whether the point, with its div values, satisfies the
+// given constraints of b.
+func (b *basic) satisfies(point []int64, cons []Constraint) bool {
 	buf := getCols(b.ncols())
 	defer putCols(buf)
 	vals := *buf
 	if !b.evalColumnsIntoTry(point, vals) {
 		return b.containsBig(point)
 	}
-	for _, c := range b.cons {
+	for _, c := range cons {
 		v, ok := dotTry(c.C, vals)
 		if !ok {
 			return b.containsBig(point)

@@ -258,9 +258,20 @@ func coalesceSeeds(tb testing.TB) [][]byte {
 	return append(polybenchSeeds(tb, "gemm"), divSeed())
 }
 
+// gistSeeds is the seed corpus of FuzzGist; each seed is added as both
+// operands.
+func gistSeeds(tb testing.TB) [][]byte {
+	return append(polybenchSeeds(tb, "trmm"), divSeed())
+}
+
+// twice returns the operand pair that decodes seed s as the same set twice:
+// the second operand has no dims header.
+func twice(s []byte) ([]byte, []byte) { return s, s[1:] }
+
 func FuzzCoalesce(f *testing.F) {
 	for _, s := range coalesceSeeds(f) {
-		f.Add(s, s)
+		a, b := twice(s)
+		f.Add(a, b)
 	}
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		ndim, restA, ok := decodeDims(a)
@@ -284,11 +295,10 @@ func FuzzCoalesce(f *testing.F) {
 }
 
 func FuzzGist(f *testing.F) {
-	seeds := polybenchSeeds(f, "trmm")
-	for _, s := range seeds {
-		f.Add(s, s)
+	for _, s := range gistSeeds(f) {
+		a, b := twice(s)
+		f.Add(a, b)
 	}
-	f.Add(divSeed(), divSeed())
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		ndim, restA, ok := decodeDims(a)
 		if !ok {
@@ -334,9 +344,9 @@ func stripeSeed(ndim int, r byte) []byte {
 // decoded sets with their leading dimensions as inputs) Separate, no input
 // point lies in both domains.
 func FuzzSeparate(f *testing.F) {
-	// The second operand has no dims header.
 	for _, s := range coalesceSeeds(f) {
-		f.Add(s, s[1:])
+		a, b := twice(s)
+		f.Add(a, b)
 	}
 	for _, ndim := range []int{1, 2} {
 		f.Add(stripeSeed(ndim, 0), stripeSeed(ndim, 1)[1:])
@@ -383,4 +393,21 @@ func FuzzSeparate(f *testing.F) {
 			}
 		})
 	})
+}
+
+// TestTwiceSeedsDecodeAlike checks that the operand pairs the two-operand
+// fuzz targets seed as "the same set twice" decode to structurally equal
+// basics.
+func TestTwiceSeedsDecodeAlike(t *testing.T) {
+	for _, s := range append(coalesceSeeds(t), gistSeeds(t)...) {
+		a, b := twice(s)
+		ndim, restA, ok := decodeDims(a)
+		if !ok {
+			t.Fatalf("seed %v has no dims header", s)
+		}
+		sa, sb := decodeBasicSet(ndim, restA), decodeBasicSet(ndim, b)
+		if !sa.StructurallyEqual(sb) {
+			t.Errorf("seed %v decodes as two sets:\n%v\n%v", s, sa, sb)
+		}
+	}
 }

@@ -17,18 +17,48 @@ var ErrUnbounded = errors.New("presburger: cannot enumerate unbounded set")
 var ErrStopScan = errors.New("presburger: stop scan")
 
 // scanner enumerates the integer points of a basic set/map. Per-dimension
-// bound constraints are precomputed once by rational projection; every
-// candidate leaf point is validated against the exact constraints, so the
-// enumeration is exact whenever every dimension is bounded.
+// bound constraints are precomputed once by rational projection, and the
+// enumeration is exact whenever every dimension is bounded: a constraint
+// without divs reaches the level of its innermost dimension unchanged (the
+// projection passes rows that lack the eliminated column through) and is
+// enforced there exactly by that level's integer bounds, so only the
+// constraints that reference a div are checked at the leaf, and a
+// constraint without any dimension is checked once before the scan. The
+// projection keeps the rows it passes through ahead of the rows it derives
+// and cuts its output at maxFMConstraints rows, so the pass-through is
+// certain only for a basic whose own rows (constraints and div bounds) fit
+// under the cut; a larger basic checks every constraint at the leaf.
 type scanner struct {
 	b *basic
 	// levels[d] holds the constraints (over columns 0..dimCol(d)) that bound
 	// dimension d once dimensions 0..d-1 are fixed.
 	levels [][]Constraint
+	// leaf holds the constraints that reference a div.
+	leaf []Constraint
+	// empty reports a constraint without dimensions or divs that fails.
+	empty bool
 }
 
 func newScanner(b *basic) *scanner {
 	s := &scanner{b: b}
+	for _, c := range b.cons {
+		dims, divs := false, false
+		for j := 1; j < len(c.C); j++ {
+			if c.C[j] != 0 {
+				dims = dims || j <= b.ndim
+				divs = divs || j > b.ndim
+			}
+		}
+		switch {
+		case divs:
+			s.leaf = append(s.leaf, c)
+		case !dims:
+			s.empty = s.empty || (c.Eq && c.C[0] != 0) || (!c.Eq && c.C[0] < 0)
+		}
+	}
+	if len(b.cons)+2*len(b.divs) > maxFMConstraints {
+		s.leaf = b.cons
+	}
 	cons := b.materializedConstraints(nil)
 	// Eliminate from the innermost column outwards, recording the systems.
 	s.levels = make([][]Constraint, b.ndim)
@@ -99,7 +129,7 @@ func (s *scanner) bounds(d int, prefix []int64) (lo, hi int64, bounded bool) {
 
 func (s *scanner) scanLevel(d int, point []int64, fn func(point []int64) error) error {
 	if d == s.b.ndim {
-		if s.b.contains(point) {
+		if len(s.leaf) == 0 || s.b.satisfies(point, s.leaf) {
 			return fn(point)
 		}
 		return nil
@@ -130,6 +160,9 @@ func (b *basic) scanPoints(fn func(point []int64) error) error {
 		return nil
 	}
 	s := newScanner(b)
+	if s.empty {
+		return nil
+	}
 	point := make([]int64, b.ndim)
 	return s.scanLevel(0, point, fn)
 }

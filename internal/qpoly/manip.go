@@ -8,31 +8,53 @@ import (
 // is laid out over [const, vars..., existing atoms of p...], together with
 // the atom's index. An identical existing atom is reused.
 func (p QPoly) WithAtom(num []int64, den int64) (QPoly, int) {
-	out := p.Clone()
-	padded := make([]int64, 1+out.ncols())
+	padded := make([]int64, 1+p.ncols())
 	copy(padded, num)
-	idx := out.atomIndex(Atom{Num: padded, Den: den})
-	return out, idx
+	a := Atom{Num: padded, Den: den}
+	for i, e := range p.Atoms {
+		if sameAtom(e, a) {
+			return p.Clone(), i
+		}
+	}
+	out := p.clone(1)
+	out.Atoms = append(out.Atoms, a)
+	return out, len(out.Atoms) - 1
 }
 
 // AtomPoly returns the polynomial consisting of the single atom with the
 // given index (sharing p's atom table).
 func (p QPoly) AtomPoly(idx int) QPoly {
-	out := Zero(p.NVar)
-	out.Atoms = append([]Atom(nil), p.Clone().Atoms...)
+	out := QPoly{NVar: p.NVar, Atoms: p.Atoms[:len(p.Atoms):len(p.Atoms)]}
 	pw := make([]int, out.ncols())
 	pw[out.NVar+idx] = 1
 	out.Terms = []Term{{Coef: ints.RatInt(1), Pow: pw}}
 	return out
 }
 
+// foldConstants multiplies coef by the values of the constant atoms among
+// the atom columns of pow (column skip excepted), in column order.
+func (ct canonTable) foldConstants(coef ints.Rat, nvar int, pow []int, skip int) ints.Rat {
+	for j := nvar; j < len(pow); j++ {
+		if a, c := ct.atomAt(j - nvar); pow[j] != 0 && a < 0 && j != skip {
+			for k := 0; k < pow[j]; k++ {
+				coef = coef.Mul(ints.RatInt(c))
+			}
+		}
+	}
+	return coef
+}
+
 // CoefficientsOfVar writes p as sum_k coeff_k * v^k where no coeff_k
 // references v directly. It requires that no atom of p depends on v (split
 // such atoms first); ok is false otherwise. The returned slice is indexed by
 // k and has length degree+1.
+//
+// Every coeff_k is the fold, in term order, of the terms of p with v^k and
+// v dropped, as a chain of Adds of single terms over p's table would build
+// it: such an Add appends the atoms the term uses (with what they
+// reference) that the sum lacks, in table order.
 func (p QPoly) CoefficientsOfVar(v int) (coeffs []QPoly, ok bool) {
-	dep := p.atomDependsOnVar(v)
-	for _, d := range dep {
+	for _, d := range p.atomDependsOnVar(v) {
 		if d {
 			return nil, false
 		}
@@ -43,16 +65,46 @@ func (p QPoly) CoefficientsOfVar(v int) (coeffs []QPoly, ok bool) {
 			deg = t.Pow[v]
 		}
 	}
-	coeffs = make([]QPoly, deg+1)
-	for k := range coeffs {
-		coeffs[k] = Zero(p.NVar)
-	}
+	ct := canonicalOf(p.NVar, p.Atoms)
+	folds := make([]foldSum, deg+1)
+	want := make([]bool, len(ct.atoms))
 	for _, t := range p.Terms {
-		k := t.Pow[v]
-		nt := t.clone()
-		nt.Pow[v] = 0
-		single := QPoly{NVar: p.NVar, Atoms: append([]Atom(nil), p.Atoms...), Terms: []Term{nt}}
-		coeffs[k] = coeffs[k].Add(single)
+		coef := ct.foldConstants(t.Coef, p.NVar, t.Pow, -1)
+		if coef.IsZero() {
+			continue
+		}
+		f := &folds[t.Pow[v]]
+		if f.next == 0 {
+			*f = newFoldSum(p.NVar, ct.atoms, len(p.Terms))
+		}
+		for j := p.NVar; j < len(t.Pow); j++ {
+			if a, _ := ct.atomAt(j - p.NVar); t.Pow[j] != 0 && a >= 0 {
+				want[a] = true
+			}
+		}
+		f.mergeClosures(want)
+		row := f.tt.next()
+		for j, e := range t.Pow {
+			switch {
+			case e == 0 || j == v:
+			case j < p.NVar:
+				row[j] = e
+			default:
+				if a, _ := ct.atomAt(j - p.NVar); a >= 0 {
+					row[p.NVar+a] += e
+				}
+			}
+		}
+		f.add(coef)
+		f.endSummand()
+	}
+	coeffs = make([]QPoly, deg+1)
+	for k := range folds {
+		if folds[k].next == 0 {
+			coeffs[k] = Zero(p.NVar)
+		} else {
+			coeffs[k] = folds[k].result()
+		}
 	}
 	return coeffs, true
 }
@@ -69,27 +121,7 @@ func (p QPoly) SubstituteAtom(idx int, expr QPoly) (QPoly, bool) {
 			return QPoly{}, false
 		}
 	}
-	out := Zero(p.NVar)
-	for _, t := range p.Terms {
-		factor := ConstInt(p.NVar, 1).Scale(t.Coef)
-		for j, e := range t.Pow {
-			if e == 0 {
-				continue
-			}
-			var base QPoly
-			switch {
-			case j < p.NVar:
-				base = Var(p.NVar, j)
-			case j-p.NVar == idx:
-				base = expr
-			default:
-				base = p.AtomPoly(j - p.NVar)
-			}
-			factor = factor.Mul(base.Pow(e))
-		}
-		out = out.Add(factor)
-	}
-	return out, true
+	return p.substitute(p.Atoms, p.NVar+idx, expr), true
 }
 
 // SubstitutePlainVar replaces only the explicit occurrences of variable v in
@@ -97,91 +129,99 @@ func (p QPoly) SubstituteAtom(idx int, expr QPoly) (QPoly, bool) {
 // the counting engine when rewriting a dimension as an arithmetic
 // progression: explicit occurrences and occurrences inside floor atoms are
 // rewritten in two separate passes.
-func (p QPoly) SubstitutePlainVar(v int, expr QPoly) QPoly {
-	out := Zero(p.NVar)
-	for _, t := range p.Terms {
-		factor := ConstInt(p.NVar, 1).Scale(t.Coef)
-		for j, e := range t.Pow {
-			if e == 0 {
-				continue
-			}
-			var base QPoly
-			switch {
-			case j == v:
-				base = expr
-			case j < p.NVar:
-				base = Var(p.NVar, j)
-			default:
-				base = p.AtomPoly(j - p.NVar)
-			}
-			factor = factor.Mul(base.Pow(e))
-		}
-		out = out.Add(factor)
-	}
-	return out
-}
+func (p QPoly) SubstitutePlainVar(v int, expr QPoly) QPoly { return p.substitute(p.Atoms, v, expr) }
 
 // BindVar fixes variable v to a constant value everywhere, including inside
 // floor atom arguments. Atoms whose argument becomes constant are folded
 // into plain numbers.
 func (p QPoly) BindVar(v int, value int64) QPoly {
-	// Rewrite atom numerators first.
-	rewritten := p.Clone()
-	for i := range rewritten.Atoms {
-		num := rewritten.Atoms[i].Num
-		if 1+v < len(num) && num[1+v] != 0 {
-			num[0] += num[1+v] * value
-			num[1+v] = 0
-		}
-	}
-	// Fold atoms that are now constant (no var or atom references). Process
-	// in order so that references to folded atoms become constants too.
-	constVal := make(map[int]int64)
-	for i, a := range rewritten.Atoms {
-		s := a.Num[0]
-		isConst := true
-		for j := 1; j < len(a.Num); j++ {
-			if a.Num[j] == 0 {
-				continue
-			}
-			if j > rewritten.NVar {
-				if cv, ok := constVal[j-1-rewritten.NVar]; ok {
-					s += a.Num[j] * cv
-					continue
+	atoms := p.Atoms
+	for _, a := range p.Atoms {
+		if 1+v < len(a.Num) && a.Num[1+v] != 0 {
+			atoms = p.Clone().Atoms
+			for _, a := range atoms {
+				if num := a.Num; 1+v < len(num) && num[1+v] != 0 {
+					num[0] += num[1+v] * value
+					num[1+v] = 0
 				}
 			}
-			isConst = false
 			break
 		}
-		if isConst {
-			constVal[i] = ints.FloorDiv(s, a.Den)
+	}
+	return p.substitute(atoms, v, ConstInt(p.NVar, value))
+}
+
+// substitute is the substitution kernel: it replaces column col of p's
+// terms (a variable or an atom) by expr, the atom columns of the terms
+// referring to atoms. It returns the sum, in term order, of the products
+// coef * prod_j base_j^e_j over the columns of every term, where base_col is
+// expr, a variable column stands for itself and an atom column for its
+// atom, folded to a constant when its argument is one. The sum has the atom
+// order and term order of the chain of Muls and Adds that builds every such
+// product and adds it to the running sum: a product's table lists, column
+// by column, the atoms of each factor (an atom with what it references, in
+// table order; the atoms of expr^e in their order), and the sum appends
+// those it lacks (see foldSum).
+func (p QPoly) substitute(atoms []Atom, col int, expr QPoly) QPoly {
+	ct := canonicalOf(p.NVar, atoms)
+	table := QPoly{NVar: p.NVar, Atoms: ct.atoms[:len(ct.atoms):len(ct.atoms)]}
+	// Every power of expr once, with the map of its columns into the fold's
+	// table.
+	maxE := 0
+	for _, t := range p.Terms {
+		if col < len(t.Pow) && t.Pow[col] > maxE {
+			maxE = t.Pow[col]
 		}
 	}
-	out := Zero(p.NVar)
-	for _, t := range rewritten.Terms {
-		factor := ConstInt(p.NVar, 1).Scale(t.Coef)
-		for j, e := range t.Pow {
-			if e == 0 {
-				continue
-			}
-			var base QPoly
+	powers := expr.powers(maxE)
+	powCols := make([][]int, maxE+1)
+	for e := 1; e <= maxE; e++ {
+		powCols[e] = make([]int, powers[e].ncols())
+		table.mergeAtomsFrom(powers[e], powCols[e])
+	}
+	f := newFoldSum(p.NVar, table.Atoms, len(p.Terms))
+	base := make([]int, table.ncols())
+	want := make([]bool, len(table.Atoms))
+	for _, t := range p.Terms {
+		e := 0
+		if col < len(t.Pow) {
+			e = t.Pow[col]
+		}
+		coef := ct.foldConstants(t.Coef, p.NVar, t.Pow, col)
+		if coef.IsZero() || powers[e].IsZero() {
+			continue
+		}
+		clear(base)
+		for j, ej := range t.Pow {
 			switch {
-			case j == v:
-				base = ConstInt(p.NVar, value)
+			case j == col:
+				for k := range powers[e].Atoms {
+					f.mergeAtom(powCols[e][p.NVar+k] - p.NVar)
+				}
+			case ej == 0:
 			case j < p.NVar:
-				base = Var(p.NVar, j)
+				base[j] = ej
 			default:
-				if cv, ok := constVal[j-p.NVar]; ok {
-					base = ConstInt(p.NVar, cv)
-				} else {
-					base = rewritten.AtomPoly(j - p.NVar)
+				if a, _ := ct.atomAt(j - p.NVar); a >= 0 {
+					want[a] = true
+					f.mergeClosures(want)
+					base[p.NVar+a] += ej
 				}
 			}
-			factor = factor.Mul(base.Pow(e))
 		}
-		out = out.Add(factor)
+		for _, x := range powers[e].Terms {
+			row := f.tt.next()
+			copy(row, base)
+			for j, ex := range x.Pow {
+				if ex != 0 {
+					row[powCols[e][j]] += ex
+				}
+			}
+			f.add(coef.Mul(x.Coef))
+		}
+		f.endSummand()
 	}
-	return out
+	return f.result()
 }
 
 // BindLeadingVars fixes the first len(vals) variables to constants and
@@ -343,29 +383,33 @@ func (p QPoly) MapVars(newNVar int, varMap []int) (QPoly, bool) {
 // P_k(n) - P_k(n-1) = n^k holds for all integers n, so the telescoping sum
 // sum_{y=lo}^{hi} y^k = P_k(hi) - P_k(lo-1) is valid for negative bounds as
 // well.
-func Faulhaber(k int) []ints.Rat {
+func Faulhaber(k int) []ints.Rat { return faulhaberUpTo(k)[k] }
+
+// faulhaberUpTo returns Faulhaber(k) for every k up to maxK; each P_k is
+// derived from the ones before it.
+func faulhaberUpTo(maxK int) [][]ints.Rat {
 	// (k+1) P_k(n) = (n+1)^{k+1} - 1 - sum_{j=0}^{k-1} C(k+1, j) P_j(n)
-	coeffs := make([][]ints.Rat, k+1)
-	for kk := 0; kk <= k; kk++ {
-		c := make([]ints.Rat, kk+2)
-		// (n+1)^{kk+1} expanded.
-		for j := 0; j <= kk+1; j++ {
-			c[j] = ints.RatInt(binomial(kk+1, j))
+	coeffs := make([][]ints.Rat, maxK+1)
+	for k := range coeffs {
+		c := make([]ints.Rat, k+2)
+		// (n+1)^{k+1} expanded.
+		for j := 0; j <= k+1; j++ {
+			c[j] = ints.RatInt(binomial(k+1, j))
 		}
 		c[0] = c[0].Sub(ints.RatInt(1))
-		for j := 0; j < kk; j++ {
-			b := ints.RatInt(binomial(kk+1, j))
+		for j := 0; j < k; j++ {
+			b := ints.RatInt(binomial(k+1, j))
 			for d, pc := range coeffs[j] {
 				c[d] = c[d].Sub(b.Mul(pc))
 			}
 		}
-		inv := ints.NewRat(1, int64(kk+1))
+		inv := ints.NewRat(1, int64(k+1))
 		for d := range c {
 			c[d] = c[d].Mul(inv)
 		}
-		coeffs[kk] = c
+		coeffs[k] = c
 	}
-	return coeffs[k]
+	return coeffs
 }
 
 func binomial(n, k int) int64 {
@@ -393,24 +437,33 @@ func SumOverRange(p QPoly, v int, lo, hi QPoly) (QPoly, bool) {
 	if lo.UsesVar(v) || hi.UsesVar(v) {
 		return QPoly{}, false
 	}
+	maxK := -1
+	for k, ck := range coeffs {
+		if !ck.IsZero() {
+			maxK = k
+		}
+	}
 	total := Zero(p.NVar)
-	loMinus1 := lo.Sub(ConstInt(p.NVar, 1))
+	if maxK < 0 {
+		return total, true
+	}
+	hiPows, loPows := hi.powers(maxK+1), lo.Sub(ConstInt(p.NVar, 1)).powers(maxK+1)
+	faulhaber := faulhaberUpTo(maxK)
+	evalAt := func(f []ints.Rat, pows []QPoly) QPoly {
+		s := Zero(p.NVar)
+		for d, c := range f {
+			if !c.IsZero() {
+				s = s.addScaled(pows[d], c)
+			}
+		}
+		return s
+	}
 	for k, ck := range coeffs {
 		if ck.IsZero() {
 			continue
 		}
-		f := Faulhaber(k)
-		evalAt := func(arg QPoly) QPoly {
-			s := Zero(p.NVar)
-			for d, c := range f {
-				if c.IsZero() {
-					continue
-				}
-				s = s.Add(arg.Pow(d).Scale(c))
-			}
-			return s
-		}
-		total = total.Add(ck.Mul(evalAt(hi).Sub(evalAt(loMinus1))))
+		f := faulhaber[k]
+		total = total.Add(ck.Mul(evalAt(f, hiPows).Sub(evalAt(f, loPows))))
 	}
 	return total, true
 }

@@ -52,7 +52,11 @@ func (pw PwQPoly) EvalInt(point []int64) int64 { return pw.Eval(point).Int() }
 // same space. Piece domains are intersected and the non-overlapping parts of
 // either operand are kept as is, so the result remains a disjoint piecewise
 // cover of the union of both domains.
-func (pw PwQPoly) Add(o PwQPoly) PwQPoly {
+func (pw PwQPoly) Add(o PwQPoly) PwQPoly { return pw.add(nil, o, nil) }
+
+// add is Add with the signatures of the operands' pieces, each computed here
+// when nil.
+func (pw PwQPoly) add(sigA []presburger.Signature, o PwQPoly, sigB []presburger.Signature) PwQPoly {
 	if !pw.Space.Equal(o.Space) {
 		panic(fmt.Sprintf("qpoly: adding piecewise polynomials over %v and %v", pw.Space, o.Space))
 	}
@@ -63,8 +67,12 @@ func (pw PwQPoly) Add(o PwQPoly) PwQPoly {
 		return pw
 	}
 	out := ZeroPw(pw.Space)
-	sigA := pw.signatures()
-	sigB := o.signatures()
+	if sigA == nil {
+		sigA = pw.signatures()
+	}
+	if sigB == nil {
+		sigB = o.signatures()
+	}
 	// Overlaps. Pieces whose signatures separate are skipped outright;
 	// structurally identical domains (the dominant case when summing cards
 	// of maps derived from the same iteration domain) take the fast path:
@@ -152,20 +160,25 @@ func MergeDisjointSum(sp presburger.Space, cards []PwQPoly) PwQPoly {
 	out := ZeroPw(sp)
 	for _, idxs := range presburger.GroupDisjoint(sigs) {
 		group := make([]PwQPoly, len(idxs))
+		groupSigs := make([][]presburger.Signature, len(idxs))
 		for k, i := range idxs {
-			group[k] = cards[i]
+			group[k], groupSigs[k] = cards[i], sigs[i]
 		}
 		// Balanced fold: pairwise merge rounds keep both operands of every
-		// Add comparably small.
+		// Add comparably small. The summands' signatures are the ones the
+		// grouping computed; a sum's are computed when it is next added.
 		for len(group) > 1 {
 			var next []PwQPoly
+			var nextSigs [][]presburger.Signature
 			for i := 0; i+1 < len(group); i += 2 {
-				next = append(next, group[i].Add(group[i+1]))
+				next = append(next, group[i].add(groupSigs[i], group[i+1], groupSigs[i+1]))
+				nextSigs = append(nextSigs, nil)
 			}
 			if len(group)%2 == 1 {
 				next = append(next, group[len(group)-1])
+				nextSigs = append(nextSigs, groupSigs[len(group)-1])
 			}
-			group = next
+			group, groupSigs = next, nextSigs
 		}
 		out.Pieces = append(out.Pieces, group[0].Pieces...)
 	}

@@ -13,39 +13,37 @@ package qpoly
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"haystack/internal/ints"
 )
 
 // Atom is a floor expression floor(Num·[1, vars..., atoms...] / Den) with
-// Den > 0. The numerator may reference earlier atoms only.
+// Den > 0. The numerator may reference earlier atoms only. Trailing zero
+// coefficients are not significant: the same atom may be materialized with
+// different numerator widths depending on how many atoms the owning
+// polynomial had at the time, and two atoms are the same atom when their
+// denominators and their numerators up to the trailing zeros agree.
 type Atom struct {
 	Num []int64 // layout: [const, var_0..var_{n-1}, atom_0..atom_{k-1}]
 	Den int64
 }
 
-func (a Atom) clone() Atom { return Atom{Num: append([]int64(nil), a.Num...), Den: a.Den} }
+// sameAtom reports whether a and b are the same atom.
+func sameAtom(a, b Atom) bool {
+	if a.Den != b.Den {
+		return false
+	}
+	return slices.Equal(trimZeros(a.Num), trimZeros(b.Num))
+}
 
-func (a Atom) key() string {
-	// Trailing zero coefficients are not significant: the same atom may be
-	// materialized with different numerator widths depending on how many
-	// atoms the owning polynomial had at the time.
-	num := a.Num
+func trimZeros(num []int64) []int64 {
 	for len(num) > 0 && num[len(num)-1] == 0 {
 		num = num[:len(num)-1]
 	}
-	buf := make([]byte, 0, 8*len(num)+8)
-	buf = append(buf, '/')
-	buf = strconv.AppendInt(buf, a.Den, 10)
-	buf = append(buf, ':')
-	for _, c := range num {
-		buf = strconv.AppendInt(buf, c, 10)
-		buf = append(buf, ',')
-	}
-	return string(buf)
+	return num
 }
 
 // Term is coef * prod(var_i^Pow[i]) * prod(atom_j^Pow[nvar+j]).
@@ -54,9 +52,12 @@ type Term struct {
 	Pow  []int
 }
 
-func (t Term) clone() Term { return Term{Coef: t.Coef, Pow: append([]int(nil), t.Pow...)} }
-
 // QPoly is a quasi-polynomial over NVar integer variables.
+//
+// Polynomials are values: no operation modifies its operands, and results
+// may share atom numerators and power rows with them. Shared slices are
+// capacity-limited, so appending to one reallocates; a caller that writes
+// into a polynomial's slices works on a Clone.
 type QPoly struct {
 	NVar  int
 	Atoms []Atom
@@ -95,16 +96,35 @@ func FromAffine(nvar int, c0 int64, coeffs []int64) QPoly {
 	return p
 }
 
-// Clone returns a deep copy of p.
-func (p QPoly) Clone() QPoly {
-	out := QPoly{NVar: p.NVar}
-	out.Atoms = make([]Atom, len(p.Atoms))
-	for i, a := range p.Atoms {
-		out.Atoms[i] = a.clone()
+// Clone returns a deep copy of p: the atom numerators in one slab and the
+// term powers in another.
+func (p QPoly) Clone() QPoly { return p.clone(0) }
+
+// clone is Clone with every power row extended by extraCols zero columns.
+func (p QPoly) clone(extraCols int) QPoly {
+	out := QPoly{NVar: p.NVar, Atoms: make([]Atom, len(p.Atoms)), Terms: make([]Term, len(p.Terms))}
+	n := 0
+	for _, a := range p.Atoms {
+		n += len(a.Num)
 	}
-	out.Terms = make([]Term, len(p.Terms))
+	nums := make([]int64, n)
+	for i, a := range p.Atoms {
+		num := nums[:len(a.Num):len(a.Num)]
+		nums = nums[len(a.Num):]
+		copy(num, a.Num)
+		out.Atoms[i] = Atom{Num: num, Den: a.Den}
+	}
+	n = 0
+	for _, t := range p.Terms {
+		n += len(t.Pow) + extraCols
+	}
+	pows := make([]int, n)
 	for i, t := range p.Terms {
-		out.Terms[i] = t.clone()
+		w := len(t.Pow) + extraCols
+		pow := pows[:w:w]
+		pows = pows[w:]
+		copy(pow, t.Pow)
+		out.Terms[i] = Term{Coef: t.Coef, Pow: pow}
 	}
 	return out
 }
@@ -133,59 +153,112 @@ func (p QPoly) IsConstant() (ints.Rat, bool) {
 // ncols returns the number of power columns (vars + atoms).
 func (p QPoly) ncols() int { return p.NVar + len(p.Atoms) }
 
-// atomIndex adds (or finds) an atom in p and returns its index. The atom's
-// numerator must be expressed over p's columns (it is padded if shorter).
-func (p *QPoly) atomIndex(a Atom) int {
-	want := a.key()
-	for i, e := range p.Atoms {
-		if e.key() == want {
-			return i
-		}
-	}
-	p.Atoms = append(p.Atoms, a.clone())
-	// Pad existing terms with a zero power for the new atom.
-	for i := range p.Terms {
-		p.Terms[i].Pow = append(p.Terms[i].Pow, 0)
-	}
-	return len(p.Atoms) - 1
-}
-
-// mergeAtomsFrom imports the atoms of o into p and returns a mapping from
-// o's power columns to p's power columns.
-func (p *QPoly) mergeAtomsFrom(o QPoly) []int {
+// mergeAtomsFrom appends to p's table the atoms of o that p lacks and fills
+// colMap (o.ncols() long) with the column of p that each column of o maps
+// to. Merged numerators are laid out over the columns before them and come
+// from one slab.
+func (p *QPoly) mergeAtomsFrom(o QPoly, colMap []int) {
 	if p.NVar != o.NVar {
 		panic("qpoly: mixing polynomials over different variable counts")
 	}
-	colMap := make([]int, o.ncols())
 	for v := 0; v < o.NVar; v++ {
 		colMap[v] = v
 	}
+	if len(o.Atoms) == 0 {
+		return
+	}
+	base := 1 + p.ncols()
+	n := len(o.Atoms)
+	slab := make([]int64, n*base+n*(n-1)/2)
 	for i, a := range o.Atoms {
-		// Remap the atom numerator: it is laid out as [const, vars, o-atoms].
-		num := make([]int64, 1+p.ncols())
+		w := 1 + p.ncols()
+		num := slab[:w:w]
 		for j, c := range a.Num {
 			if c == 0 {
 				continue
 			}
 			switch {
-			case j == 0:
-				num[0] += c
 			case j <= o.NVar:
 				num[j] += c
 			default:
-				// references o's atom j-1-o.NVar, already imported.
-				col := colMap[j-1]
-				num[1+col] += c
+				// References o's atom j-1-o.NVar, already merged.
+				num[1+colMap[j-1]] += c
 			}
 		}
-		idx := p.atomIndex(Atom{Num: num, Den: a.Den})
+		cand := Atom{Num: num, Den: a.Den}
+		idx := -1
+		for k, e := range p.Atoms {
+			if sameAtom(e, cand) {
+				idx = k
+				break
+			}
+		}
+		if idx < 0 {
+			p.Atoms = append(p.Atoms, cand)
+			idx = len(p.Atoms) - 1
+			slab = slab[w:]
+		} else {
+			clear(num)
+		}
 		colMap[o.NVar+i] = p.NVar + idx
 	}
-	return colMap
 }
 
-// canonicalizeAtoms rewrites the atom table into a canonical form: atoms
-// whose argument is constant (possibly through references to other constant
+// canonical reports whether an atom table is in canonical form (see
+// canonicalTable): no atom is constant, none shares a factor of its
+// non-constant coefficients with its denominator, and no atom repeats an
+// earlier one.
+func canonical(atoms []Atom) bool {
+	for i, a := range atoms {
+		g, nonconst := a.Den, false
+		for _, c := range a.Num[min(1, len(a.Num)):] {
+			if c != 0 {
+				g = ints.GCD(g, c)
+				nonconst = true
+			}
+		}
+		if !nonconst || g > 1 {
+			return false
+		}
+		for _, e := range atoms[:i] {
+			if sameAtom(e, a) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// canonTable is the canonical form of an atom table: the canonical atoms in
+// order of first emission and, per original atom, its canonical index, or
+// -1 and its constant value. A nil amap stands for the identity: the table
+// is canonical already.
+type canonTable struct {
+	atoms []Atom
+	amap  []int
+	cval  []int64
+}
+
+// canonicalOf returns the canonical form of an atom table, without
+// allocating when the table is canonical already.
+func canonicalOf(nvar int, atoms []Atom) canonTable {
+	if canonical(atoms) {
+		return canonTable{atoms: atoms}
+	}
+	return canonicalTable(nvar, atoms)
+}
+
+// atomAt returns the canonical index of original atom i, or -1 and its
+// constant value.
+func (ct canonTable) atomAt(i int) (int, int64) {
+	if ct.amap == nil {
+		return i, 0
+	}
+	return ct.amap[i], ct.cval[i]
+}
+
+// canonicalTable computes the canonical form of an atom table: atoms whose
+// argument is constant (possibly through references to other constant
 // atoms) are folded into plain numbers, and atom numerators whose
 // non-constant coefficients share a factor with the denominator are reduced
 // (floor((8i-16)/64) becomes floor((i-2)/8), by the nested-floor identity
@@ -193,34 +266,28 @@ func (p *QPoly) mergeAtomsFrom(o QPoly) []int {
 // merged. Without this pass, equal quasi-polynomials built along different
 // summation paths keep distinct atom spellings, which defeats the piecewise
 // layer's structural merging.
-func (p QPoly) canonicalizeAtoms() QPoly {
-	if len(p.Atoms) == 0 {
-		return p
-	}
-	out := QPoly{NVar: p.NVar}
-	// For each old atom: either a constant value or an index into out.Atoms.
-	isConst := make([]bool, len(p.Atoms))
-	constVal := make([]int64, len(p.Atoms))
-	amap := make([]int, len(p.Atoms))
-	changed := false
-	for i, a := range p.Atoms {
-		// Rewrite the numerator over [const, vars, out.Atoms...]: references
+func canonicalTable(nvar int, atoms []Atom) canonTable {
+	n := len(atoms)
+	ct := canonTable{amap: make([]int, n), cval: make([]int64, n)}
+	slab := make([]int64, n*(1+nvar)+n*(n-1)/2)
+	for i, a := range atoms {
+		// Rewrite the numerator over [const, vars, ct.atoms...]: references
 		// to folded atoms move into the constant term.
-		num := make([]int64, 1+p.NVar+len(out.Atoms))
-		for j := 0; j < len(a.Num) && j <= p.NVar; j++ {
+		w := 1 + nvar + len(ct.atoms)
+		num := slab[:w:w]
+		clear(num)
+		for j := 0; j < len(a.Num) && j <= nvar; j++ {
 			num[j] = a.Num[j]
 		}
-		for j := 1 + p.NVar; j < len(a.Num); j++ {
+		for j := 1 + nvar; j < len(a.Num); j++ {
 			c := a.Num[j]
 			if c == 0 {
 				continue
 			}
-			oi := j - 1 - p.NVar
-			if isConst[oi] {
-				num[0] += c * constVal[oi]
-				changed = true
+			if oi := j - 1 - nvar; ct.amap[oi] < 0 {
+				num[0] += c * ct.cval[oi]
 			} else {
-				num[1+p.NVar+amap[oi]] += c
+				num[1+nvar+ct.amap[oi]] += c
 			}
 		}
 		den := a.Den
@@ -235,7 +302,6 @@ func (p QPoly) canonicalizeAtoms() QPoly {
 			}
 			num[0] = ints.FloorDiv(num[0], g)
 			den /= g
-			changed = true
 		}
 		nonconst := false
 		for j := 1; j < len(num); j++ {
@@ -245,9 +311,8 @@ func (p QPoly) canonicalizeAtoms() QPoly {
 			}
 		}
 		if !nonconst {
-			isConst[i] = true
-			constVal[i] = ints.FloorDiv(num[0], den)
-			changed = true
+			ct.amap[i] = -1
+			ct.cval[i] = ints.FloorDiv(num[0], den)
 			continue
 		}
 		// A den of 1 after reduction (floor(e/1) == e) is kept as a literal
@@ -256,90 +321,41 @@ func (p QPoly) canonicalizeAtoms() QPoly {
 		// Dedupe against atoms already emitted.
 		cand := Atom{Num: num, Den: den}
 		idx := -1
-		for k, e := range out.Atoms {
-			if e.Den == cand.Den && e.key() == cand.key() {
+		for k, e := range ct.atoms {
+			if sameAtom(e, cand) {
 				idx = k
 				break
 			}
 		}
 		if idx < 0 {
-			out.Atoms = append(out.Atoms, cand)
-			idx = len(out.Atoms) - 1
-		} else {
-			changed = true
+			ct.atoms = append(ct.atoms, cand)
+			idx = len(ct.atoms) - 1
+			slab = slab[w:]
 		}
-		amap[i] = idx
+		ct.amap[i] = idx
 	}
-	if !changed {
-		return p
-	}
-	ncols := out.ncols()
-	for _, t := range p.Terms {
-		coef := t.Coef
-		pow := make([]int, ncols)
-		for j, e := range t.Pow {
-			if e == 0 {
-				continue
-			}
-			if j < p.NVar {
-				pow[j] = e
-				continue
-			}
-			oi := j - p.NVar
-			if isConst[oi] {
-				for k := 0; k < e; k++ {
-					coef = coef.Mul(ints.RatInt(constVal[oi]))
-				}
-			} else {
-				pow[p.NVar+amap[oi]] += e
-			}
-		}
-		out.Terms = append(out.Terms, Term{Coef: coef, Pow: pow})
-	}
-	return out
+	return ct
 }
 
+// normalize brings p into canonical form: a canonical atom table, like terms
+// combined in order of first appearance, zero terms and unused atoms dropped.
 func (p QPoly) normalize() QPoly {
-	p = p.canonicalizeAtoms()
-	// Combine terms with identical powers, drop zero terms and unused atoms.
-	powKey := func(pow []int) string {
-		for len(pow) > 0 && pow[len(pow)-1] == 0 {
-			pow = pow[:len(pow)-1]
-		}
-		buf := make([]byte, 0, 4*len(pow))
-		for _, e := range pow {
-			buf = strconv.AppendInt(buf, int64(e), 10)
-			buf = append(buf, ',')
-		}
-		return string(buf)
-	}
-	byPow := map[string]ints.Rat{}
-	var order []string
-	pows := map[string][]int{}
+	s := newTermSink(p.NVar, p.Atoms, len(p.Terms))
 	for _, t := range p.Terms {
-		k := powKey(t.Pow)
-		if _, ok := byPow[k]; !ok {
-			order = append(order, k)
-			pows[k] = append([]int(nil), t.Pow...)
-		}
-		byPow[k] = byPow[k].Add(t.Coef)
+		copy(s.row(), t.Pow)
+		s.commit(t.Coef)
 	}
-	out := QPoly{NVar: p.NVar, Atoms: append([]Atom(nil), p.Atoms...)}
-	for _, k := range order {
-		if byPow[k].IsZero() {
-			continue
-		}
-		pw := pows[k]
-		for len(pw) < out.ncols() {
-			pw = append(pw, 0)
-		}
-		out.Terms = append(out.Terms, Term{Coef: byPow[k], Pow: pw})
-	}
-	return out.dropUnusedAtoms()
+	return s.result()
 }
 
 func (p QPoly) dropUnusedAtoms() QPoly {
-	used := make([]bool, len(p.Atoms))
+	var buf [64]bool
+	used := buf[:0]
+	if len(p.Atoms) <= len(buf) {
+		used = buf[:len(p.Atoms)]
+	} else {
+		used = make([]bool, len(p.Atoms))
+	}
 	for _, t := range p.Terms {
 		for j := p.NVar; j < len(t.Pow); j++ {
 			if t.Pow[j] != 0 {
@@ -347,41 +363,51 @@ func (p QPoly) dropUnusedAtoms() QPoly {
 			}
 		}
 	}
-	// Atoms referenced by other used atoms stay as well.
-	changed := true
-	for changed {
-		changed = false
-		for i, a := range p.Atoms {
-			if !used[i] {
-				continue
-			}
-			for j := 1 + p.NVar; j < len(a.Num); j++ {
-				if a.Num[j] != 0 && !used[j-1-p.NVar] {
-					used[j-1-p.NVar] = true
-					changed = true
-				}
-			}
-		}
-	}
+	// Atoms referenced by other used atoms stay as well; references point
+	// to earlier atoms only.
 	all := true
-	for _, u := range used {
-		if !u {
+	for i := len(p.Atoms) - 1; i >= 0; i-- {
+		if !used[i] {
 			all = false
-			break
+			continue
+		}
+		a := p.Atoms[i]
+		for j := 1 + p.NVar; j < len(a.Num); j++ {
+			if a.Num[j] != 0 {
+				used[j-1-p.NVar] = true
+			}
 		}
 	}
 	if all {
 		return p
 	}
 	// Rebuild with the used atoms only.
-	newIdx := make([]int, len(p.Atoms))
+	var idxBuf [64]int
+	newIdx := idxBuf[:0]
+	if len(p.Atoms) <= len(idxBuf) {
+		newIdx = idxBuf[:len(p.Atoms)]
+	} else {
+		newIdx = make([]int, len(p.Atoms))
+	}
+	n := 0
+	for _, u := range used {
+		if u {
+			n++
+		}
+	}
 	out := QPoly{NVar: p.NVar}
+	if n > 0 {
+		out.Atoms = make([]Atom, 0, n)
+	}
+	slab := make([]int64, n*(1+p.NVar)+n*(n-1)/2)
 	for i, a := range p.Atoms {
 		if !used[i] {
 			newIdx[i] = -1
 			continue
 		}
-		num := make([]int64, 1+p.NVar+len(out.Atoms))
+		w := 1 + p.NVar + len(out.Atoms)
+		num := slab[:w:w]
+		slab = slab[w:]
 		copy(num, a.Num[:min(len(a.Num), 1+p.NVar)])
 		for j := 1 + p.NVar; j < len(a.Num); j++ {
 			if a.Num[j] != 0 {
@@ -391,81 +417,120 @@ func (p QPoly) dropUnusedAtoms() QPoly {
 		out.Atoms = append(out.Atoms, Atom{Num: num, Den: a.Den})
 		newIdx[i] = len(out.Atoms) - 1
 	}
-	for _, t := range p.Terms {
-		pw := make([]int, out.ncols())
+	if len(p.Terms) == 0 {
+		return out
+	}
+	ncols := out.ncols()
+	pows := make([]int, len(p.Terms)*ncols)
+	out.Terms = make([]Term, len(p.Terms))
+	for i, t := range p.Terms {
+		pw := pows[i*ncols : (i+1)*ncols : (i+1)*ncols]
 		copy(pw, t.Pow[:p.NVar])
 		for j := p.NVar; j < len(t.Pow); j++ {
 			if t.Pow[j] != 0 {
 				pw[out.NVar+newIdx[j-p.NVar]] = t.Pow[j]
 			}
 		}
-		out.Terms = append(out.Terms, Term{Coef: t.Coef, Pow: pw})
+		out.Terms[i] = Term{Coef: t.Coef, Pow: pw}
 	}
 	return out
 }
 
-// Add returns p + o.
-func (p QPoly) Add(o QPoly) QPoly {
-	out := p.Clone()
-	colMap := out.mergeAtomsFrom(o)
-	for _, t := range o.Terms {
-		pw := make([]int, out.ncols())
-		for j, e := range t.Pow {
-			if e != 0 {
-				pw[colMap[j]] = e
-			}
-		}
-		out.Terms = append(out.Terms, Term{Coef: t.Coef, Pow: pw})
+// colMapBuf returns a column map of n entries, in buf when it fits.
+func colMapBuf(buf []int, n int) []int {
+	if n <= len(buf) {
+		return buf[:n]
 	}
-	return out.normalize()
+	return make([]int, n)
 }
 
+// mergedAtoms returns p's atom table (shared) followed by the atoms of o
+// that p lacks, and fills colMap with the column map of o into it.
+func (p QPoly) mergedAtoms(o QPoly, colMap []int) []Atom {
+	out := QPoly{NVar: p.NVar, Atoms: make([]Atom, len(p.Atoms), len(p.Atoms)+len(o.Atoms))}
+	copy(out.Atoms, p.Atoms)
+	out.mergeAtomsFrom(o, colMap)
+	return out.Atoms[:len(out.Atoms):len(out.Atoms)]
+}
+
+// Add returns p + o.
+func (p QPoly) Add(o QPoly) QPoly { return p.addScaled(o, ints.RatInt(1)) }
+
 // Sub returns p - o.
-func (p QPoly) Sub(o QPoly) QPoly { return p.Add(o.Scale(ints.RatInt(-1))) }
+func (p QPoly) Sub(o QPoly) QPoly { return p.addScaled(o, ints.RatInt(-1)) }
+
+// addScaled returns p + c*o (c nonzero), the terms of p first.
+func (p QPoly) addScaled(o QPoly, c ints.Rat) QPoly {
+	var buf [32]int
+	colMap := colMapBuf(buf[:], o.ncols())
+	atoms := p.mergedAtoms(o, colMap)
+	s := newTermSink(p.NVar, atoms, len(p.Terms)+len(o.Terms))
+	for _, t := range p.Terms {
+		copy(s.row(), t.Pow)
+		s.commit(t.Coef)
+	}
+	one := c == ints.RatInt(1)
+	for _, t := range o.Terms {
+		row := s.row()
+		for j, e := range t.Pow {
+			if e != 0 {
+				row[colMap[j]] = e
+			}
+		}
+		coef := t.Coef
+		if !one {
+			coef = coef.Mul(c)
+		}
+		s.commit(coef)
+	}
+	return s.result()
+}
 
 // Scale returns c * p.
 func (p QPoly) Scale(c ints.Rat) QPoly {
 	if c.IsZero() {
 		return Zero(p.NVar)
 	}
-	out := p.Clone()
-	for i := range out.Terms {
-		out.Terms[i].Coef = out.Terms[i].Coef.Mul(c)
+	out := QPoly{NVar: p.NVar, Atoms: p.Atoms[:len(p.Atoms):len(p.Atoms)], Terms: make([]Term, len(p.Terms))}
+	for i, t := range p.Terms {
+		out.Terms[i] = Term{Coef: t.Coef.Mul(c), Pow: t.Pow[:len(t.Pow):len(t.Pow)]}
 	}
 	return out
 }
 
 // Mul returns p * o.
 func (p QPoly) Mul(o QPoly) QPoly {
-	out := Zero(p.NVar)
-	out.Atoms = append([]Atom(nil), p.Clone().Atoms...)
-	colMapP := make([]int, p.ncols())
-	for i := range colMapP {
-		colMapP[i] = i
-	}
-	colMapO := out.mergeAtomsFrom(o)
+	var buf [32]int
+	colMap := colMapBuf(buf[:], o.ncols())
+	atoms := p.mergedAtoms(o, colMap)
+	s := newTermSink(p.NVar, atoms, min(len(p.Terms)*len(o.Terms), maxMulHint))
 	for _, tp := range p.Terms {
 		for _, to := range o.Terms {
-			pw := make([]int, out.ncols())
-			for j, e := range tp.Pow {
-				pw[colMapP[j]] += e
-			}
+			row := s.row()
+			copy(row, tp.Pow)
 			for j, e := range to.Pow {
 				if e != 0 {
-					pw[colMapO[j]] += e
+					row[colMap[j]] += e
 				}
 			}
-			out.Terms = append(out.Terms, Term{Coef: tp.Coef.Mul(to.Coef), Pow: pw})
+			s.commit(tp.Coef.Mul(to.Coef))
 		}
 	}
-	return out.normalize()
+	return s.result()
 }
 
+// maxMulHint caps the groups a product's term table is sized for up front.
+const maxMulHint = 1024
+
 // Pow returns p raised to the k-th power (k >= 0).
-func (p QPoly) Pow(k int) QPoly {
-	out := ConstInt(p.NVar, 1)
-	for i := 0; i < k; i++ {
-		out = out.Mul(p)
+func (p QPoly) Pow(k int) QPoly { return p.powers(k)[k] }
+
+// powers returns p^0 .. p^n, each the product of the one before and p.
+func (p QPoly) powers(n int) []QPoly {
+	out := make([]QPoly, n+1)
+	out[0] = ConstInt(p.NVar, 1)
+	for e := 1; e <= n; e++ {
+		out[e] = out[e-1].Mul(p)
 	}
 	return out
 }
@@ -579,38 +644,12 @@ func (p QPoly) EvalInt(point []int64) int64 { return p.Eval(point).Int() }
 // the same variable set). Substitution requires that no atom of p depends on
 // v (callers split such atoms away first); ok is false otherwise.
 func (p QPoly) SubstituteVar(v int, expr QPoly) (QPoly, bool) {
-	dep := p.atomDependsOnVar(v)
-	for i := range dep {
-		if dep[i] {
+	for _, d := range p.atomDependsOnVar(v) {
+		if d {
 			return QPoly{}, false
 		}
 	}
-	out := Zero(p.NVar)
-	for _, t := range p.Terms {
-		factor := ConstInt(p.NVar, 1).Scale(t.Coef)
-		for j, e := range t.Pow {
-			if e == 0 {
-				continue
-			}
-			var base QPoly
-			switch {
-			case j == v:
-				base = expr
-			case j < p.NVar:
-				base = Var(p.NVar, j)
-			default:
-				single := Zero(p.NVar)
-				single.Atoms = append([]Atom(nil), p.Atoms...)
-				pw := make([]int, single.ncols())
-				pw[j] = 1
-				single.Terms = []Term{{Coef: ints.RatInt(1), Pow: pw}}
-				base = single
-			}
-			factor = factor.Mul(base.Pow(e))
-		}
-		out = out.Add(factor)
-	}
-	return out, true
+	return p.substitute(p.Atoms, v, expr), true
 }
 
 // String renders the polynomial with variables named v0..v{n-1}.

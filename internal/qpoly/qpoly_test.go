@@ -313,3 +313,19 @@ func (p QPoly) DegreeInVar(v int) int {
 	}
 	return deg
 }
+
+// atomIndex adds (or finds) an atom in p and returns its index, padding the
+// existing terms with a zero power for a new atom. The atom's numerator
+// must be expressed over p's columns.
+func (p *QPoly) atomIndex(a Atom) int {
+	for i, e := range p.Atoms {
+		if sameAtom(e, a) {
+			return i
+		}
+	}
+	p.Atoms = append(p.Atoms, Atom{Num: append([]int64(nil), a.Num...), Den: a.Den})
+	for i := range p.Terms {
+		p.Terms[i].Pow = append(p.Terms[i].Pow, 0)
+	}
+	return len(p.Atoms) - 1
+}
