@@ -21,6 +21,7 @@ import (
 // guarantee of the degradation ladder: no budget, however hostile, may move
 // the exact answer outside the certified bounds.
 func TestBoundedSandwichAllKernels(t *testing.T) {
+	reportBudget(t)
 	cfg := DefaultConfig()
 	opts := DefaultOptions()
 	opts.Mode = ModeBounded
@@ -81,6 +82,7 @@ func TestBoundedSandwichAllKernels(t *testing.T) {
 // stays exact, every bound width is zero, and the counts are bit-identical
 // to a default exact-mode analysis.
 func TestBoundedAmpleBudgetIsExact(t *testing.T) {
+	reportBudget(t)
 	cfg := DefaultConfig()
 	for _, name := range []string{"gemm", "trmm"} {
 		name := name
@@ -171,6 +173,7 @@ func TestDurbinSmallCachesExact(t *testing.T) {
 // compulsory count (the compulsory phase is unaffected by the lexmax
 // failure).
 func TestBoundedAdiNoTraceFallback(t *testing.T) {
+	reportBudget(t)
 	requireBudget(t, 3*miniEstimate("adi"))
 	k, ok := polybench.ByName("adi")
 	if !ok {
@@ -214,6 +217,7 @@ func TestBoundedAdiNoTraceFallback(t *testing.T) {
 // counts as certified capacity bounds instead of failing or replaying the
 // trace.
 func TestBoundedAdiSetAssocDegradesEveryStatement(t *testing.T) {
+	reportBudget(t)
 	requireBudget(t, 3*miniEstimate("adi"))
 	k, ok := polybench.ByName("adi")
 	if !ok {
@@ -324,6 +328,7 @@ func waitGoroutines(base, slack int, timeout time.Duration) int {
 // full cancellation, with panics in workers recovered as typed errors (see
 // parwork) rather than tearing the process down.
 func TestCancellationMidAnalysis(t *testing.T) {
+	reportBudget(t)
 	requireBudget(t, 15*time.Second)
 	k, ok := polybench.ByName("heat-3d")
 	if !ok {

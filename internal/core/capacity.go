@@ -20,38 +20,22 @@ import (
 // capacityCounter implements Algorithm 1 of the paper: it counts, for every
 // piece of the stack distance quasi-polynomials, the statement instances
 // whose distance exceeds the cache capacity. Affine pieces are counted
-// symbolically; non-affine pieces are first simplified by equalization and
-// rasterization and finally handled by partial enumeration of their
-// non-affine dimensions.
+// symbolically; non-affine pieces are first split by equalization and
+// rasterization and the non-affine leaves handled by partial enumeration of
+// their non-affine dimensions.
 //
-// The engine exploits two independent sources of structure. Pieces are
-// mutually independent, so they are fanned out over the caller's executor;
-// every worker accumulates into its own
-// Stats, merged deterministically after the pool drains. And the stack
-// distance polynomial is cache-level independent, so every piece is split,
-// equalized, rasterized, and enumerated exactly once and the resulting
-// sub-pieces are classified against all cache capacities in a single pass
-// (the paper evaluates one distance polynomial against multiple thresholds
-// the same way, Figure 13).
+// The engine exploits two independent sources of structure. Count splits
+// every piece first (splitFloors) and fans the split leaves, which are
+// mutually independent, out over the caller's executor as one flat group;
+// every worker accumulates into its own Stats, merged deterministically
+// after the pool drains. And the stack distance polynomial is cache-level
+// independent, so every leaf is counted and enumerated exactly once and
+// classified against all cache capacities in a single pass (the paper
+// evaluates one distance polynomial against multiple thresholds the same
+// way, Figure 13).
 type capacityCounter struct {
 	opts  Options
 	stats *Stats
-	// The fields below exist only on the per-worker counters Count builds.
-	// meter and ctx are Count's: every piece is counted under its own
-	// budgeted operation (per-operation limits keep bounded results
-	// bit-identical across worker counts) and spawned sub-pieces observe
-	// the cancellation of the count. w is the pool worker currently driving
-	// this counter (each counter is only ever used from its worker's
-	// goroutine); siblings is the full per-worker counter array, so a
-	// spawned sub-group item can pick the counter of whichever worker stole
-	// it; spawnOK gates chamber-level sub-piece spawning (exact mode with an
-	// unlimited meter only — a budgeted or bounded count keeps its strictly
-	// serial, deterministic per-operation accounting).
-	meter    *budget.Meter
-	ctx      context.Context
-	w        *parwork.Worker
-	siblings []*capacityCounter
-	spawnOK  bool
 }
 
 func newCapacityCounter(opts Options, stats *Stats) *capacityCounter {
@@ -59,9 +43,9 @@ func newCapacityCounter(opts Options, stats *Stats) *capacityCounter {
 }
 
 // capacityResult is the outcome of one hierarchy count: per cache level, the
-// per-statement point counts (certified upper bounds wherever a piece
+// per-statement point counts (certified upper bounds wherever a leaf
 // degraded), the certified interval enclosing the level's capacity misses,
-// and the provenance of every degraded piece (empty for fully exact runs,
+// and the provenance of every degraded leaf (empty for fully exact runs,
 // in which case each bounds entry has width zero).
 type capacityResult struct {
 	perStmt  []map[string]int64
@@ -69,21 +53,23 @@ type capacityResult struct {
 	degraded []string
 }
 
-// capacityWorkItem is one unit of parallel work: a single piece of one
-// statement's distance polynomial, counted against every cache capacity.
+// capacityWorkItem is one unit of parallel work: one split leaf of a piece
+// of one statement's distance polynomial, counted against every cache
+// capacity.
 type capacityWorkItem struct {
-	stmt  int
-	piece qpoly.Piece
+	stmt int
+	leaf splitPiece
 }
 
 // Count returns, for every capacity in cacheLines (in lines), the
 // per-statement capacity miss counts together with a certified interval per
-// level. The pieces fan out over ex, every piece is counted under its own
-// operation of meter (nil = unlimited), and workers stop claiming pieces
-// once ctx is cancelled. In exact mode any failing piece fails the count;
-// under ModeBounded a piece whose exact count degraded (budget or solver
-// limits) contributes certified interval bounds instead and the count
-// succeeds. Cancellation always aborts.
+// level. Every distance piece is split by floor elimination first; the
+// leaves fan out over ex, every leaf is counted under its own operation of
+// meter (nil = unlimited), and workers stop claiming leaves once ctx is
+// cancelled. In exact mode any failing leaf fails the count; under
+// ModeBounded a leaf whose exact count degraded (budget or solver limits)
+// contributes certified interval bounds instead and the count succeeds.
+// Cancellation always aborts.
 func (cc *capacityCounter) Count(ctx context.Context, ex parwork.Exec, meter *budget.Meter, distances []StatementDistance, cacheLines []int64) (capacityResult, error) {
 	out := capacityResult{
 		perStmt: make([]map[string]int64, len(cacheLines)),
@@ -95,15 +81,30 @@ func (cc *capacityCounter) Count(ctx context.Context, ex parwork.Exec, meter *bu
 			out.perStmt[l][sd.Statement] = 0
 		}
 	}
+	if len(cacheLines) == 0 {
+		// No capacities to classify against: skip the split and the pool.
+		return out, nil
+	}
+	// The prologue classifies the unsplit pieces and splits each into its
+	// leaves. Its statistics join cc.stats only once the count succeeded,
+	// like the workers'.
+	split := Stats{NonAffineByAffineDims: map[int]int{}}
 	var items []capacityWorkItem
 	for si, sd := range distances {
 		for _, piece := range sd.Distance.Pieces {
-			items = append(items, capacityWorkItem{stmt: si, piece: piece})
+			if piece.Poly.Degree() <= 1 {
+				split.AffinePieces++
+			} else {
+				split.NonAffinePieces++
+				split.NonAffineByAffineDims[affineDims(piece.Domain, piece.Poly)]++
+			}
+			for _, leaf := range splitFloors(cc.opts, piece.Domain, piece.Poly, &split) {
+				items = append(items, capacityWorkItem{stmt: si, leaf: leaf})
+			}
 		}
 	}
-	if len(items) == 0 || len(cacheLines) == 0 {
-		// Nothing to count (or no capacities to classify against): skip the
-		// pool entirely and report zero workers.
+	if len(items) == 0 {
+		// Nothing to count: skip the pool entirely and report zero workers.
 		return out, nil
 	}
 	bounded := cc.opts.Mode == ModeBounded
@@ -111,43 +112,37 @@ func (cc *capacityCounter) Count(ctx context.Context, ex parwork.Exec, meter *bu
 	results := make([][]int64, len(items))
 	itemBounds := make([][]counting.Interval, len(items))
 	itemReasons := make([]string, len(items))
-	// Schedule the pieces hardest-first (non-affine polynomials and busy
+	// Schedule the leaves hardest-first (non-affine polynomials and busy
 	// domains cost orders of magnitude more than affine ones), so the pool
-	// does not stall on one giant piece picked up last. The permutation only
+	// does not stall on one giant leaf picked up last. The permutation only
 	// affects execution order: results land at their item index and the
 	// accumulation below walks items in canonical order, so totals are
 	// bit-identical for every worker count.
 	weights := make([]int, len(items))
 	for i, it := range items {
-		w := len(it.piece.Domain.Constraints()) + 2*len(it.piece.Domain.Divs())
-		if it.piece.Poly.Degree() > 1 {
-			w += 1000 * len(it.piece.Poly.Terms)
+		w := len(it.leaf.domain.Constraints()) + 2*len(it.leaf.domain.Divs())
+		if it.leaf.poly.Degree() > 1 {
+			w += 1000 * len(it.leaf.poly.Terms)
 		}
 		weights[i] = w
 	}
 	order := parwork.HardestFirst(weights)
 	// Every worker counts through its own capacityCounter so the pool never
-	// contends on statistics; the per-worker Stats are merged below. The
-	// counters share the siblings array so a chamber-level sub-piece stolen
-	// by another worker accumulates into the stealer's Stats (still additive
-	// and order-independent, so the merged totals stay bit-identical).
-	spawnOK := !bounded && meter.Limit() == 0
+	// contends on statistics; the per-worker Stats are merged below.
 	workerStats := make([]Stats, workers)
 	counters := make([]*capacityCounter, workers)
 	for w := range counters {
 		workerStats[w].NonAffineByAffineDims = map[int]int{}
-		counters[w] = &capacityCounter{opts: cc.opts, stats: &workerStats[w], meter: meter,
-			ctx: ctx, siblings: counters, spawnOK: spawnOK}
+		counters[w] = newCapacityCounter(cc.opts, &workerStats[w])
 	}
 	ps0 := ex.PoolStats()
 	workerTimes, err := ex.RunGroupTimed(ctx, len(items), func(w *parwork.Worker, scheduled int) error {
 		idx := order[scheduled]
+		leaf := items[idx].leaf
 		stmt := distances[items[idx].stmt].Statement
-		stage := "capacity piece of " + stmt
 		c := counters[w.ID()]
-		c.w = w
-		op := c.meter.Op(stage)
-		counts, err := c.countPiece(items[idx].piece.Domain, items[idx].piece.Poly, cacheLines, true, op, stage)
+		op := meter.Op("capacity piece of " + stmt)
+		counts, err := c.countPiece(leaf.domain, leaf.poly, cacheLines, op)
 		if err == nil {
 			results[idx] = counts
 			return nil
@@ -155,9 +150,9 @@ func (cc *capacityCounter) Count(ctx context.Context, ex parwork.Exec, meter *bu
 		if !bounded || budget.IsCancellation(err) {
 			return fmt.Errorf("core: counting capacity misses of %s: %w", stmt, err)
 		}
-		// Bounded tier: the exact count of this one piece degraded; answer
+		// Bounded tier: the exact count of this one leaf degraded; answer
 		// it with certified interval bounds instead of failing the analysis.
-		ivs, berr := c.boundPiece(items[idx].piece.Domain, items[idx].piece.Poly, cacheLines, op)
+		ivs, berr := c.boundPiece(leaf.domain, leaf.poly, cacheLines, op)
 		if berr != nil {
 			return fmt.Errorf("core: bounding capacity misses of %s: %w", stmt, berr)
 		}
@@ -170,15 +165,16 @@ func (cc *capacityCounter) Count(ctx context.Context, ex parwork.Exec, meter *bu
 	cc.stats.Splits += ps1.Splits - ps0.Splits
 
 	if err != nil {
-		// On failure the set of completed pieces depends on scheduling, so
-		// the partial per-worker statistics are discarded: callers that fall
-		// back to trace profiling keep deterministic stats.
+		// On failure the set of completed leaves depends on scheduling, so
+		// the partial statistics are discarded: callers that fall back to
+		// trace profiling keep deterministic stats.
 		return capacityResult{}, err
 	}
 
-	// Merge the per-worker statistics in worker order; every counter is
-	// additive, so the merged values do not depend on how the scheduler
-	// distributed the pieces.
+	// Merge the prologue's and the per-worker statistics in worker order;
+	// every counter is additive, so the merged values do not depend on how
+	// the scheduler distributed the leaves.
+	cc.stats.merge(&split)
 	for w := range workerStats {
 		cc.stats.merge(&workerStats[w])
 	}
@@ -195,8 +191,8 @@ func (cc *capacityCounter) Count(ctx context.Context, ex parwork.Exec, meter *bu
 	}
 
 	// Fold the per-item results in canonical item order so totals and bounds
-	// stay bit-identical for every worker count. Exact pieces contribute
-	// width-zero intervals; degraded pieces contribute their certified
+	// stay bit-identical for every worker count. Exact leaves contribute
+	// width-zero intervals; degraded leaves contribute their certified
 	// bounds, with the conservative upper bound as the point value.
 	for idx := range items {
 		stmt := distances[items[idx].stmt].Statement
@@ -269,40 +265,18 @@ func (cc *capacityCounter) boundPiece(domain presburger.BasicSet, poly qpoly.QPo
 	return ivs, nil
 }
 
-// countPiece counts, per capacity, the points of the piece whose stack
-// distance polynomial exceeds that capacity. The piece is split and
-// enumerated once; only the final classification compares against the
-// individual capacities. topLevel marks the pieces of the original distance
-// set for the statistics (pieces created by the splitting strategies are not
-// classified again).
-func (cc *capacityCounter) countPiece(domain presburger.BasicSet, poly qpoly.QPoly, capacities []int64, topLevel bool, op *budget.Op, stage string) ([]int64, error) {
-	if topLevel {
-		if poly.Degree() <= 1 {
-			cc.stats.AffinePieces++
-		} else {
-			cc.stats.NonAffinePieces++
-			cc.stats.NonAffineByAffineDims[cc.affineDims(domain, poly)]++
-		}
-	}
+// countPiece counts, per capacity, the points of one split leaf whose stack
+// distance polynomial exceeds that capacity: symbolically when the
+// polynomial is affine, else by partial enumeration and, where that fails
+// short of the budget, by full enumeration. The leaf is enumerated once;
+// only the final classification compares against the individual capacities.
+func (cc *capacityCounter) countPiece(domain presburger.BasicSet, poly qpoly.QPoly, capacities []int64, op *budget.Op) ([]int64, error) {
 	if poly.Degree() <= 1 {
 		return cc.countAffinePiece(domain, poly, capacities, op)
 	}
-	// Floor elimination (section 3.3).
-	if cc.opts.Equalization {
-		if pieces, ok := equalize(domain, poly); ok {
-			cc.stats.EqualizationSplits++
-			return cc.countSubPieces(pieces, capacities, op, stage)
-		}
-	}
-	if cc.opts.Rasterization {
-		if pieces, ok := rasterize(domain, poly); ok {
-			cc.stats.RasterizationSplits++
-			return cc.countSubPieces(pieces, capacities, op, stage)
-		}
-	}
 	// Partial enumeration (section 3.2).
 	if cc.opts.PartialEnumeration {
-		n, err := cc.partialEnumeration(domain, poly, capacities, op, stage)
+		n, err := cc.partialEnumeration(domain, poly, capacities, op)
 		if err == nil {
 			return n, nil
 		}
@@ -315,47 +289,6 @@ func (cc *capacityCounter) countPiece(domain presburger.BasicSet, poly qpoly.QPo
 	return cc.fullEnumeration(domain, poly, capacities, op)
 }
 
-// countSubPieces counts a split's sub-pieces and folds them in index order.
-// In exact mode with an unlimited meter the sub-pieces become chamber-level
-// work items on the analysis pool: equalization and rasterization routinely
-// split one heavy non-affine piece (a 3-D stencil chamber) into dozens of
-// residue pieces, and spawning them lets idle workers steal from what would
-// otherwise be one worker's multi-second tail. Each spawned sub-piece runs
-// on the counter (and Stats) of the worker that picked it up, under a fresh
-// operation with the same stage label; counts land index-addressed and fold
-// in order, so totals are bit-identical to the serial path.
-func (cc *capacityCounter) countSubPieces(pieces []splitPiece, capacities []int64, op *budget.Op, stage string) ([]int64, error) {
-	total := make([]int64, len(capacities))
-	if cc.spawnOK && cc.w != nil && cc.siblings != nil && len(pieces) > 1 && cc.w.Workers() > 1 {
-		results := make([][]int64, len(pieces))
-		err := cc.w.RunGroup(cc.ctx, len(pieces), func(sw *parwork.Worker, i int) error {
-			c := cc.siblings[sw.ID()]
-			c.w = sw
-			n, err := c.countPiece(pieces[i].domain, pieces[i].poly, capacities, false, c.meter.Op(stage), stage)
-			if err != nil {
-				return err
-			}
-			results[i] = n
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range results {
-			addCounts(total, n)
-		}
-		return total, nil
-	}
-	for _, p := range pieces {
-		n, err := cc.countPiece(p.domain, p.poly, capacities, false, op, stage)
-		if err != nil {
-			return nil, err
-		}
-		addCounts(total, n)
-	}
-	return total, nil
-}
-
 func addCounts(dst, src []int64) {
 	for i, n := range src {
 		dst[i] += n
@@ -365,13 +298,8 @@ func addCounts(dst, src []int64) {
 // affineDims counts the dimensions of the piece that the polynomial depends
 // on at most affinely (the dimensions partial enumeration can keep
 // symbolic); used for the Table 1 statistic.
-func (cc *capacityCounter) affineDims(domain presburger.BasicSet, poly qpoly.QPoly) int {
-	enum := chooseEnumerationDims(poly)
-	n := domain.NDim() - len(enum)
-	if n < 0 {
-		n = 0
-	}
-	return n
+func affineDims(domain presburger.BasicSet, poly qpoly.QPoly) int {
+	return max(domain.NDim()-len(chooseEnumerationDims(poly)), 0)
 }
 
 // countAffinePiece counts the points of the piece with distance > capacity
@@ -414,29 +342,42 @@ func (cc *capacityCounter) countAffinePiece(domain presburger.BasicSet, poly qpo
 		if oi > 0 && counts[order[oi-1]] == 0 {
 			break // counts for all remaining (larger) capacities are zero
 		}
-		missSet, err := affineMissSet(domain, poly, capacity)
+		missSet, ok, err := trimmedMissSet(domain, poly, capacity)
 		if err != nil {
 			return nil, err
 		}
-		// Parallel and implied bounds multiply the fan-out of the symbolic
-		// count (every lower/upper bound pair of a summed dimension becomes a
-		// piece, and any div-referenced dimension is residue-split); trimming
-		// them per miss set is routinely a 10x-plus on pieces whose domains
-		// inherited constraints from the composition pipeline.
-		trimmed, ok := missSet.RemoveRedundancies()
-		if !ok || trimmed.DefinitelyEmpty() {
-			// Routinely hit for the outer cache levels: the piece's distance
-			// never exceeds the capacity, and rational infeasibility is far
-			// cheaper to establish than running the symbolic summation.
+		if !ok {
 			continue
 		}
-		n, err := counting.CountSet(presburger.SetFromBasic(trimmed), op)
+		n, err := counting.CountSet(presburger.SetFromBasic(missSet), op)
 		if err != nil {
 			return nil, err
 		}
 		counts[i] = n
 	}
 	return counts, nil
+}
+
+// trimmedMissSet is the miss set of an affine piece at one capacity as both
+// the capacity counter and the parametric model count it: affineMissSet
+// with its redundant constraints removed. Parallel and implied bounds
+// multiply the fan-out of a symbolic count (every lower/upper bound pair of
+// a summed dimension becomes a piece, and any div-referenced dimension is
+// residue-split), and trimming them is routinely a 10x-plus on pieces whose
+// domains inherited constraints from the composition pipeline. ok is false
+// when the set is detectably empty — routinely so for the outer cache
+// levels, where rational infeasibility is far cheaper to establish than the
+// symbolic summation.
+func trimmedMissSet(domain presburger.BasicSet, poly qpoly.QPoly, capacity int64) (presburger.BasicSet, bool, error) {
+	missSet, err := affineMissSet(domain, poly, capacity)
+	if err != nil {
+		return presburger.BasicSet{}, false, err
+	}
+	trimmed, ok := missSet.RemoveRedundancies()
+	if !ok || trimmed.DefinitelyEmpty() {
+		return presburger.BasicSet{}, false, nil
+	}
+	return trimmed, true, nil
 }
 
 // affineMissSet intersects the domain with the constraint poly > capacity.
@@ -529,8 +470,10 @@ func affineMissSet(domain presburger.BasicSet, poly qpoly.QPoly, capacity int64)
 // partialEnumeration enumerates the values of the non-affine dimensions and
 // counts the remaining affine dimensions symbolically. The enumeration and
 // the per-point domain/polynomial specialization are shared by all
-// capacities.
-func (cc *capacityCounter) partialEnumeration(domain presburger.BasicSet, poly qpoly.QPoly, capacities []int64, op *budget.Op, stage string) ([]int64, error) {
+// capacities. Binding a point can open new floor-elimination splits, so
+// every bound piece is split (serially, under the leaf's operation) before
+// its leaves are counted.
+func (cc *capacityCounter) partialEnumeration(domain presburger.BasicSet, poly qpoly.QPoly, capacities []int64, op *budget.Op) ([]int64, error) {
 	enumDims := chooseEnumerationDims(poly)
 	if len(enumDims) == 0 || len(enumDims) >= domain.NDim() {
 		return nil, fmt.Errorf("core: no profitable partial enumeration split")
@@ -548,11 +491,13 @@ func (cc *capacityCounter) partialEnumeration(domain presburger.BasicSet, poly q
 			boundDomain = boundDomain.FixDim(d, point[i])
 			boundPoly = boundPoly.BindVar(d, point[i])
 		}
-		n, err := cc.countPiece(boundDomain, boundPoly, capacities, false, op, stage)
-		if err != nil {
-			return err
+		for _, leaf := range splitFloors(cc.opts, boundDomain, boundPoly, cc.stats) {
+			n, err := cc.countPiece(leaf.domain, leaf.poly, capacities, op)
+			if err != nil {
+				return err
+			}
+			addCounts(total, n)
 		}
-		addCounts(total, n)
 		return nil
 	})
 	if err != nil {

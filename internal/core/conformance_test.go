@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -63,14 +66,49 @@ func budgetAllows(need time.Duration, deadline time.Time, hasDeadline bool, now 
 // expensive conformance tiers size themselves to the budget: the default
 // 10-minute timeout covers the cheap tiers, the weekly CI full sweep runs
 // with a multi-hour timeout and executes everything. Without -timeout there
-// is no deadline and nothing is skipped.
+// is no deadline and nothing is skipped. Every call is recorded against its
+// top-level test, whose reportBudget summary lists the skips.
 func requireBudget(t *testing.T, need time.Duration) {
 	t.Helper()
 	deadline, ok := t.Deadline()
-	if remaining, allowed := budgetAllows(need, deadline, ok, time.Now()); !allowed {
+	remaining, allowed := budgetAllows(need, deadline, ok, time.Now())
+	tier, _, _ := strings.Cut(t.Name(), "/")
+	budgetLedger.Lock()
+	budgetLedger.checks[tier]++
+	if !allowed {
+		budgetLedger.skipped[tier] = append(budgetLedger.skipped[tier], t.Name())
+	}
+	budgetLedger.Unlock()
+	if !allowed {
 		t.Skipf("needs ~%v but only %v of the -timeout budget remains; raise -timeout to run (the weekly CI full sweep does)",
 			need.Round(time.Second), remaining.Round(time.Second))
 	}
+}
+
+// budgetLedger holds, per top-level test, the number of requireBudget checks
+// and the names of the (sub)tests they skipped.
+var budgetLedger = struct {
+	sync.Mutex
+	checks  map[string]int
+	skipped map[string][]string
+}{checks: map[string]int{}, skipped: map[string][]string{}}
+
+// reportBudget makes the tier test t log, once it and its subtests have
+// ended, how many of its requireBudget checks ran and which were skipped on
+// budget, so a tier that covered less than it claims says so.
+func reportBudget(t *testing.T) {
+	tier := t.Name()
+	budgetLedger.Lock()
+	delete(budgetLedger.checks, tier)
+	delete(budgetLedger.skipped, tier)
+	budgetLedger.Unlock()
+	t.Cleanup(func() {
+		budgetLedger.Lock()
+		defer budgetLedger.Unlock()
+		skipped := slices.Sorted(slices.Values(budgetLedger.skipped[tier]))
+		n := budgetLedger.checks[tier]
+		t.Logf("checked %d/%d, skipped on budget: %v", n-len(skipped), n, skipped)
+	})
 }
 
 // TestSymbolicCoverageComplete is the regression guard for the headline
@@ -140,6 +178,7 @@ func conformanceCheck(t *testing.T, k polybench.Kernel, sz polybench.Size, cfg C
 // checks the remaining -timeout budget so the suite adapts to the
 // environment instead of dying at the per-package deadline.
 func TestPolyBenchConformance(t *testing.T) {
+	reportBudget(t)
 	cfg := DefaultConfig()
 	sizes := []polybench.Size{polybench.Mini}
 	if !testing.Short() {
@@ -175,6 +214,7 @@ func TestPolyBenchConformance(t *testing.T) {
 // tier is cheap (trace replay), so it covers all kernels — including the
 // ones whose symbolic analysis is still out of budget.
 func TestSimulatorConformance(t *testing.T) {
+	reportBudget(t)
 	cfg := DefaultConfig()
 	sizes := []polybench.Size{polybench.Mini}
 	if !testing.Short() {

@@ -12,6 +12,49 @@ type splitPiece struct {
 	poly   qpoly.QPoly
 }
 
+// maxSplitDepth bounds the nesting of floor-elimination rewrites: a piece
+// still non-affine after that many nested splits is kept as a leaf (and
+// enumerated, or counted per evaluation by the parametric model) rather than
+// rewritten further.
+const maxSplitDepth = 64
+
+// splitFloors applies the floor elimination techniques of section 3.3 to a
+// piece — equalization first, then rasterization, each only where the
+// options enable it — recursively on every sub-piece until the polynomial is
+// affine, neither rewrite applies, or maxSplitDepth nested splits were made.
+// It returns the leaves in split order and, when stats is non-nil, counts
+// every split there. The rewrites never look at a cache capacity, so the
+// capacity counter and the parametric classification share them.
+func splitFloors(opts Options, domain presburger.BasicSet, poly qpoly.QPoly, stats *Stats) []splitPiece {
+	var leaves []splitPiece
+	var split func(p splitPiece, depth int)
+	split = func(p splitPiece, depth int) {
+		if p.poly.Degree() > 1 && depth < maxSplitDepth {
+			var pieces []splitPiece
+			ok := false
+			if opts.Equalization {
+				if pieces, ok = equalize(p.domain, p.poly); ok && stats != nil {
+					stats.EqualizationSplits++
+				}
+			}
+			if !ok && opts.Rasterization {
+				if pieces, ok = rasterize(p.domain, p.poly); ok && stats != nil {
+					stats.RasterizationSplits++
+				}
+			}
+			if ok {
+				for _, q := range pieces {
+					split(q, depth+1)
+				}
+				return
+			}
+		}
+		leaves = append(leaves, p)
+	}
+	split(splitPiece{domain, poly}, 0)
+	return leaves
+}
+
 // equalize implements the equalization technique of section 3.3: when the
 // polynomial contains two floor atoms with the same denominator whose
 // arguments differ only by a constant offset c (0 < c < d), their difference

@@ -105,6 +105,7 @@ func TestModeSimRejectedByParametricModel(t *testing.T) {
 // leaves the supported fragment. ModeExact (the zero value) must fail
 // loudly; ModeAuto must answer exactly from the trace profile.
 func TestModeExactIsStrictModeAutoFallsBack(t *testing.T) {
+	reportBudget(t)
 	requireBudget(t, 3*miniEstimate("adi"))
 	k, ok := polybench.ByName("adi")
 	if !ok {

@@ -210,7 +210,10 @@ type Options struct {
 	// may spend (Fourier-Motzkin system fan-out and enumerated points both
 	// charge one unit). Zero means unlimited. The cap is enforced per
 	// operation — not against a shared pool — so which operation degrades
-	// is deterministic and independent of the worker count. In ModeExact
+	// is deterministic and independent of the worker count. A capacity
+	// miss operation is one leaf of a distance piece after the floor
+	// elimination split (equalization, rasterization), not the unsplit
+	// piece: a piece that splits gets one allowance per leaf. In ModeExact
 	// an exceeded budget fails the operation, in ModeAuto it triggers the
 	// trace fallback, and in ModeBounded it degrades the operation to
 	// certified interval bounds.

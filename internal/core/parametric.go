@@ -27,12 +27,6 @@ func nonParametric(stage string, err error) error {
 	return fmt.Errorf("%w: %s: %v", ErrNonParametric, stage, err)
 }
 
-// maxClassifyDepth bounds the floor-elimination recursion of the capacity
-// piece classification (the concrete engine uses the same rewrites without an
-// explicit bound; the parametric classifier prefers a residual piece over an
-// unbounded rewrite chain).
-const maxClassifyDepth = 64
-
 // parametricCountBudget caps the system fan-out of the one-time parametric
 // count of a single capacity piece (counting.CardBasicSetSummands). Pieces
 // that exceed it are demoted to per-evaluation residual counting — exact
@@ -197,11 +191,16 @@ func ComputeParametricModelContext(ctx context.Context, prog *scop.Program, line
 }
 
 // classify splits the distance pieces into parametrically countable affine
-// pieces and residual pieces, reusing the floor elimination rewrites of the
-// concrete engine (equalization and rasterization are pure domain splits and
-// carry parameter dimensions through unchanged). Partial and full
-// enumeration are not available parametrically — their pieces become
-// residual.
+// pieces and residual pieces with the floor elimination split of the
+// concrete engine (splitFloors: equalization and rasterization are pure
+// domain splits and carry parameter dimensions through unchanged). Partial
+// and full enumeration are not available parametrically — a leaf the split
+// leaves non-affine becomes residual. The split is not counted in Stats:
+// Eval reports the counts of its own capacity counting. Every leaf's domain
+// is trimmed once here rather than at every instantiation: redundant
+// parallel bounds and orphaned divs multiply the fan-out of every later
+// count (each lower/upper bound pair of a summed dimension becomes a piece,
+// and any div-referenced dimension is residue-split).
 func (pm *ParametricModel) classify(distances []StatementDistance) {
 	pm.affine = make([]StatementDistance, len(distances))
 	pm.residual = make([]StatementDistance, len(distances))
@@ -209,43 +208,18 @@ func (pm *ParametricModel) classify(distances []StatementDistance) {
 		pm.affine[i] = StatementDistance{Statement: sd.Statement, Distance: qpoly.PwQPoly{Space: sd.Distance.Space}}
 		pm.residual[i] = pm.affine[i]
 		for _, piece := range sd.Distance.Pieces {
-			pm.classifyPiece(i, piece.Domain, piece.Poly, 0)
-		}
-	}
-}
-
-func (pm *ParametricModel) classifyPiece(stmt int, domain presburger.BasicSet, poly qpoly.QPoly, depth int) {
-	if poly.Degree() <= 1 {
-		// Trim the domain once here rather than at every instantiation:
-		// redundant parallel bounds and orphaned divs multiply the fan-out
-		// of every later count (each lower/upper bound pair of a summed
-		// dimension becomes a piece, and any div-referenced dimension is
-		// residue-split).
-		if dom, ok := domain.RemoveRedundancies(); ok {
-			addPiece(&pm.affine[stmt], dom, poly)
-		}
-		return
-	}
-	if depth < maxClassifyDepth {
-		if pm.opts.Equalization {
-			if pieces, ok := equalize(domain, poly); ok {
-				for _, p := range pieces {
-					pm.classifyPiece(stmt, p.domain, p.poly, depth+1)
+			for _, leaf := range splitFloors(pm.opts, piece.Domain, piece.Poly, nil) {
+				dom, ok := leaf.domain.RemoveRedundancies()
+				if !ok {
+					continue
 				}
-				return
+				if leaf.poly.Degree() <= 1 {
+					addPiece(&pm.affine[i], dom, leaf.poly)
+				} else {
+					addPiece(&pm.residual[i], dom, leaf.poly)
+				}
 			}
 		}
-		if pm.opts.Rasterization {
-			if pieces, ok := rasterize(domain, poly); ok {
-				for _, p := range pieces {
-					pm.classifyPiece(stmt, p.domain, p.poly, depth+1)
-				}
-				return
-			}
-		}
-	}
-	if dom, ok := domain.RemoveRedundancies(); ok {
-		addPiece(&pm.residual[stmt], dom, poly)
 	}
 }
 
@@ -295,16 +269,11 @@ func (pm *ParametricModel) missPolysFor(capacityLines int64) *missPolys {
 		var summands []qpoly.Piece
 		extra := StatementDistance{Statement: sd.Statement, Distance: qpoly.PwQPoly{Space: sd.Distance.Space}}
 		for _, p := range sd.Distance.Pieces {
-			ms, err := affineMissSet(p.Domain, p.Poly, capacityLines)
+			ms, ok, err := trimmedMissSet(p.Domain, p.Poly, capacityLines)
 			if err != nil {
 				addPiece(&extra, p.Domain, p.Poly)
 				continue
 			}
-			// Redundant bounds multiply the fan-out of the parametric count
-			// (every lower/upper bound pair of an eliminated dimension becomes
-			// a piece), so trim them first; a detectably empty miss set
-			// contributes nothing.
-			ms, ok := ms.RemoveRedundancies()
 			if !ok {
 				continue
 			}

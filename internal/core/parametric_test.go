@@ -163,6 +163,7 @@ func parametricKernelsUnderTest(t *testing.T) []polybench.ParametricKernel {
 // (the parametric model is shared across the sizes, so the marginal cost per
 // size is small).
 func TestParametricEvalMatchesAnalyze(t *testing.T) {
+	reportBudget(t)
 	cfg := DefaultConfig()
 	for _, pk := range parametricKernelsUnderTest(t) {
 		pk := pk

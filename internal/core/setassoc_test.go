@@ -86,6 +86,7 @@ func saMiniEstimate(name string) time.Duration {
 // rest (the CI set-associative tier pins a fast subset, the full sweep
 // runs with a generous timeout).
 func TestSetAssocConformance(t *testing.T) {
+	reportBudget(t)
 	cfg := setAssocTestConfig()
 	for _, k := range polybench.Kernels() {
 		k := k
@@ -225,6 +226,7 @@ func randomAffineNest(r *rand.Rand, id int) *scop.Program {
 // two- and four-set geometries. The seed is fixed, so a failure reproduces
 // deterministically.
 func TestSetAssocRandomizedDifferential(t *testing.T) {
+	reportBudget(t)
 	r := rand.New(rand.NewSource(20260809))
 	programs := 8
 	if testing.Short() {

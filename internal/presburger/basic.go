@@ -63,7 +63,7 @@ func (b *basic) divCol(i int) int { return 1 + b.ndim + i }
 func (b *basic) dimCol(i int) int { return 1 + i }
 
 // clone deep-copies b (see newBasicFrom), padding every row to ncols.
-func (b *basic) clone() basic { return newBasicFrom(nil, b.ndim, b.divs, b.cons) }
+func (b *basic) clone() basic { return newBasicFrom(nil, b.ndim, b.divs, b.cons, 0) }
 
 // divsCopy returns a copy of the div definitions, every numerator ncols
 // wide: what BasicSet.Divs and BasicMap.Divs hand out.
@@ -118,8 +118,10 @@ func (b *basic) projectOut(first, n int) (basic, error) {
 // the dominant allocation site of the simplify/coalesce/gist pipeline.
 //
 // With a non-nil s the slab and the headers are taken from the scratch
-// instead, for a copy that must not outlive the predicate holding s.
-func newBasicFrom(s *predScratch, ndim int, divs []Div, cons []Constraint) basic {
+// instead, for a copy that must not outlive the predicate holding s. The
+// constraint header has capacity for room more rows, so a caller appending
+// that many (intersectAt) does not reallocate it.
+func newBasicFrom(s *predScratch, ndim int, divs []Div, cons []Constraint, room int) basic {
 	b := basic{ndim: ndim}
 	n := 1 + ndim + len(divs)
 	slab := s.vec(n * (len(divs) + len(cons)))
@@ -129,7 +131,8 @@ func newBasicFrom(s *predScratch, ndim int, divs []Div, cons []Constraint) basic
 		copy(dst, v)
 		return dst
 	}
-	b.divs, b.cons = s.cloneHeaders(len(divs), len(cons))
+	b.divs, b.cons = s.cloneHeaders(len(divs), len(cons)+room)
+	b.cons = b.cons[:len(cons)]
 	for i, d := range divs {
 		b.divs[i] = Div{Num: row(d.Num), Den: d.Den}
 	}

@@ -266,7 +266,7 @@ func hasDivisibilityContradiction(cons []Constraint) bool {
 func (b *basic) isObviouslyEmpty() bool {
 	sc := getPredScratch()
 	defer putPredScratch(sc)
-	cl := newBasicFrom(sc, b.ndim, b.divs, b.cons)
+	cl := newBasicFrom(sc, b.ndim, b.divs, b.cons, 0)
 	if !cl.simplify() {
 		return true
 	}

@@ -18,7 +18,7 @@ func UniverseBasicMap(in, out Space) BasicMap {
 // NewBasicMap builds a basic map from explicit divs and constraints with
 // column layout [const, in..., out..., divs...].
 func NewBasicMap(in, out Space, divs []Div, cons []Constraint) BasicMap {
-	return BasicMap{in: in, out: out, b: newBasicFrom(nil, in.Dim()+out.Dim(), divs, cons)}
+	return BasicMap{in: in, out: out, b: newBasicFrom(nil, in.Dim()+out.Dim(), divs, cons, 0)}
 }
 
 // InSpace returns the input space.

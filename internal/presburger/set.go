@@ -22,7 +22,7 @@ func UniverseBasicSet(sp Space) BasicSet {
 // NewBasicSet builds a basic set from explicit divs and constraints. The
 // column layout of the vectors is [const, dims..., divs...].
 func NewBasicSet(sp Space, divs []Div, cons []Constraint) BasicSet {
-	return BasicSet{space: sp, b: newBasicFrom(nil, sp.Dim(), divs, cons)}
+	return BasicSet{space: sp, b: newBasicFrom(nil, sp.Dim(), divs, cons, 0)}
 }
 
 // Space returns the space of the basic set.
@@ -326,7 +326,7 @@ func intersectAt(a, b *basic, at int) basic {
 	for i := range dimMap {
 		dimMap[i] += at
 	}
-	out := a.clone()
+	out := newBasicFrom(nil, a.ndim, a.divs, a.cons, len(b.cons))
 	out.embed(b, dimMap)
 	return out
 }
