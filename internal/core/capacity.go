@@ -607,10 +607,10 @@ func columnVars(poly qpoly.QPoly, col int) []int {
 }
 
 // projectOnto projects the domain onto the selected dimensions (in order) by
-// eliminating every other dimension. Dimensions the exact projection cannot
-// eliminate are over-approximated instead: the result is only used to
-// generate candidate values that are validated against the exact domain, so
-// a superset merely wastes a few empty iterations while keeping partial
+// eliminating every other dimension with ProjectOutApprox, which is exact
+// where it can be and over-approximates otherwise: the result is only used
+// to generate candidate values that are validated against the exact domain,
+// so a superset merely wastes a few empty iterations while keeping partial
 // enumeration available (the alternative is full enumeration of the piece).
 func projectOnto(domain presburger.BasicSet, dims []int) presburger.BasicSet {
 	keep := map[int]bool{}
@@ -623,11 +623,7 @@ func projectOnto(domain presburger.BasicSet, dims []int) presburger.BasicSet {
 		if keep[d] {
 			continue
 		}
-		exact, err := out.ProjectOut(d, 1)
-		if err != nil {
-			exact = out.ProjectOutApprox(d, 1)
-		}
-		out = exact
+		out = out.ProjectOutApprox(d, 1)
 	}
 	return out
 }

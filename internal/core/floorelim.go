@@ -83,8 +83,8 @@ func equalize(domain presburger.BasicSet, poly qpoly.QPoly) ([]splitPiece, bool)
 				continue
 			}
 			d := a.Den
-			low, lowOK := substituteAtomWith(poly, j, poly.AtomPoly(i))
-			high, highOK := substituteAtomWith(poly, j, poly.AtomPoly(i).Add(qpoly.ConstInt(poly.NVar, 1)))
+			low, lowOK := poly.SubstituteAtom(j, poly.AtomPoly(i))
+			high, highOK := poly.SubstituteAtom(j, poly.AtomPoly(i).Add(qpoly.ConstInt(poly.NVar, 1)))
 			if !lowOK || !highOK {
 				continue
 			}
@@ -126,7 +126,7 @@ func rasterize(domain presburger.BasicSet, poly qpoly.QPoly) ([]splitPiece, bool
 		for r := int64(0); r < d; r++ {
 			// atom = (e - r)/d on the class e ≡ r (mod d).
 			expr := atomArgPoly(poly, i).Sub(qpoly.ConstInt(poly.NVar, r)).Scale(ints.NewRat(1, d))
-			sub, subOK := substituteAtomWith(poly, i, expr)
+			sub, subOK := poly.SubstituteAtom(i, expr)
 			if !subOK || (r == 0 && sub.Degree() >= poly.Degree()) {
 				ok = false
 				break
@@ -214,17 +214,12 @@ func atomArgPoly(poly qpoly.QPoly, idx int) qpoly.QPoly {
 	return qpoly.FromAffine(poly.NVar, c0, coeffs)
 }
 
-// substituteAtomWith substitutes the atom at idx by expr, tolerating
-// references from other atoms by refusing (ok=false) in that case.
-func substituteAtomWith(poly qpoly.QPoly, idx int, expr qpoly.QPoly) (qpoly.QPoly, bool) {
-	return poly.SubstituteAtom(idx, expr)
-}
-
-// domainWithAtomDiv adds a div mirroring the atom's floor expression to the
-// domain and returns the extended domain plus the div column.
-func domainWithAtomDiv(domain presburger.BasicSet, poly qpoly.QPoly, idx int) (presburger.BasicSet, int, bool) {
+// domainWithAtomDiv adds a div d mirroring the atom's floor(e/den) to the
+// domain and returns the extended domain together with the residue row
+// e − den·d (which lies in [0, den)) over the extended domain's columns.
+func domainWithAtomDiv(domain presburger.BasicSet, poly qpoly.QPoly, idx int) (presburger.BasicSet, presburger.Vec, bool) {
 	if !atomArgOverVars(poly, idx) {
-		return presburger.BasicSet{}, 0, false
+		return presburger.BasicSet{}, nil, false
 	}
 	a := poly.Atoms[idx]
 	num := presburger.NewVec(domain.NCols())
@@ -237,61 +232,36 @@ func domainWithAtomDiv(domain presburger.BasicSet, poly qpoly.QPoly, idx int) (p
 		}
 	}
 	out, col := domain.AddDiv(num, a.Den)
-	return out, col, true
+	residue := num.Resized(out.NCols())
+	residue[col] -= a.Den
+	return out, residue, true
 }
 
 // splitDomainByResidue splits the domain into the part where the atom's
 // argument has residue < threshold and the part where it is >= threshold
 // (both modulo the atom's denominator).
 func splitDomainByResidue(domain presburger.BasicSet, poly qpoly.QPoly, idx int, threshold int64) (presburger.BasicSet, presburger.BasicSet, bool) {
-	withDiv, col, ok := domainWithAtomDiv(domain, poly, idx)
+	withDiv, r, ok := domainWithAtomDiv(domain, poly, idx)
 	if !ok {
 		return presburger.BasicSet{}, presburger.BasicSet{}, false
 	}
-	a := poly.Atoms[idx]
-	// residue r = e - d*div  with 0 <= r < d.
-	resVec := func(width int) presburger.Vec {
-		v := presburger.NewVec(width)
-		if len(a.Num) > 0 {
-			v[0] = a.Num[0]
-		}
-		for varIdx := 0; varIdx < poly.NVar && 1+varIdx < width; varIdx++ {
-			if 1+varIdx < len(a.Num) {
-				v[1+varIdx] = a.Num[1+varIdx]
-			}
-		}
-		v[col] -= a.Den
-		return v
-	}
 	// low: threshold - 1 - r >= 0
-	low := resVec(withDiv.NCols()).Neg()
+	low := r.Neg()
 	low[0] += threshold - 1
 	lowDom := withDiv.AddConstraint(presburger.Constraint{C: low})
 	// high: r - threshold >= 0
-	high := resVec(withDiv.NCols())
-	high[0] -= threshold
-	highDom := withDiv.AddConstraint(presburger.Constraint{C: high})
+	r[0] -= threshold
+	highDom := withDiv.AddConstraint(presburger.Constraint{C: r})
 	return lowDom, highDom, true
 }
 
 // residueClassDomain restricts the domain to the points where the atom's
 // argument is congruent to r modulo the atom's denominator.
 func residueClassDomain(domain presburger.BasicSet, poly qpoly.QPoly, idx int, r int64) (presburger.BasicSet, bool) {
-	withDiv, col, ok := domainWithAtomDiv(domain, poly, idx)
+	withDiv, v, ok := domainWithAtomDiv(domain, poly, idx)
 	if !ok {
 		return presburger.BasicSet{}, false
 	}
-	a := poly.Atoms[idx]
-	v := presburger.NewVec(withDiv.NCols())
-	if len(a.Num) > 0 {
-		v[0] = a.Num[0]
-	}
-	for varIdx := 0; varIdx < poly.NVar && 1+varIdx < withDiv.NCols(); varIdx++ {
-		if 1+varIdx < len(a.Num) {
-			v[1+varIdx] = a.Num[1+varIdx]
-		}
-	}
-	v[col] -= a.Den
 	v[0] -= r
 	return withDiv.AddConstraint(presburger.Constraint{C: v, Eq: true}), true
 }

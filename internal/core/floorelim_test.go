@@ -28,7 +28,7 @@ func rasterizeAllClasses(domain presburger.BasicSet, poly qpoly.QPoly) ([]splitP
 		ok := true
 		for r := int64(0); r < d; r++ {
 			expr := atomArgPoly(poly, i).Sub(qpoly.ConstInt(poly.NVar, r)).Scale(ints.NewRat(1, d))
-			sub, subOK := substituteAtomWith(poly, i, expr)
+			sub, subOK := poly.SubstituteAtom(i, expr)
 			if !subOK {
 				ok = false
 				break
@@ -159,5 +159,52 @@ func TestRasterizeClassZeroExitOnRandomPolynomials(t *testing.T) {
 	}
 	if splits == 0 {
 		t.Fatal("no random case was rasterized; the generator no longer covers the split path")
+	}
+}
+
+// TestResidueDomainsMatchBruteForce checks the domains the floor
+// elimination splits build, point by point: for the atom floor((i+2j+1)/4)
+// over a box, residueClassDomain(r) holds exactly the points whose argument
+// is r modulo 4, and splitDomainByResidue(t) splits the box into the
+// residues below t and the rest. The split counts alone do not pin these
+// rows: the two sides of an equalization often classify alike.
+func TestResidueDomainsMatchBruteForce(t *testing.T) {
+	const den = 4
+	sp := presburger.NewSpace("S", "i", "j")
+	box := presburger.UniverseBasicSet(sp)
+	for _, c := range [][]int64{{0, 1, 0}, {9, -1, 0}, {0, 0, 1}, {7, 0, -1}} {
+		box = box.AddConstraint(presburger.Constraint{C: c})
+	}
+	poly, idx := qpoly.Zero(2).WithAtom([]int64{1, 1, 2}, den)
+	residue := func(p []int64) int64 { return (1 + p[0] + 2*p[1]) % den }
+	forEachPoint := func(fn func(p []int64)) {
+		for i := int64(0); i <= 9; i++ {
+			for j := int64(0); j <= 7; j++ {
+				fn([]int64{i, j})
+			}
+		}
+	}
+	for r := int64(0); r < den; r++ {
+		class, ok := residueClassDomain(box, poly, idx, r)
+		if !ok {
+			t.Fatalf("residueClassDomain(%d) refused", r)
+		}
+		forEachPoint(func(p []int64) {
+			if got, want := class.Contains(p), residue(p) == r; got != want {
+				t.Fatalf("residue class %d: Contains(%v) = %v, want %v\n%v", r, p, got, want, class)
+			}
+		})
+	}
+	for threshold := int64(1); threshold < den; threshold++ {
+		low, high, ok := splitDomainByResidue(box, poly, idx, threshold)
+		if !ok {
+			t.Fatalf("splitDomainByResidue(%d) refused", threshold)
+		}
+		forEachPoint(func(p []int64) {
+			below := residue(p) < threshold
+			if low.Contains(p) != below || high.Contains(p) != !below {
+				t.Fatalf("split at %d: point %v (residue %d) low %v high %v\nlow:  %v\nhigh: %v", threshold, p, residue(p), low.Contains(p), high.Contains(p), low, high)
+			}
+		})
 	}
 }

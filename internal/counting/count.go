@@ -607,11 +607,6 @@ func (s *system) sumBetweenBounds(dim int, lowers, uppers []presburger.Constrain
 	out := s.cloneWith(rest)
 	col := out.dimCol(dim)
 
-	// A bound a*dim + e >= 0 is read in place: its coefficient a is the
-	// row's entry at col, and e is the row with that entry read as zero.
-	boundVal := func(c presburger.Constraint) (coef int64, e presburger.Vec) {
-		return c.C.At(col), c.C
-	}
 	// withoutCol returns a fresh copy of e with column col zeroed, scaled
 	// by sign, for the bound expressions that outlive this call.
 	withoutCol := func(e presburger.Vec, sign int64) presburger.Vec {
@@ -623,65 +618,20 @@ func (s *system) sumBetweenBounds(dim int, lowers, uppers []presburger.Constrain
 		return v
 	}
 
-	// crossDiff builds a*x - b*y per column (col reads as zero in both)
-	// with overflow-checked products: the bound pair cross-multiplies are
-	// the largest intermediates of the counting pipeline (coefficient ×
-	// coefficient), and a wrapped value here silently flips a dominance
-	// constraint.
-	crossDiff := func(a int64, x presburger.Vec, b int64, y presburger.Vec) (presburger.Vec, error) {
-		c := presburger.NewVec(out.ncols())
-		for j := range c {
-			if j == col {
-				continue
-			}
-			ax, ok1 := ints.TryMul(a, x.At(j))
-			by, ok2 := ints.TryMul(b, y.At(j))
-			d, ok3 := ints.TrySub(ax, by)
-			if !ok1 || !ok2 || !ok3 {
-				return nil, fmt.Errorf("%w: int64 overflow in bound-pair cross product", ErrUnsupported)
-			}
-			c[j] = d
-		}
-		return c, nil
+	// Dominance constraints: lower bound li is the largest and upper bound
+	// ui the smallest, ties broken towards the smaller index to keep the
+	// pieces disjoint.
+	lowDom, err := presburger.BoundDominance(lowers, col, li, out.ncols())
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrUnsupported, err)
 	}
-
-	// Dominance constraints among lower bounds: chosen bound li is the
-	// largest; ties are broken towards the smaller index to keep pieces
-	// disjoint. lower bound value for constraint (a, e): -e/a.
-	aStar, eStar := boundVal(lowers[li])
-	for i := range lowers {
-		if i == li {
-			continue
-		}
-		ai, ei := boundVal(lowers[i])
-		// (-eStar)/aStar >= (-ei)/ai  <=>  aStar*ei - ai*eStar >= 0
-		c, err := crossDiff(aStar, ei, ai, eStar)
-		if err != nil {
-			return nil, err
-		}
-		if i < li {
-			c[0]-- // strict to keep pieces disjoint
-		}
-		out.cons = append(out.cons, presburger.Constraint{C: c})
+	upDom, err := presburger.BoundDominance(uppers, col, ui, out.ncols())
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrUnsupported, err)
 	}
-	bStar, fStar := boundVal(uppers[ui])
-	bStar = -bStar
-	for j := range uppers {
-		if j == ui {
-			continue
-		}
-		bj, fj := boundVal(uppers[j])
-		bj = -bj
-		// fStar/bStar <= fj/bj  <=>  bStar*fj - bj*fStar >= 0
-		c, err := crossDiff(bStar, fj, bj, fStar)
-		if err != nil {
-			return nil, err
-		}
-		if j < ui {
-			c[0]--
-		}
-		out.cons = append(out.cons, presburger.Constraint{C: c})
-	}
+	out.cons = append(append(out.cons, lowDom...), upDom...)
+	aStar, eStar := lowers[li].C.At(col), lowers[li].C
+	bStar, fStar := -uppers[ui].C.At(col), uppers[ui].C
 
 	// Bound expressions: lo = ceil(-eStar/aStar), hi = floor(fStar/bStar).
 	loVec, loPoly, err := out.ceilExpr(withoutCol(eStar, -1), aStar)

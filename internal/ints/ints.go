@@ -54,7 +54,14 @@ func TrySub(a, b int64) (int64, bool) {
 }
 
 // TryMul returns a*b, reporting false on overflow instead of panicking.
+// Two factors below 2^31 in magnitude cannot wrap, so the common case costs
+// four comparisons and inlines into the row-combination and evaluation hot
+// loops; only larger factors pay the quotient check.
 func TryMul(a, b int64) (int64, bool) {
+	const lim = 1 << 31
+	if -lim < a && a < lim && -lim < b && b < lim {
+		return a * b, true
+	}
 	if a == 0 || b == 0 {
 		return 0, true
 	}

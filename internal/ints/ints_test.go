@@ -152,6 +152,13 @@ func TestTryHelpers(t *testing.T) {
 		{math.MaxInt64, 2, false, false},
 		{1 << 32, 1 << 32, true, false},
 		{-(1 << 32), 1 << 32, true, false},
+		// Around the 2^31 fast path of TryMul.
+		{1<<31 - 1, -(1<<31 - 1), true, true},
+		{1 << 31, 1 << 31, true, true},
+		{-(1 << 31), 1 << 32, true, true},
+		{1 << 31, 1 << 32, true, false},
+		{math.MinInt64, 0, true, true},
+		{1, math.MinInt64, true, true},
 	}
 	for _, c := range cases {
 		if s, ok := TryAdd(c.a, c.b); ok != c.add {

@@ -246,70 +246,49 @@ func pinDimension(piece presburger.BasicMap, nIn, nOut, d int) ([]presburger.Bas
 			return []presburger.BasicMap{piece}, nil
 		}
 	}
-	type bound struct {
-		a int64          // positive coefficient of y_d
-		e presburger.Vec // remainder: constraint is a*y_d + e >= 0
+	// Import the divs of the projection so bound expressions can refer to
+	// them; remap their columns onto the piece.
+	withDivs := piece
+	divMap := make([]int, len(divs))
+	for i, dv := range divs {
+		num := remapProjVec(dv.Num.Resized(ncols), keep, withDivs.NCols(), divMap[:i])
+		withDivs, divMap[i] = withDivs.AddDiv(num, dv.Den)
 	}
-	var lowers []bound
+	// The lower bounds a*y_d + e >= 0 (a > 0) over the piece's columns; the
+	// dimension columns of the projection are a prefix of the piece's, so
+	// y_d keeps its column.
+	var lowers []presburger.Constraint
 	for _, c := range cons {
-		cc := c.C.Resized(ncols)
-		if cc[col] > 0 {
-			e := cc.Clone()
-			e[col] = 0
-			lowers = append(lowers, bound{a: cc[col], e: e})
+		if c.C.At(col) > 0 {
+			lowers = append(lowers, presburger.Constraint{C: remapProjVec(c.C.Resized(ncols), keep, withDivs.NCols(), divMap)})
 		}
 	}
 	if len(lowers) == 0 {
 		return nil, fmt.Errorf("%w: output dimension %d has no lower bound", ErrUnsupported, d)
 	}
-	projDims := nIn + d + 1
 	var out []presburger.BasicMap
 	for li, lb := range lowers {
-		p := piece
-		// Import the divs of the projection so bound expressions can refer to
-		// them; remap their columns onto the piece.
-		divMap := make([]int, len(divs))
-		for i, dv := range divs {
-			num := remapProjVec(dv.Num.Resized(ncols), projDims, p.NCols(), divMap[:i])
-			var dcol int
-			p, dcol = p.AddDiv(num, dv.Den)
-			divMap[i] = dcol
-		}
-		remap := func(v presburger.Vec) presburger.Vec {
-			return remapProjVec(v.Resized(ncols), projDims, p.NCols(), divMap)
-		}
 		// Dominance constraints: the chosen bound is the maximum.
-		for lj, other := range lowers {
-			if lj == li {
-				continue
-			}
-			// (-lb.e)/lb.a >= (-other.e)/other.a
-			// <=> lb.a*other.e - other.a*lb.e >= 0
-			c := presburger.NewVec(p.NCols())
-			lbe := remap(lb.e)
-			oe := remap(other.e)
-			for k := range c {
-				c[k] = lb.a*oe[k] - other.a*lbe[k]
-			}
-			if lj < li {
-				c[0]--
-			}
-			p = p.AddConstraint(presburger.Constraint{C: c})
+		dom, err := presburger.BoundDominance(lowers, col, li, withDivs.NCols())
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrUnsupported, err)
+		}
+		p := withDivs
+		for _, c := range dom {
+			p = p.AddConstraint(c)
 		}
 		// Pin y_d to ceil(-e/a).
-		if lb.a == 1 {
-			c := remap(lb.e)
-			c = c.Resized(p.NCols())
-			c[1+nIn+d] = 1
-			p = p.AddConstraint(presburger.Constraint{C: c, Eq: true})
+		if a := lb.C[col]; a == 1 {
+			p = p.AddConstraint(presburger.Constraint{C: lb.C, Eq: true})
 		} else {
 			// y_d == floor((-e + a - 1)/a)
-			num := remap(lb.e).Neg()
-			num[0] += lb.a - 1
+			num := lb.C.Neg()
+			num[col] = 0
+			num[0] += a - 1
 			var dcol int
-			p, dcol = p.AddDiv(num, lb.a)
+			p, dcol = p.AddDiv(num, a)
 			c := presburger.NewVec(p.NCols())
-			c[1+nIn+d] = 1
+			c[col] = 1
 			c[dcol] = -1
 			p = p.AddConstraint(presburger.Constraint{C: c, Eq: true})
 		}

@@ -122,6 +122,32 @@ func TestLexminPaperExampleNextMap(t *testing.T) {
 	checkLexmin(t, presburger.MapFromBasic(bm), 2)
 }
 
+// TestLexminDominanceOverflowIsUnsupported pins y to the larger of two
+// non-unit lower bounds, (2^40+1)·y >= 2^40·x + 5 and
+// (2^40+3)·y >= 2^61·x + 7, for 0 <= x <= 3 and y <= 2^23·x + 20. The
+// dominance row between them needs (2^40+1)·2^61, beyond int64; an
+// unchecked row wrapped and the minimum came back without an error.
+func TestLexminDominanceOverflowIsUnsupported(t *testing.T) {
+	const k = int64(1) << 40
+	sp := presburger.NewSpace("S", "x")
+	out := presburger.NewSpace("T", "y")
+	bm := presburger.UniverseBasicMap(sp, out)
+	w := bm.NCols()
+	for _, c := range []presburger.Constraint{
+		ineq(w, 0, 1, 0),             // x >= 0
+		ineq(w, 3, -1, 0),            // x <= 3
+		ineq(w, -5, -k, k+1),         // (2^40+1)·y >= 2^40·x + 5
+		ineq(w, -7, -(1 << 61), k+3), // (2^40+3)·y >= 2^61·x + 7
+		ineq(w, 20, 1<<23, -1),       // y <= 2^23·x + 20
+	} {
+		bm = bm.AddConstraint(c)
+	}
+	got, err := MapLexmin(presburger.MapFromBasic(bm))
+	if !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("MapLexmin = %v, %v; want an error wrapping ErrUnsupported", got, err)
+	}
+}
+
 func TestLexminTriangular(t *testing.T) {
 	// { S(i) -> T(j) : i <= j < 8, 0 <= i < 8 }: lexmin is j = i.
 	s := presburger.NewSpace("S", "i")

@@ -264,7 +264,7 @@ func dotTry(c Vec, vals []int64) (int64, bool) {
 		if x == 0 || vals[i] == 0 {
 			continue
 		}
-		p, ok := mulNoWrap(x, vals[i])
+		p, ok := ints.TryMul(x, vals[i])
 		if !ok {
 			return 0, false
 		}

@@ -22,8 +22,9 @@ import (
 //     one side.
 //
 // The function reports ErrUnsupported when none of the strategies apply
-// exactly. After a successful return the column has been removed and later
-// columns have shifted down by one.
+// exactly, or when a Fourier–Motzkin combination would wrap int64. After a
+// successful return the column has been removed and later columns have
+// shifted down by one.
 func (b *basic) eliminateDimCol(col int) error {
 	if col <= 0 || col > b.ndim {
 		panic("presburger: eliminateDimCol of non-dimension column")
@@ -89,13 +90,17 @@ func (b *basic) tryEqualitySubstitution(col int) bool {
 		if a != 1 && a != -1 {
 			continue
 		}
-		// a*x + rest == 0  =>  x == -rest/a == -a*rest (a = ±1).
+		// a*x + rest == 0  =>  x == -rest/a, a sign flip for a = ±1.
 		expr := NewVec(b.ncols())
 		for j := range c.C {
 			if j == col {
 				continue
 			}
-			expr[j] = -a * c.C[j]
+			if a > 0 {
+				expr[j] = -c.C[j]
+			} else {
+				expr[j] = c.C[j]
+			}
 		}
 		if b.substitutionBreaksDivs(col, expr) {
 			continue
@@ -248,8 +253,8 @@ func (b *basic) tryFloorSubstitution(col int) bool {
 
 // fourierMotzkin eliminates col by combining lower and upper bounds. It is
 // exact over the integers only if each combined pair has a unit coefficient
-// on at least one side; otherwise ErrUnsupported is returned and the basic
-// set is left unchanged.
+// on at least one side; otherwise, or when a combination would wrap int64,
+// ErrUnsupported is returned and the basic set is left unchanged.
 func (b *basic) fourierMotzkin(col int) error {
 	var lowers, uppers, rest []Constraint
 	for _, c := range b.cons {
@@ -277,8 +282,8 @@ func (b *basic) fourierMotzkin(col int) error {
 			}
 			// a*up + bb*lo has zero coefficient at col.
 			nc := NewVec(b.ncols())
-			for j := range nc {
-				nc[j] = a*up.C[j] + bb*lo.C[j]
+			if !combineInto(nc, a, up.C, bb, lo.C) {
+				return fmt.Errorf("%w: int64 overflow combining bounds in Fourier-Motzkin", ErrUnsupported)
 			}
 			nc[col] = 0
 			rest = append(rest, Constraint{C: nc})
@@ -304,11 +309,12 @@ func (b *basic) eliminateDimCols(cols []int) error {
 // eliminateDimColApprox projects out the column like eliminateDimCol, but
 // never fails: when the exact strategies do not apply, the projection is
 // over-approximated — divs that (transitively) reference the column are
-// dropped together with every constraint mentioning them, and the remaining
-// bounds on the column are combined by rational Fourier–Motzkin without the
-// integrality side conditions. Every point of the exact projection satisfies
-// the result, so the result is a superset. Callers that only need candidate
-// values to test against the exact set (enumeration) stay exact.
+// dropped together with every constraint mentioning them, and the column is
+// then eliminated by its rational shadow (rationalEliminate), which drops
+// combinations that would wrap int64 and caps the row count. Every point of
+// the exact projection satisfies the result, so the result is a superset.
+// Callers that only need candidate values to test against the exact set
+// (enumeration) stay exact.
 func (b *basic) eliminateDimColApprox(col int) {
 	if err := b.eliminateDimCol(col); err == nil {
 		return
@@ -364,50 +370,6 @@ func (b *basic) eliminateDimColApprox(col int) {
 	if err := b.eliminateDimCol(col); err == nil {
 		return
 	}
-	// Rational Fourier–Motzkin: equalities referencing the column act as a
-	// lower and an upper bound at once.
-	var lowers, uppers, rest []Constraint
-	for _, c := range b.cons {
-		a := c.C[col]
-		switch {
-		case a == 0:
-			rest = append(rest, c)
-		case c.Eq:
-			lowers = append(lowers, Constraint{C: c.C.Clone()})
-			uppers = append(uppers, Constraint{C: c.C.Neg()})
-		case a > 0:
-			lowers = append(lowers, c)
-		default:
-			uppers = append(uppers, c)
-		}
-	}
-	// Re-normalize signs: after the equality split a "lower" may still have a
-	// negative coefficient.
-	fix := func(cs []Constraint, wantPos bool) []Constraint {
-		out := cs[:0]
-		for _, c := range cs {
-			if (c.C[col] > 0) == wantPos {
-				out = append(out, c)
-			} else {
-				out = append(out, Constraint{C: c.C.Neg()})
-			}
-		}
-		return out
-	}
-	lowers = fix(lowers, true)
-	uppers = fix(uppers, false)
-	for _, lo := range lowers {
-		for _, up := range uppers {
-			a := lo.C[col]
-			bb := -up.C[col]
-			nc := NewVec(b.ncols())
-			for j := range nc {
-				nc[j] = a*up.C[j] + bb*lo.C[j]
-			}
-			nc[col] = 0
-			rest = append(rest, Constraint{C: nc})
-		}
-	}
-	b.cons = rest
+	b.cons = rationalEliminate(nil, b.cons, col)
 	b.dropColumn(col)
 }

@@ -1,6 +1,7 @@
 package presburger
 
 import (
+	"fmt"
 	"math"
 
 	"haystack/internal/ints"
@@ -156,15 +157,51 @@ func rationalEliminate(sc *predScratch, cons []Constraint, col int) []Constraint
 	return rest
 }
 
-// mulNoWrap is TryMul without the quotient check on the common case: two
-// factors below 2^31 in magnitude cannot wrap, so the Fourier–Motzkin and
-// evaluation hot loops pay two comparisons instead of a division.
-func mulNoWrap(a, b int64) (int64, bool) {
-	const lim = 1 << 31
-	if a > -lim && a < lim && b > -lim && b < lim {
-		return a * b, true
+var errDominanceOverflow = fmt.Errorf("%w: int64 overflow in a bound dominance row", ErrUnsupported)
+
+// BoundDominance returns the constraints under which bound chosen binds
+// among rows, which all bound column col from the same side: every row is
+// c_i·x + e_i ≥ 0 with c_i of one sign, where x is column col and e_i is the
+// row with col read as zero. Bound chosen binds where it is the largest
+// lower bound (the smallest upper bound), ties going to the lower index, so
+// the pieces a split over every choice yields are disjoint. For every other
+// bound i, in order, the result holds the ncols-wide inequality
+// |c_chosen|·e_i − |c_i|·e_chosen ≥ 0, with one subtracted from the constant
+// when i < chosen. Rows may be narrower than ncols (missing columns read as
+// zero); they are only read. A coefficient that would wrap int64 reports
+// ErrUnsupported: a wrapped row would silently flip the dominance.
+func BoundDominance(rows []Constraint, col, chosen, ncols int) ([]Constraint, error) {
+	star := rows[chosen].C
+	cStar := ints.Abs(star.At(col))
+	out := make([]Constraint, 0, len(rows)-1)
+	for i, r := range rows {
+		if i == chosen {
+			continue
+		}
+		ci := ints.Abs(r.C.At(col))
+		if cStar < 0 || ci < 0 {
+			return nil, errDominanceOverflow // |MinInt64| is not an int64
+		}
+		v := NewVec(ncols)
+		for j := range v {
+			if j == col {
+				continue
+			}
+			d, ok := combineTry(cStar, r.C.At(j), -ci, star.At(j))
+			if !ok {
+				return nil, errDominanceOverflow
+			}
+			v[j] = d
+		}
+		if i < chosen {
+			var ok bool
+			if v[0], ok = ints.TrySub(v[0], 1); !ok {
+				return nil, errDominanceOverflow
+			}
+		}
+		out = append(out, Constraint{C: v})
 	}
-	return ints.TryMul(a, b)
+	return out, nil
 }
 
 // combineInto writes s*x + f*y into dst (len(x) wide) with overflow
@@ -183,11 +220,11 @@ func combineInto(dst Vec, s int64, x Vec, f int64, y Vec) bool {
 // combineTry computes s*x + f*y for one coefficient, reporting false when a
 // product or the sum would wrap int64.
 func combineTry(s, x, f, y int64) (int64, bool) {
-	v1, ok := mulNoWrap(s, x)
+	v1, ok := ints.TryMul(s, x)
 	if !ok {
 		return 0, false
 	}
-	v2, ok := mulNoWrap(f, y)
+	v2, ok := ints.TryMul(f, y)
 	if !ok {
 		return 0, false
 	}
@@ -282,7 +319,7 @@ func (b *basic) isObviouslyEmpty() bool {
 func evalRest(c Vec, b *basic, dim int, prefix []int64) (int64, bool) {
 	rest := c[0]
 	for j := 0; j < dim; j++ {
-		p, ok := mulNoWrap(c[b.dimCol(j)], prefix[j])
+		p, ok := ints.TryMul(c[b.dimCol(j)], prefix[j])
 		if !ok {
 			return 0, false
 		}

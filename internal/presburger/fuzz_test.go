@@ -1,16 +1,19 @@
 package presburger_test
 
-// Native Go fuzz targets for the set-algebra frontiers: simplify, coalesce
-// and gist, and for the disjointness signature that lets the piecewise folds
-// skip them. Every set-algebra target decodes bounded basic sets from the
-// fuzz input, applies the operation, and asserts two properties that hold by
-// construction: the result satisfies the IR invariants (CheckInvariants) and
-// it covers exactly the same integer points as the input over the bounding
-// box the decoder always imposes. The seed corpora are derived from
+// Native Go fuzz targets for the set-algebra frontiers: simplify, coalesce,
+// gist and projection, and for the disjointness signature that lets the
+// piecewise folds skip them. Every set-algebra target decodes bounded basic
+// sets from the fuzz input, applies the operation, and asserts two
+// properties that hold by construction: the result satisfies the IR
+// invariants (CheckInvariants) and it covers exactly the integer points it
+// should over the bounding box the decoder always imposes (the input's, or
+// for a projection the brute-force projection's, of which the approximate
+// projection may cover a superset). The seed corpora are derived from
 // PolyBench iteration domains (gemm and trmm at Mini size), plus a
 // handcrafted seed exercising the div column.
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -247,6 +250,58 @@ func FuzzSimplify(f *testing.F) {
 			}
 			if got := simp.Contains(p); got != in {
 				t.Fatalf("Simplify changed membership of %v: %v -> %v\nin:  %v\nout: %v", p, in, got, bs, simp)
+			}
+		})
+	})
+}
+
+// FuzzProjectOut checks the two projections against brute force over the
+// fuzz box: the header byte picks the projected dimensions [first, first+n),
+// an exact ProjectOut that succeeds has exactly the projected box points,
+// one that fails reports ErrUnsupported, and ProjectOutApprox always contains
+// every projected point.
+func FuzzProjectOut(f *testing.F) {
+	addSetSeeds(f)
+	for _, s := range setSeeds(f) {
+		if len(s) > 0 {
+			// The same set with the other dimensions projected out.
+			f.Add(append([]byte{s[0] + 3}, s[1:]...))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ndim, rest, ok := decodeDims(data)
+		if !ok {
+			t.Skip()
+		}
+		first := int(data[0]/3) % ndim
+		n := 1 + int(data[0]/9)%(ndim-first)
+		bs := decodeBasicSet(ndim, rest)
+		projected := map[string]bool{}
+		forEachBoxPoint(ndim, func(p []int64) {
+			if bs.Contains(p) {
+				projected[fmt.Sprint(append(append([]int64(nil), p[:first]...), p[first+n:]...))] = true
+			}
+		})
+		exact, err := bs.ProjectOut(first, n)
+		if err != nil && !errors.Is(err, presburger.ErrUnsupported) {
+			t.Fatalf("ProjectOut(%d, %d) failed with an untyped error: %v\nin: %v", first, n, err, bs)
+		}
+		if err == nil {
+			if ierr := exact.CheckInvariants(); ierr != nil {
+				t.Fatalf("invariants violated after ProjectOut(%d, %d): %v\nin:  %v\nout: %v", first, n, ierr, bs, exact)
+			}
+		}
+		approx := bs.ProjectOutApprox(first, n)
+		if ierr := approx.CheckInvariants(); ierr != nil {
+			t.Fatalf("invariants violated after ProjectOutApprox(%d, %d): %v\nin:  %v\nout: %v", first, n, ierr, bs, approx)
+		}
+		forEachBoxPoint(ndim-n, func(q []int64) {
+			want := projected[fmt.Sprint(q)]
+			if err == nil && exact.Contains(q) != want {
+				t.Fatalf("ProjectOut(%d, %d) membership of %v is %v, brute force %v\nin:  %v\nout: %v", first, n, q, !want, want, bs, exact)
+			}
+			if want && !approx.Contains(q) {
+				t.Fatalf("ProjectOutApprox(%d, %d) misses %v\nin:  %v\nout: %v", first, n, q, bs, approx)
 			}
 		})
 	})

@@ -1,6 +1,7 @@
 package presburger
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -432,6 +433,48 @@ func TestProjectOut(t *testing.T) {
 	}
 	if n, _ := onJ.CountByScan(); n != 5 {
 		t.Fatalf("projection onto j has %d points, want 5", n)
+	}
+}
+
+// TestProjectOutOverflowIsUnsupported projects y out of
+// {0 <= x <= 3, 2^25·x <= y, (2^40+1)·y <= 2^62·x + 5·(2^40+1)}, whose only
+// points have x = 0 (y in 0..5). The exact Fourier–Motzkin pair of the two
+// bounds on y has the x coefficient 2^62 − (2^40+1)·2^25, which wraps int64
+// to a positive number: an unchecked combination projected the set to
+// {0 <= x <= 3}. The exact projection must report the overflow, and the
+// approximate one must keep every projected point.
+func TestProjectOutOverflowIsUnsupported(t *testing.T) {
+	const k = int64(1)<<40 + 1
+	bs := UniverseBasicSet(NewSpace("S", "x", "y"))
+	w := bs.NCols()
+	for _, c := range []Constraint{
+		ineq(w, 0, 1, 0),          // x >= 0
+		ineq(w, 3, -1, 0),         // x <= 3
+		ineq(w, 0, -(1 << 25), 1), // y >= 2^25·x
+		ineq(w, 5*k, 1<<62, -k),   // k·y <= 2^62·x + 5k
+	} {
+		bs = bs.AddConstraint(c)
+	}
+	if got, err := bs.ProjectOut(1, 1); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("ProjectOut = %v, %v; want an error wrapping ErrUnsupported", got, err)
+	}
+	// Every point has 2^25·x <= y < 2^22·x + 6, so x = 0 and 0 <= y <= 5:
+	// the brute force over a small window around them is exhaustive.
+	approx := bs.ProjectOutApprox(1, 1)
+	projected := 0
+	for x := int64(-1); x <= 4; x++ {
+		for y := int64(-8); y <= 64; y++ {
+			if !bs.Contains([]int64{x, y}) {
+				continue
+			}
+			projected++
+			if !approx.Contains([]int64{x}) {
+				t.Fatalf("ProjectOutApprox = %v misses x = %d of the point (%d, %d)", approx, x, x, y)
+			}
+		}
+	}
+	if projected != 6 {
+		t.Fatalf("brute force found %d points, want 6 (x = 0, y = 0..5)", projected)
 	}
 }
 

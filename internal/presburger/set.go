@@ -145,9 +145,10 @@ func (bs BasicSet) SubstituteLeadingDims(vals []int64) (BasicSet, bool) {
 }
 
 // ProjectOutApprox is ProjectOut without a failure mode: dimensions the
-// exact strategies cannot eliminate are projected by dropping the div
-// definitions that reference them and combining the remaining bounds with
-// rational Fourier–Motzkin. The result is a superset of the exact
+// exact strategies cannot eliminate (including an exact Fourier–Motzkin
+// step that would overflow) are projected by dropping the div definitions
+// that reference them and taking the rational shadow of the rest. The
+// result is a superset of the exact
 // projection, suitable for generating candidate points that are validated
 // against the exact set afterwards (partial enumeration).
 func (bs BasicSet) ProjectOutApprox(first, n int) BasicSet {

@@ -443,16 +443,9 @@ func (ps *pieceSweep) sweptPart(row presburger.Vec, base int64, col, divCol int,
 
 // mulAdd returns s + c·v, reporting false on overflow.
 func mulAdd(s, c, v int64) (int64, bool) {
-	if c == 0 || v == 0 {
-		return s, true
-	}
-	const lim = 1 << 31
-	p := c * v
-	if c <= -lim || c >= lim || v <= -lim || v >= lim {
-		var ok bool
-		if p, ok = ints.TryMul(c, v); !ok {
-			return 0, false
-		}
+	p, ok := ints.TryMul(c, v)
+	if !ok {
+		return 0, false
 	}
 	return ints.TryAdd(s, p)
 }
